@@ -1,12 +1,8 @@
-// Per-packet data-path microbenchmarks (google-benchmark): the zero-copy
-// refactor's hot paths — pooled packets moving through the ring-buffer
-// egress queue and the compiled FIB with its flow cache — measured against
-// verbatim copies of the seed implementations (std::deque<Packet> queue
-// with by-value packets, stable-sorted linear route scan), so one binary
-// prints before/after items-per-second for each pair. Compare the
-// items_per_second counters of each Legacy/current pair; BM_DatapathHop vs
-// BM_LegacyDatapathHop is the headline packets/sec ratio for the
-// forwarding hot path.
+// Per-packet data-path microbenchmarks (google-benchmark): pooled packets
+// moving through the ring-buffer egress queue, the compiled FIB with its
+// flow cache, and the composite per-hop path that combines them.
+// BM_DatapathHop is the headline packets/sec figure for the forwarding hot
+// path.
 //
 // After the microbenchmarks, main() runs a fixed end-to-end forwarding
 // workload (probe bursts through switch chains of increasing length) under
@@ -14,13 +10,9 @@
 // packets_per_second entries CI can track run over run.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <iterator>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/device.hpp"
 #include "net/host.hpp"
@@ -36,84 +28,9 @@ using namespace scidmz::sim::literals;
 
 namespace {
 
-/// The seed-era egress queue, verbatim: std::deque of whole packets,
-/// ~150-byte moves on both enqueue and dequeue.
-class LegacyDropTailQueue {
- public:
-  explicit LegacyDropTailQueue(sim::DataSize capacityBytes) : capacity_(capacityBytes) {}
-
-  bool tryEnqueue(sim::SimTime now, net::Packet packet) {
-    const auto size = packet.wireSize();
-    if (depth_ + size > capacity_) {
-      ++dropped_;
-      return false;
-    }
-    depth_ += size;
-    depthOverTime_.update(now, static_cast<double>(depth_.byteCount()));
-    items_.push_back(std::move(packet));
-    return true;
-  }
-
-  [[nodiscard]] std::optional<net::Packet> dequeue(sim::SimTime now) {
-    if (items_.empty()) return std::nullopt;
-    net::Packet p = std::move(items_.front());
-    items_.pop_front();
-    depth_ -= p.wireSize();
-    depthOverTime_.update(now, static_cast<double>(depth_.byteCount()));
-    return p;
-  }
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-
- private:
-  sim::DataSize capacity_;
-  sim::DataSize depth_ = sim::DataSize::zero();
-  std::deque<net::Packet> items_;
-  sim::TimeWeightedMean depthOverTime_;
-  std::uint64_t dropped_ = 0;
-};
-
-/// The seed-era route table, verbatim: routes stable-sorted by descending
-/// prefix length, every lookup a linear prefix-containment scan.
-class LegacyRouteTable {
- public:
-  void addRoute(net::Prefix prefix, int ifIndex) {
-    routes_.push_back(Entry{prefix, ifIndex});
-    std::stable_sort(routes_.begin(), routes_.end(), [](const Entry& a, const Entry& b) {
-      return a.prefix.length() > b.prefix.length();
-    });
-  }
-
-  [[nodiscard]] std::optional<int> lookupRoute(net::Address dst) const {
-    for (const auto& entry : routes_) {
-      if (entry.prefix.contains(dst)) return entry.ifIndex;
-    }
-    return std::nullopt;
-  }
-
- private:
-  struct Entry {
-    net::Prefix prefix;
-    int ifIndex;
-  };
-  std::vector<Entry> routes_;
-};
-
-net::FlowKey benchFlow(net::Address dst) {
-  return net::FlowKey{net::Address(10, 0, 0, 250), dst, 33000, 5001, net::Protocol::kTcp};
-}
-
-net::Packet legacyPacket(net::Address dst) {
-  net::Packet p;
-  p.flow = benchFlow(dst);
-  p.body = net::TcpHeader{};
-  p.payload = sim::DataSize::bytes(1460);
-  return p;
-}
-
 net::PacketRef pooledPacket(net::PacketPool& pool, net::Address dst) {
   net::PacketRef p = pool.acquire();
-  p->flow = benchFlow(dst);
+  p->flow = net::FlowKey{net::Address(10, 0, 0, 250), dst, 33000, 5001, net::Protocol::kTcp};
   p->body = net::TcpHeader{};
   p->payload = sim::DataSize::bytes(1460);
   return p;
@@ -121,15 +38,15 @@ net::PacketRef pooledPacket(net::PacketPool& pool, net::Address dst) {
 
 /// A realistic mid-size RIB: a rack of /32 host routes over a handful of
 /// aggregate prefixes, as computeRoutes() installs for the usecase sites.
-template <typename Table>
-void installBenchRoutes(Table& table) {
+void installBenchRoutes(net::Device& dev) {
   for (int i = 1; i <= 48; ++i) {
-    table.addRoute(net::Prefix{net::Address(10, 0, 0, static_cast<std::uint8_t>(i)), 32}, i % 8);
+    dev.addRoute(net::Prefix{net::Address(10, 0, 0, static_cast<std::uint8_t>(i)), 32}, i % 8);
   }
-  table.addRoute(net::Prefix{net::Address(10, 1, 0, 0), 16}, 1);
-  table.addRoute(net::Prefix{net::Address(10, 2, 0, 0), 16}, 2);
-  table.addRoute(net::Prefix{net::Address(172, 16, 0, 0), 12}, 3);
-  table.addRoute(net::Prefix{net::Address(10, 0, 0, 0), 8}, 0);
+  dev.addRoute(net::Prefix{net::Address(10, 1, 0, 0), 16}, 1);
+  dev.addRoute(net::Prefix{net::Address(10, 2, 0, 0), 16}, 2);
+  dev.addRoute(net::Prefix{net::Address(172, 16, 0, 0), 12}, 3);
+  dev.addRoute(net::Prefix{net::Address(10, 0, 0, 0), 8}, 0);
+  dev.finalizeRoutes();
 }
 
 /// Sixteen concurrently active flows — the regime the flow cache targets.
@@ -163,21 +80,6 @@ void BM_QueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueChurn);
 
-void BM_LegacyQueueChurn(benchmark::State& state) {
-  LegacyDropTailQueue q{1_MB};
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      (void)q.tryEnqueue(sim::SimTime::zero(), legacyPacket(activeDst(i)));
-    }
-    while (!q.empty()) {
-      auto p = q.dequeue(sim::SimTime::zero());
-      benchmark::DoNotOptimize(p->ttl);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacyQueueChurn);
-
 // ---------------------------------------------------------------------------
 // Route lookup: 64 lookups across 16 hot flows against the bench RIB.
 
@@ -185,7 +87,6 @@ void BM_FibLookup(benchmark::State& state) {
   scenario::Scenario s;
   FibDevice dev{s.ctx, "fib"};
   installBenchRoutes(dev);
-  dev.finalizeRoutes();
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       auto egress = dev.lookupRoute(activeDst(i));
@@ -196,24 +97,10 @@ void BM_FibLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FibLookup);
 
-void BM_LegacyRouteLookup(benchmark::State& state) {
-  LegacyRouteTable table;
-  installBenchRoutes(table);
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      auto egress = table.lookupRoute(activeDst(i));
-      benchmark::DoNotOptimize(egress);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacyRouteLookup);
-
 // ---------------------------------------------------------------------------
-// Composite per-hop path, the headline pair: build a packet, take the
-// egress queue in and out, and resolve the route — everything a switch hop
-// does to a packet except the event-queue trip (micro_simulator covers
-// that side).
+// Composite per-hop path: build a packet, take the egress queue in and out,
+// and resolve the route — everything a switch hop does to a packet except
+// the event-queue trip (micro_simulator covers that side).
 
 void BM_DatapathHop(benchmark::State& state) {
   scenario::Scenario s;
@@ -221,7 +108,6 @@ void BM_DatapathHop(benchmark::State& state) {
   net::DropTailQueue q{1_MB};
   FibDevice dev{s.ctx, "hop"};
   installBenchRoutes(dev);
-  dev.finalizeRoutes();
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       (void)q.tryEnqueue(sim::SimTime::zero(), pooledPacket(pool, activeDst(i)));
@@ -234,57 +120,49 @@ void BM_DatapathHop(benchmark::State& state) {
 }
 BENCHMARK(BM_DatapathHop);
 
-void BM_LegacyDatapathHop(benchmark::State& state) {
-  LegacyDropTailQueue q{1_MB};
-  LegacyRouteTable table;
-  installBenchRoutes(table);
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      (void)q.tryEnqueue(sim::SimTime::zero(), legacyPacket(activeDst(i)));
-      auto p = q.dequeue(sim::SimTime::zero());
-      auto egress = table.lookupRoute(p->flow.dst);
-      benchmark::DoNotOptimize(egress);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacyDatapathHop);
-
 // ---------------------------------------------------------------------------
 // End-to-end: probe bursts through the real simulator stack (host ->
-// four-switch chain -> host). No legacy twin — this is the absolute
-// packets/sec of the assembled data path, tracked run over run.
+// switch chain -> host), the absolute packets/sec of the assembled data
+// path, tracked run over run.
 
-void BM_DatapathForwardChain(benchmark::State& state) {
+/// Host -> `hops` switches -> host on 100G links; sendBurst() pushes one
+/// burst of UDP probes from src and runs the simulator dry.
+struct Chain {
   scenario::Scenario s;
-  auto& src = s.topo.addHost("src", net::Address(10, 0, 0, 1));
-  auto& dst = s.topo.addHost("dst", net::Address(10, 0, 0, 2));
-  net::SwitchDevice* prev = nullptr;
-  net::LinkParams lp;
-  lp.rate = 100_Gbps;
-  for (int i = 0; i < 4; ++i) {
-    auto& sw = s.topo.addSwitch("sw" + std::to_string(i));
-    if (prev == nullptr) {
-      s.topo.connect(src, sw, lp);
-    } else {
-      s.topo.connect(*prev, sw, lp);
-    }
-    prev = &sw;
-  }
-  s.topo.connect(*prev, dst, lp);
-  s.topo.computeRoutes();
+  net::Host* src = nullptr;
+  net::Host* dst = nullptr;
 
-  const std::uint64_t before = s.ctx.packetsForwarded();
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      src.send(net::makeProbePacket(s.ctx.pool(), net::FlowKey{src.address(), dst.address(), 9, 9,
-                                                               net::Protocol::kUdp},
-                                    net::ProbeHeader{}, sim::DataSize::bytes(1460)));
+  explicit Chain(int hops) {
+    src = &s.topo.addHost("src", net::Address(10, 0, 0, 1));
+    dst = &s.topo.addHost("dst", net::Address(10, 0, 0, 2));
+    net::Device* prev = src;
+    net::LinkParams lp;
+    lp.rate = 100_Gbps;
+    for (int i = 0; i < hops; ++i) {
+      auto& sw = s.topo.addSwitch("sw" + std::to_string(i));
+      s.topo.connect(*prev, sw, lp);
+      prev = &sw;
+    }
+    s.topo.connect(*prev, *dst, lp);
+    s.topo.computeRoutes();
+  }
+
+  void sendBurst(int packets) {
+    for (int i = 0; i < packets; ++i) {
+      src->send(net::makeProbePacket(
+          s.ctx.pool(), net::FlowKey{src->address(), dst->address(), 9, 9, net::Protocol::kUdp},
+          net::ProbeHeader{}, sim::DataSize::bytes(1460)));
     }
     s.simulator.run();
   }
+};
+
+void BM_DatapathForwardChain(benchmark::State& state) {
+  Chain chain{4};
+  const std::uint64_t before = chain.s.ctx.packetsForwarded();
+  for (auto _ : state) chain.sendBurst(64);
   // Items are forwarding-plane hops actually executed (4 per packet).
-  state.SetItemsProcessed(static_cast<std::int64_t>(s.ctx.packetsForwarded() - before));
+  state.SetItemsProcessed(static_cast<std::int64_t>(chain.s.ctx.packetsForwarded() - before));
 }
 BENCHMARK(BM_DatapathForwardChain);
 
@@ -298,34 +176,9 @@ constexpr int kBursts = 64;
 constexpr int kBurstPackets = 64;
 
 void runChainCell(sim::SweepCell& cell) {
-  const int hops = kChainLengths[cell.index];
-  scenario::Scenario s;
-  auto& src = s.topo.addHost("src", net::Address(10, 0, 0, 1));
-  auto& dst = s.topo.addHost("dst", net::Address(10, 0, 0, 2));
-  net::SwitchDevice* prev = nullptr;
-  net::LinkParams lp;
-  lp.rate = 100_Gbps;
-  for (int i = 0; i < hops; ++i) {
-    auto& sw = s.topo.addSwitch("sw" + std::to_string(i));
-    if (prev == nullptr) {
-      s.topo.connect(src, sw, lp);
-    } else {
-      s.topo.connect(*prev, sw, lp);
-    }
-    prev = &sw;
-  }
-  s.topo.connect(*prev, dst, lp);
-  s.topo.computeRoutes();
-
-  for (int burst = 0; burst < kBursts; ++burst) {
-    for (int i = 0; i < kBurstPackets; ++i) {
-      src.send(net::makeProbePacket(s.ctx.pool(), net::FlowKey{src.address(), dst.address(), 9, 9,
-                                                               net::Protocol::kUdp},
-                                    net::ProbeHeader{}, sim::DataSize::bytes(1460)));
-    }
-    s.simulator.run();
-  }
-  scenario::finishCell(s, cell);
+  Chain chain{kChainLengths[cell.index]};
+  for (int burst = 0; burst < kBursts; ++burst) chain.sendBurst(kBurstPackets);
+  scenario::finishCell(chain.s, cell);
 }
 
 }  // namespace

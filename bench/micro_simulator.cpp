@@ -2,35 +2,25 @@
 // kernel and the hot per-packet paths that bound how much simulated
 // traffic the figure benches can afford.
 //
-// Two generations of before/after pairs share this binary:
-//  * BM_Legacy* runs a copy of the seed event queue (std::function
-//    callbacks, binary priority_queue, unordered_set lazy cancellation)
-//    against the same workloads as the current queue;
-//  * BM_HeapOnly* runs the pre-timing-wheel queue (4-ary heap + slot
-//    table, verbatim) against the wheel-fronted current queue on
-//    periodic-heavy, irregular-heavy and mixed timer schedules — the
-//    workloads the wheel exists for.
-// Compare the items_per_second counters of each pair. After the
-// microbenchmarks, main() re-measures the HeapOnly/current pairs with a
-// fixed op count, prints the ratio table (mirrored to
-// micro_simulator.table.json), and runs the timer workloads under the
-// SweepRunner so BENCH_sim.json gains events_per_second cells CI can
+// The BM_EventQueue* benches measure the event queue alone on synthetic
+// schedules; the timer benches run the periodic-heavy, irregular-heavy and
+// mixed schedules the timing wheel exists for. After the microbenchmarks,
+// main() prints the profiler A/B table (mirrored to
+// micro_simulator_profiler.table.json) and runs the timer workloads under
+// the SweepRunner so BENCH_sim.json gains events_per_second cells CI can
 // ratchet (tools/perf_ratchet.py).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "net/host.hpp"
 #include "net/topology.hpp"
 #include "scenario/bench_io.hpp"
 #include "scenario/harness.hpp"
-#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
@@ -44,246 +34,16 @@ using namespace scidmz::sim::literals;
 
 namespace {
 
-/// The seed-era queue, verbatim: heap-allocating std::function callbacks,
-/// binary heap, unordered_set cancellation probing on every peek/pop.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  std::uint64_t schedule(sim::SimTime at, Callback cb) {
-    const std::uint64_t id = ++next_seq_;
-    heap_.push(Entry{at, id, std::move(cb)});
-    ++live_;
-    return id;
-  }
-
-  void cancel(std::uint64_t id) {
-    if (id == 0) return;
-    if (cancelled_.insert(id).second && live_ > 0) --live_;
-  }
-
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-
-  struct Popped {
-    sim::SimTime at;
-    Callback cb;
-  };
-  Popped pop() {
-    skipCancelled();
-    Entry top = std::move(const_cast<Entry&>(heap_.top()));
-    heap_.pop();
-    --live_;
-    return Popped{top.at, std::move(top.cb)};
-  }
-
- private:
-  struct Entry {
-    sim::SimTime at;
-    std::uint64_t seq = 0;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  void skipCancelled() {
-    while (!heap_.empty()) {
-      auto it = cancelled_.find(heap_.top().seq);
-      if (it == cancelled_.end()) return;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
-};
-
-/// The pre-timing-wheel queue, verbatim: the current EventQueue's 4-ary
-/// heap, slot table and tombstone compaction, with every schedule going
-/// straight to the heap. This is the "before" half of the BM_HeapOnly*
-/// pairs — keep it in sync with nothing; it is a historical snapshot.
-class HeapOnlyEventQueue {
- public:
-  using Callback = sim::SmallCallback<64>;
-
-  template <typename F>
-  sim::EventId schedule(sim::SimTime at, F&& cb) {
-    const std::uint32_t slot = acquireSlot(std::forward<F>(cb));
-    heapPush(HeapEntry{at, ++next_seq_, slot});
-    ++live_;
-    return sim::EventId{pack(slot, slots_[slot].generation)};
-  }
-
-  void cancel(sim::EventId id) {
-    if (!id.valid()) return;
-    const std::uint32_t slot = unpackSlot(id.value);
-    if (slot >= slots_.size()) return;
-    Slot& s = slots_[slot];
-    if (!s.active || s.tombstone || s.generation != unpackGeneration(id.value)) return;
-    s.tombstone = true;
-    s.cb.reset();
-    --live_;
-    ++tombstones_;
-    if (tombstones_ > 64 && tombstones_ > live_) compact();
-  }
-
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-
-  struct Popped {
-    sim::SimTime at;
-    Callback cb;
-  };
-  Popped pop() {
-    skipTombstones();
-    const HeapEntry top = heap_.front();
-    heapPopFront();
-    Popped out{top.at, std::move(slots_[top.slot].cb)};
-    releaseSlot(top.slot);
-    --live_;
-    return out;
-  }
-
- private:
-  struct HeapEntry {
-    sim::SimTime at;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-  };
-  struct Slot {
-    Callback cb;
-    std::uint32_t generation = 0;
-    bool active = false;
-    bool tombstone = false;
-  };
-
-  static constexpr std::uint64_t pack(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<std::uint64_t>(slot) + 1) << 32 | gen;
-  }
-  static constexpr std::uint32_t unpackSlot(std::uint64_t v) {
-    return static_cast<std::uint32_t>(v >> 32) - 1;
-  }
-  static constexpr std::uint32_t unpackGeneration(std::uint64_t v) {
-    return static_cast<std::uint32_t>(v);
-  }
-
-  template <typename F>
-  std::uint32_t acquireSlot(F&& cb) {
-    std::uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    Slot& s = slots_[slot];
-    s.cb.assign(std::forward<F>(cb));
-    s.active = true;
-    s.tombstone = false;
-    return slot;
-  }
-
-  void releaseSlot(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    s.cb.reset();
-    s.active = false;
-    s.tombstone = false;
-    ++s.generation;
-    free_.push_back(slot);
-  }
-
-  void skipTombstones() {
-    while (!heap_.empty() && slots_[heap_.front().slot].tombstone) {
-      const std::uint32_t slot = heap_.front().slot;
-      heapPopFront();
-      releaseSlot(slot);
-      --tombstones_;
-    }
-  }
-
-  void compact() {
-    std::size_t kept = 0;
-    for (const HeapEntry& e : heap_) {
-      if (slots_[e.slot].tombstone) {
-        releaseSlot(e.slot);
-        --tombstones_;
-      } else {
-        heap_[kept++] = e;
-      }
-    }
-    heap_.resize(kept);
-    if (kept > 1) {
-      for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) siftDown(i, heap_[i]);
-    }
-  }
-
-  static constexpr std::size_t kArity = 4;
-
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
-
-  void heapPush(HeapEntry e) {
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  void heapPopFront() {
-    const HeapEntry tail = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0, tail);
-  }
-
-  void siftDown(std::size_t i, HeapEntry e) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = first + kArity < n ? first + kArity : n;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], e)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = e;
-  }
-
-  std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
-  std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;
-  std::uint64_t next_seq_ = 0;
-};
-
 /// Packet-sized capture, what the link/switch/device forwarding events
-/// carry. std::function heap-allocates this; SmallCallback keeps it inline.
+/// carry; SmallCallback keeps it inline.
 struct PacketSizedCapture {
   void* owner = nullptr;
   unsigned char payload[144] = {};
   void operator()() const { benchmark::DoNotOptimize(payload[0]); }
 };
 
-template <typename Queue>
-void scheduleAndPopLoop(benchmark::State& state) {
-  Queue queue;
+void BM_EventQueueScheduleAndPop(benchmark::State& state) {
+  sim::EventQueue queue;
   std::int64_t t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
@@ -297,20 +57,10 @@ void scheduleAndPopLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  scheduleAndPopLoop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
-void BM_LegacyEventQueueScheduleAndPop(benchmark::State& state) {
-  scheduleAndPopLoop<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueScheduleAndPop);
-
-template <typename Queue>
-void packetCaptureLoop(benchmark::State& state) {
-  Queue queue;
+void BM_EventQueuePacketSizedCapture(benchmark::State& state) {
+  sim::EventQueue queue;
   std::int64_t t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
@@ -324,21 +74,13 @@ void packetCaptureLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-
-void BM_EventQueuePacketSizedCapture(benchmark::State& state) {
-  packetCaptureLoop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueuePacketSizedCapture);
 
-void BM_LegacyEventQueuePacketSizedCapture(benchmark::State& state) {
-  packetCaptureLoop<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueuePacketSizedCapture);
-
-template <typename Queue, typename Id>
-void scheduleCancelLoop(benchmark::State& state) {
-  Queue queue;
-  std::vector<Id> ids;
+/// Timer-churn pattern: half of everything scheduled is cancelled before it
+/// fires (RTO timers rearmed by every ACK behave like this).
+void BM_EventQueueScheduleCancelPop(benchmark::State& state) {
+  sim::EventQueue queue;
+  std::vector<sim::EventId> ids;
   ids.reserve(64);
   std::int64_t t = 0;
   for (auto _ : state) {
@@ -355,25 +97,13 @@ void scheduleCancelLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-
-/// Timer-churn pattern: half of everything scheduled is cancelled before it
-/// fires (RTO timers rearmed by every ACK behave like this).
-void BM_EventQueueScheduleCancelPop(benchmark::State& state) {
-  scheduleCancelLoop<sim::EventQueue, sim::EventId>(state);
-}
 BENCHMARK(BM_EventQueueScheduleCancelPop);
-
-void BM_LegacyEventQueueScheduleCancelPop(benchmark::State& state) {
-  scheduleCancelLoop<LegacyEventQueue, std::uint64_t>(state);
-}
-BENCHMARK(BM_LegacyEventQueueScheduleCancelPop);
 
 /// Steady-state churn against a deep heap: the regime the figure benches
 /// live in (a single 10G high-BDP flow keeps thousands of packet/timer
 /// events in flight).
-template <typename Queue>
-void deepHeapChurnLoop(benchmark::State& state) {
-  Queue queue;
+void BM_EventQueueDeepHeapChurn(benchmark::State& state) {
+  sim::EventQueue queue;
   sim::Rng rng{7};
   std::int64_t t = 0;
   for (int i = 0; i < 4096; ++i) {
@@ -389,20 +119,11 @@ void deepHeapChurnLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_EventQueueDeepHeapChurn(benchmark::State& state) {
-  deepHeapChurnLoop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueDeepHeapChurn);
 
-void BM_LegacyEventQueueDeepHeapChurn(benchmark::State& state) {
-  deepHeapChurnLoop<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueDeepHeapChurn);
-
 // ---------------------------------------------------------------------------
-// Timer-schedule pairs: the workloads the timing wheel exists for. A fleet
-// of self-rescheduling timers — probe cadences, pacing ticks, RTO rearms —
+// Timer schedules: the workloads the timing wheel exists for. A fleet of
+// self-rescheduling timers — probe cadences, pacing ticks, RTO rearms —
 // with the pop/fire/reschedule loop the Simulator core runs. kPeriodic uses
 // fixed per-timer periods (10 us .. 1 ms, the perfSONAR/pacing regime that
 // parks in wheel buckets); kIrregular uses fresh sub-microsecond deltas
@@ -412,17 +133,22 @@ BENCHMARK(BM_LegacyEventQueueDeepHeapChurn);
 enum class ScheduleKind { kPeriodic, kIrregular, kMixed };
 
 constexpr const char* kScheduleNames[] = {"periodic", "irregular", "mixed"};
-constexpr int kTimerCount = 4096;
 
-template <typename Queue>
+/// Timer i's fixed period in ns, or 0 for an irregular timer.
+std::int64_t timerPeriod(ScheduleKind kind, int i) {
+  const bool periodic =
+      kind == ScheduleKind::kPeriodic || (kind == ScheduleKind::kMixed && i % 2 == 0);
+  return periodic ? 10'000 + (static_cast<std::int64_t>(i) * 37'000) % 990'000 : 0;
+}
+
+/// The timer fleet on a bare EventQueue: step() is one simulator iteration.
 class TimerSchedule {
  public:
-  explicit TimerSchedule(ScheduleKind kind) : period_(kTimerCount) {
-    for (int i = 0; i < kTimerCount; ++i) {
-      const bool periodic = kind == ScheduleKind::kPeriodic ||
-                            (kind == ScheduleKind::kMixed && i % 2 == 0);
-      period_[static_cast<std::size_t>(i)] =
-          periodic ? 10'000 + (static_cast<std::int64_t>(i) * 37'000) % 990'000 : 0;
+  static constexpr int kTimers = 4096;
+
+  explicit TimerSchedule(ScheduleKind kind) : period_(kTimers) {
+    for (int i = 0; i < kTimers; ++i) {
+      period_[static_cast<std::size_t>(i)] = timerPeriod(kind, i);
       armTimer(i, 0);
     }
   }
@@ -442,48 +168,32 @@ class TimerSchedule {
     queue_.schedule(sim::SimTime::fromNs(now + delta), [last, i] { *last = i; });
   }
 
-  Queue queue_;
+  sim::EventQueue queue_;
   sim::Rng rng_{11};
   std::vector<std::int64_t> period_;
   int last_fired_ = 0;
 };
 
-template <typename Queue>
 void timerScheduleLoop(benchmark::State& state, ScheduleKind kind) {
-  TimerSchedule<Queue> timers{kind};
+  TimerSchedule timers{kind};
   for (auto _ : state) timers.step();
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_EventQueuePeriodicTimers(benchmark::State& state) {
-  timerScheduleLoop<sim::EventQueue>(state, ScheduleKind::kPeriodic);
+  timerScheduleLoop(state, ScheduleKind::kPeriodic);
 }
 BENCHMARK(BM_EventQueuePeriodicTimers);
 
-void BM_HeapOnlyPeriodicTimers(benchmark::State& state) {
-  timerScheduleLoop<HeapOnlyEventQueue>(state, ScheduleKind::kPeriodic);
-}
-BENCHMARK(BM_HeapOnlyPeriodicTimers);
-
 void BM_EventQueueIrregularTimers(benchmark::State& state) {
-  timerScheduleLoop<sim::EventQueue>(state, ScheduleKind::kIrregular);
+  timerScheduleLoop(state, ScheduleKind::kIrregular);
 }
 BENCHMARK(BM_EventQueueIrregularTimers);
 
-void BM_HeapOnlyIrregularTimers(benchmark::State& state) {
-  timerScheduleLoop<HeapOnlyEventQueue>(state, ScheduleKind::kIrregular);
-}
-BENCHMARK(BM_HeapOnlyIrregularTimers);
-
 void BM_EventQueueMixedTimers(benchmark::State& state) {
-  timerScheduleLoop<sim::EventQueue>(state, ScheduleKind::kMixed);
+  timerScheduleLoop(state, ScheduleKind::kMixed);
 }
 BENCHMARK(BM_EventQueueMixedTimers);
-
-void BM_HeapOnlyMixedTimers(benchmark::State& state) {
-  timerScheduleLoop<HeapOnlyEventQueue>(state, ScheduleKind::kMixed);
-}
-BENCHMARK(BM_HeapOnlyMixedTimers);
 
 void BM_RngNext(benchmark::State& state) {
   sim::Rng rng{1};
@@ -552,90 +262,49 @@ void BM_TcpSimulatedSecond(benchmark::State& state) {
 BENCHMARK(BM_TcpSimulatedSecond)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Fixed-op-count before/after pairs for the ratio table: same TimerSchedule
-// workloads, measured with a wall clock over a fixed number of events so
-// the heap-only/wheel ratio is directly comparable run to run. (Absolute
-// events/s are machine-dependent; only the ratio is meaningful across
-// machines, so this table is NOT a golden.)
+// The same timer schedules through the REAL Simulator (so daemon
+// accounting, clock advance and the wheel all run): 1024 timers that stop
+// rescheduling once `events` have fired in total.
 
-template <typename Queue>
-double timerEventsPerSecond(ScheduleKind kind, std::int64_t ops) {
-  TimerSchedule<Queue> timers{kind};
-  for (std::int64_t i = 0; i < ops / 8; ++i) timers.step();  // warm caches
-  const auto start = std::chrono::steady_clock::now();
-  for (std::int64_t i = 0; i < ops; ++i) timers.step();
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  return static_cast<double>(ops) / elapsed.count();
-}
+struct SimulatorTimerFleet {
+  static constexpr int kTimers = 1024;
 
-void emitSchedulePairTable() {
-  constexpr std::int64_t kOps = 2'000'000;
-  bench::header("micro_simulator: timer schedules, heap-only vs wheel+heap",
-                "ROADMAP north star: events/s on the kernel hot path");
-  bench::Table table{
-      "micro_simulator",
-      "Event-queue timer schedules: heap-only vs timing-wheel front",
-      "ROADMAP north star: events/s on the kernel hot path",
-      {bench::Column{"schedule", "%-10s"},
-       bench::Column{"heap_only_mev_s", "%16.2f", "heap-only Mev/s"},
-       bench::Column{"wheel_mev_s", "%12.2f", "wheel Mev/s"},
-       bench::Column{"speedup", "%8.2f", "speedup"}}};
-  table.printHeader();
-  // Interleaved best-of-N: the two queues alternate within each repetition,
-  // so transient machine load hits both sides rather than skewing the ratio,
-  // and the max per side approximates unloaded throughput.
-  constexpr int kReps = 5;
-  for (int k = 0; k < 3; ++k) {
-    const auto kind = static_cast<ScheduleKind>(k);
-    double before = 0.0;
-    double after = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      before = std::max(before, timerEventsPerSecond<HeapOnlyEventQueue>(kind, kOps));
-      after = std::max(after, timerEventsPerSecond<sim::EventQueue>(kind, kOps));
+  sim::Simulator& simulator;
+  std::int64_t events;
+  sim::Rng rng{23};
+  std::vector<std::int64_t> period = std::vector<std::int64_t>(kTimers);
+  std::int64_t fired = 0;
+
+  SimulatorTimerFleet(sim::Simulator& sim, ScheduleKind kind, std::int64_t eventCount)
+      : simulator(sim), events(eventCount) {
+    for (int i = 0; i < kTimers; ++i) {
+      period[static_cast<std::size_t>(i)] = timerPeriod(kind, i);
+      arm(i);
     }
-    table.emit({kScheduleNames[k], before / 1e6, after / 1e6, after / before});
   }
-  table.note("4096 self-rescheduling timers; pop/fire/reschedule loop, 2M events per cell.");
-  table.note("Best of 5 interleaved repetitions per queue.");
-  table.note("Machine-dependent: compare the speedup column, not absolute rates.");
-  table.write();
-}
+
+  void arm(int i) {
+    const std::int64_t p = period[static_cast<std::size_t>(i)];
+    const std::int64_t delta = p > 0 ? p : 1 + static_cast<std::int64_t>(rng.below(1000));
+    simulator.schedule(sim::Duration::nanoseconds(delta), [this, i] {
+      if (++fired < events) arm(i);
+    });
+  }
+};
 
 // ---------------------------------------------------------------------------
-// Profiler A/B pair: the same timer schedules through the REAL Simulator,
-// once with no profiler attached (the production default — the hot loop's
-// single nullptr branch) and once with the self-profiler recording every
-// event. The "off" side IS the configuration the ratcheted timers_* runs
-// below measure, so the 5% ratchet holds the zero-overhead claim across
-// PRs; this table additionally shows what "on" costs.
+// Profiler A/B pair: the timer fleet once with no profiler attached (the
+// production default — the hot loop's single nullptr branch) and once with
+// the self-profiler recording every event. The "off" side IS the
+// configuration the ratcheted timers_* runs below measure, so the 5%
+// ratchet holds the zero-overhead claim across PRs; this table additionally
+// shows what "on" costs.
 
 double simulatorTimerEventsPerSecond(ScheduleKind kind, sim::Profiler* profiler,
                                      std::int64_t ops) {
   sim::Simulator simulator;
   if (profiler != nullptr) simulator.setProfiler(profiler);
-  constexpr int kTimers = 1024;
-  struct Fleet {
-    sim::Simulator& simulator;
-    std::int64_t ops;
-    sim::Rng rng{23};
-    std::vector<std::int64_t> period;
-    std::int64_t fired = 0;
-
-    void arm(int i) {
-      const std::int64_t p = period[static_cast<std::size_t>(i)];
-      const std::int64_t delta = p > 0 ? p : 1 + static_cast<std::int64_t>(rng.below(1000));
-      simulator.schedule(sim::Duration::nanoseconds(delta), [this, i] {
-        if (++fired < ops) arm(i);
-      });
-    }
-  } fleet{simulator, ops, sim::Rng{23}, std::vector<std::int64_t>(kTimers), 0};
-  for (int i = 0; i < kTimers; ++i) {
-    const bool periodic =
-        kind == ScheduleKind::kPeriodic || (kind == ScheduleKind::kMixed && i % 2 == 0);
-    fleet.period[static_cast<std::size_t>(i)] =
-        periodic ? 10'000 + (static_cast<std::int64_t>(i) * 37'000) % 990'000 : 0;
-    fleet.arm(i);
-  }
+  SimulatorTimerFleet fleet{simulator, kind, ops};
   const auto start = std::chrono::steady_clock::now();
   simulator.run();
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
@@ -655,6 +324,9 @@ void emitProfilerPairTable() {
        bench::Column{"on_mev_s", "%12.2f", "on Mev/s"},
        bench::Column{"on_cost", "%8.2f", "off/on"}}};
   table.printHeader();
+  // Interleaved best-of-N: the two sides alternate within each repetition,
+  // so transient machine load hits both rather than skewing the ratio, and
+  // the max per side approximates unloaded throughput.
   constexpr int kReps = 5;
   for (int k = 0; k < 3; ++k) {
     const auto kind = static_cast<ScheduleKind>(k);
@@ -674,39 +346,16 @@ void emitProfilerPairTable() {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_sim.json: the same three schedules through the REAL Simulator (so
-// daemon accounting, clock advance and the wheel all run), one sweep run
-// per schedule. events_per_second lands in the machine-readable summary,
-// which tools/perf_ratchet.py gates against the committed baseline. A
-// fourth run repeats the mixed schedule with the profiler attached so the
-// instrumented regime has its own ratcheted baseline too.
+// BENCH_sim.json: one sweep run per schedule. events_per_second lands in
+// the machine-readable summary, which tools/perf_ratchet.py gates against
+// the committed baseline. A fourth run repeats the mixed schedule with the
+// profiler attached so the instrumented regime has its own ratcheted
+// baseline too.
 
 void runTimerCell(sim::SweepCell& cell, ScheduleKind kind, bool profiled = false) {
   scenario::Scenario s;
   if (profiled) s.simulator.setProfiler(&s.profiler);
-  constexpr int kCellTimers = 1024;
-  constexpr std::int64_t kCellEvents = 1'000'000;
-  struct Fleet {
-    scenario::Scenario& s;
-    sim::Rng rng{23};
-    std::vector<std::int64_t> period;
-    std::int64_t fired = 0;
-
-    void arm(int i) {
-      const std::int64_t p = period[static_cast<std::size_t>(i)];
-      const std::int64_t delta = p > 0 ? p : 1 + static_cast<std::int64_t>(rng.below(1000));
-      s.simulator.schedule(sim::Duration::nanoseconds(delta), [this, i] {
-        if (++fired < kCellEvents) arm(i);
-      });
-    }
-  } fleet{s, sim::Rng{23}, std::vector<std::int64_t>(kCellTimers), 0};
-  for (int i = 0; i < kCellTimers; ++i) {
-    const bool periodic =
-        kind == ScheduleKind::kPeriodic || (kind == ScheduleKind::kMixed && i % 2 == 0);
-    fleet.period[static_cast<std::size_t>(i)] =
-        periodic ? 10'000 + (static_cast<std::int64_t>(i) * 37'000) % 990'000 : 0;
-    fleet.arm(i);
-  }
+  SimulatorTimerFleet fleet{s.simulator, kind, 1'000'000};
   s.simulator.run();
   scenario::finishCell(s, cell);
 }
@@ -719,7 +368,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  emitSchedulePairTable();
   emitProfilerPairTable();
 
   sim::SweepRunner sweep;

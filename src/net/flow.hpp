@@ -174,6 +174,11 @@ class FlowHandle {
   /// The factory that created this handle, for live-registry maintenance
   /// (the snapshot orchestrator walks live handles in creation order).
   FlowFactory* registry_ = nullptr;
+  /// This handle's slot in the registry, so deregistration is O(1). 32 bits
+  /// on purpose: a derived class's first 4-byte member packs into the tail
+  /// padding behind it, which keeps fluid handles in the arena's 256-byte
+  /// class (see the static_assert in src/tcp/flow_factory.cpp).
+  std::uint32_t registry_slot_ = 0;
 };
 
 inline void FlowDeleter::operator()(FlowHandle* handle) const noexcept {
@@ -213,7 +218,9 @@ class FlowFactory {
   /// before scenario-held FlowPtrs die; detach the survivors so their
   /// destructors do not deregister into a dead registry.
   ~FlowFactory() {
-    for (FlowHandle* handle : live_) handle->registry_ = nullptr;
+    for (FlowHandle* handle : live_) {
+      if (handle != nullptr) handle->registry_ = nullptr;
+    }
   }
 
   /// Process-wide overrides (e.g. `scidmz_run --fidelity=fluid`) land here
@@ -237,9 +244,8 @@ class FlowFactory {
   [[nodiscard]] std::uint64_t flowsCreated() const { return flows_created_; }
   [[nodiscard]] std::uint64_t fluidFlowsCreated() const { return fluid_flows_created_; }
 
-  /// Handles created through create() and not yet destroyed, in creation
-  /// order — the snapshot orchestrator's walk order for the TCP section.
-  [[nodiscard]] const std::vector<FlowHandle*>& liveHandles() const { return live_; }
+  /// Handles created through create() and not yet destroyed.
+  [[nodiscard]] std::size_t liveCount() const { return live_.size() - tombstones_; }
 
   /// Snapshot/restore: factory counters plus every live handle's state, in
   /// creation order (the rebuild created the same handles in the same
@@ -247,14 +253,16 @@ class FlowFactory {
   std::uint64_t serialize(sim::Codec& c) {
     c.vu64(flows_created_);
     c.vu64(fluid_flows_created_);
-    std::uint64_t handleCount = live_.size();
+    std::uint64_t handleCount = liveCount();
     c.vu64(handleCount);
-    if (!c.writing() && handleCount != live_.size()) {
+    if (!c.writing() && handleCount != liveCount()) {
       c.reader().markFailed();
       return 0;
     }
     std::uint64_t claimed = 0;
-    for (FlowHandle* handle : live_) claimed += handle->serializeState(c);
+    for (FlowHandle* handle : live_) {
+      if (handle != nullptr) claimed += handle->serializeState(c);
+    }
     return claimed;
   }
 
@@ -262,21 +270,32 @@ class FlowFactory {
   friend class FlowHandle;
   void noteHandleCreated(FlowHandle* handle) {
     handle->registry_ = this;
+    handle->registry_slot_ = static_cast<std::uint32_t>(live_.size());
     live_.push_back(handle);
   }
+  /// O(1): tombstone the handle's slot. Once tombstones make up half the
+  /// registry, compact it in creation order; each compaction costs no more
+  /// than twice the tombstones it clears, so teardown stays linear.
   void noteHandleDestroyed(FlowHandle* handle) {
-    for (auto it = live_.begin(); it != live_.end(); ++it) {
-      if (*it == handle) {
-        live_.erase(it);
-        return;
-      }
+    live_[handle->registry_slot_] = nullptr;
+    if (++tombstones_ * 2 < live_.size()) return;
+    std::uint32_t kept = 0;
+    for (FlowHandle* h : live_) {
+      if (h == nullptr) continue;
+      h->registry_slot_ = kept;
+      live_[kept++] = h;
     }
+    live_.resize(kept);
+    tombstones_ = 0;
   }
 
   std::optional<FlowFidelity> override_;
   std::uint64_t flows_created_ = 0;
   std::uint64_t fluid_flows_created_ = 0;
+  /// Live handles in creation order; destroyed ones leave nullptr until the
+  /// next compaction.
   std::vector<FlowHandle*> live_;
+  std::size_t tombstones_ = 0;
 };
 
 inline FlowHandle::~FlowHandle() {

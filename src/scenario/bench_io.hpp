@@ -131,11 +131,18 @@ struct JsonValue {
   }
 };
 
+/// Where a run's file artifacts go: $SCIDMZ_TABLE_JSON_DIR/<file>, or
+/// ./<file> when the variable is unset. Empty when it is set to the empty
+/// string, which disables the artifact.
+inline std::string artifactPath(const std::string& file) {
+  const char* env = std::getenv("SCIDMZ_TABLE_JSON_DIR");
+  if (env != nullptr && *env == '\0') return {};
+  return std::string(env != nullptr ? env : ".") + "/" + file;
+}
+
 /// Machine-readable mirror of a bench's ASCII table (one schema for every
 /// figure/use-case bench, consumed by CI). Rows are appended alongside the
-/// printed rows; write() drops `<bench>.table.json` next to the binary's
-/// working directory. SCIDMZ_TABLE_JSON_DIR redirects the output directory;
-/// set it to the empty string to disable the file entirely.
+/// printed rows; write() drops `<bench>.table.json` under artifactPath().
 class JsonTable {
  public:
   JsonTable(std::string bench, std::string title, std::string paperRef,
@@ -196,13 +203,11 @@ class JsonTable {
     return static_cast<bool>(out);
   }
 
-  /// Write to $SCIDMZ_TABLE_JSON_DIR/<bench>.table.json (default ".").
-  /// Returns true when written or intentionally disabled.
+  /// Write to artifactPath("<bench>.table.json"). Returns true when written
+  /// or intentionally disabled.
   bool write() const {
-    const char* env = std::getenv("SCIDMZ_TABLE_JSON_DIR");
-    std::string dir = env != nullptr ? env : ".";
-    if (env != nullptr && dir.empty()) return true;  // explicitly disabled
-    const std::string path = dir + "/" + bench_ + ".table.json";
+    const std::string path = artifactPath(bench_ + ".table.json");
+    if (path.empty()) return true;  // explicitly disabled
     if (!writeTo(path)) {
       std::fprintf(stderr, "[table] could not write %s\n", path.c_str());
       return false;

@@ -10,7 +10,6 @@
 // scenario cells), so it stays a native entry.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -334,16 +333,16 @@ void diagnoseFromTelemetry() {
     }
   }
 
-  // Artifacts for CI: the packet-level trace (scidmz.trace.v1 JSONL) and
-  // the summary snapshot (scidmz.telemetry.v1). SCIDMZ_TRACE_JSONL
-  // overrides the trace path; set it empty to skip the files.
-  const char* env = std::getenv("SCIDMZ_TRACE_JSONL");
-  const std::string tracePath = env != nullptr ? env : "soft_failure_linecard.trace.jsonl";
+  // Artifacts for CI, beside the table JSON: the packet-level trace
+  // (scidmz.frbin.v1; `scidmz_run convert` makes JSONL of it) and the
+  // summary snapshot (scidmz.telemetry.v1).
+  const std::string tracePath = bench::artifactPath("soft_failure_linecard.trace.frbin");
   if (!tracePath.empty()) {
     if (!s.ctx.telemetry().writeTrace(tracePath)) {
       std::fprintf(stderr, "[telemetry] could not write %s\n", tracePath.c_str());
     }
-    std::ofstream snap("soft_failure_linecard.telemetry.json", std::ios::binary);
+    std::ofstream snap(bench::artifactPath("soft_failure_linecard.telemetry.json"),
+                       std::ios::binary);
     if (snap) snap << snapshot.toJson() << "\n";
   }
 }

@@ -14,11 +14,12 @@
 // The format is self-validating: every component reports how many pending
 // events it claimed, and a snapshot whose claimed total does not match the
 // simulator's live-event count is REFUSED — loudly, with an error — rather
-// than silently dropping events it cannot re-materialize. Out of scope in
-// v1 (all refuse via that accounting or an explicit check): scenario-level
-// scheduled closures, packets inside a firewall's inspection pipeline,
-// span tracing, the DTN storage pump, perfSONAR probe schedulers, and vc/
-// circuit timers. See DESIGN.md "State & serialization".
+// than silently dropping events it cannot re-materialize. Scenario-level
+// closures snapshot when registered by name (scenario::CallbackRegistry),
+// and span tracing rides along as the SPAN overlay. Refused today, via
+// that accounting: unregistered scenario closures, packets inside a
+// firewall's inspection pipeline, the DTN storage pump, perfSONAR probe
+// schedulers, and vc/circuit timers. See DESIGN.md "State & serialization".
 #pragma once
 
 #include <cstddef>

@@ -168,8 +168,10 @@ void buildFanin(const FaninTopology& t, Scenario& s, Materialized& m) {
   s.topo.connect(sw, sink, toLinkParams(t.egressLink));
   const auto in = toLinkParams(t.senderLink);
   for (int i = 0; i < t.senders; ++i) {
+    // 254 senders per /24: 10.0.1.1 .. 10.0.1.254, then 10.0.2.1, ...
     auto& h = s.topo.addHost("h" + std::to_string(i),
-                             net::Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)));
+                             net::Address(10, 0, static_cast<std::uint8_t>(1 + i / 254),
+                                          static_cast<std::uint8_t>(1 + i % 254)));
     s.topo.connect(h, sw, in);
     m.senders.push_back(&h);
   }

@@ -1,5 +1,5 @@
 // Minimal JSON value, parser, and deterministic writer for the scenario
-// layer (scidmz.scenario.v1 documents and the scidmz_run CLI).
+// layer (scidmz.scenario documents and the scidmz_run CLI).
 //
 // Design goals, in order: (1) deterministic output — dump() of a given
 // value is byte-stable, object keys keep insertion order, numbers use the

@@ -1,8 +1,7 @@
 // The scenario catalog: every paper figure, reference architecture,
 // Section 6 use case, and ablation registers its ScenarioSpec(s) plus a
 // renderer that turns the raw per-cell metrics back into the bench's
-// table. Benches become thin wrappers over runScenarioMain(name), and
-// scidmz_run drives the same entries from the command line.
+// table. `scidmz_run --run NAME` drives any entry from the command line.
 #pragma once
 
 #include <functional>

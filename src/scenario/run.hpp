@@ -1,6 +1,6 @@
 // Drive a catalog entry end to end: header, sweep over its specs, render,
-// sweep report. Bench binaries are one-line wrappers over
-// runScenarioMain(); scidmz_run drives the same path plus ad-hoc specs.
+// sweep report. `scidmz_run --run NAME` calls runScenarioMain(); ad-hoc
+// specs go through runSpecs().
 #pragma once
 
 #include <string>
@@ -17,13 +17,13 @@ namespace scidmz::scenario {
 std::vector<CellOutcome> runSpecs(const std::vector<ScenarioSpec>& specs,
                                   const std::string& sweepName, const std::string& benchName);
 
-/// Full legacy-bench behavior for one catalog entry: print the header, run
+/// Everything one catalog entry prints and writes: print the header, run
 /// the sweep (or the native body), render the tables, write the sweep
 /// report. Returns a process exit code.
 int runScenario(const ScenarioEntry& entry);
 
 /// Look `name` up in the builtin registry and run it; unknown names print
-/// to stderr and return 1. This is the whole main() of every bench wrapper.
+/// to stderr and return 1.
 int runScenarioMain(const std::string& name);
 
 }  // namespace scidmz::scenario

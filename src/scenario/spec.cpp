@@ -413,13 +413,6 @@ AnalysisSpec analysisFromJson(const Json& doc, const std::string& path) {
 
 // --- workloads -------------------------------------------------------------
 
-/// Any v2-only field non-default? Such a workload forces the document's
-/// schema to scidmz.scenario.v2; all-default specs stay byte-identical v1.
-bool workloadNeedsV2(const WorkloadSpec& w) {
-  return (workloadHasFidelity(w.kind) && w.fidelity != net::FlowFidelity::kPacket) ||
-         (w.kind == WorkloadKind::kConvergingFlows && w.fluidFlows != 0);
-}
-
 Json workloadToJson(const WorkloadSpec& w) {
   Json j = Json::object();
   j.set("kind", toString(w.kind));
@@ -481,8 +474,7 @@ Json workloadToJson(const WorkloadSpec& w) {
       j.set("rng_fork", w.rngFork);
       break;
   }
-  // v2 extension fields, emitted only when non-default so fidelity-free
-  // specs serialize as unchanged v1 documents.
+  // Optional v2 fields, emitted only when non-default.
   if (workloadHasFidelity(w.kind) && w.fidelity != net::FlowFidelity::kPacket) {
     j.set("fidelity", net::toString(w.fidelity));
   }
@@ -584,20 +576,12 @@ WorkloadSpec workloadFromJson(const Json& doc, const std::string& path, bool all
 // --- ScenarioSpec ----------------------------------------------------------
 
 Json ScenarioSpec::toJson() const {
-  bool v2 = domains != 0 || lookaheadUs != 0;
-  for (const auto& workload : workloads) {
-    if (workloadNeedsV2(workload)) {
-      v2 = true;
-      break;
-    }
-  }
   Json j = Json::object();
-  j.set("schema", v2 ? kScenarioSchemaV2 : kScenarioSchema);
+  j.set("schema", kScenarioSchemaV2);
   j.set("name", name);
   j.set("seed", seed);
   j.set("telemetry", telemetry);
-  // v2 sharding knobs, emitted only when non-default so unsharded specs
-  // serialize as unchanged v1 documents.
+  // Optional sharding knobs, emitted only when non-default.
   if (domains != 0) j.set("domains", domains);
   if (lookaheadUs != 0) j.set("lookahead_us", lookaheadUs);
   j.set("topology", topologyToJson(topology));

@@ -4,16 +4,15 @@
 // 6 use case), optional analytic passes (validator, path assessment), and
 // an ordered list of workloads to run over it.
 //
-// Specs serialize to/from `scidmz.scenario.v1` JSON documents, or
-// `scidmz.scenario.v2` when any workload uses the v2 extensions (per-flow
-// model fidelity, converging-flow fluid counts). A spec with no v2 fields
-// always serializes as v1, byte-identical to pre-v2 output. The
-// serialization is canonical: fields always appear, in a fixed order, so
-// parse -> serialize -> parse is byte-identical and a dumped spec is the
-// fixed point of its own round trip. Unknown keys and unrecognized enum
-// values are hard errors that name the offending key — a typo in a
-// hand-written scenario file fails loudly, not silently (v1 documents
-// reject the v2 keys, too).
+// Specs serialize to `scidmz.scenario.v2` JSON documents. Optional keys
+// (per-flow model fidelity, converging-flow fluid counts, sharding knobs)
+// appear only when non-default; every other field always appears, in a
+// fixed order, so parse -> serialize -> parse is byte-identical and a
+// dumped spec is the fixed point of its own round trip. Parsing also
+// accepts `scidmz.scenario.v1`, which has none of the optional keys.
+// Unknown keys and unrecognized enum values are hard errors that name the
+// offending key — a typo in a hand-written scenario file fails loudly, not
+// silently (v1 documents reject the v2 keys, too).
 #pragma once
 
 #include <cstdint>
@@ -26,15 +25,16 @@
 
 namespace scidmz::scenario {
 
-/// Error raised when a scidmz.scenario.v1 document is structurally valid
+/// Error raised when a scidmz.scenario document is structurally valid
 /// JSON but not a valid spec (unknown key, bad enum, wrong type).
 class SpecError : public JsonError {
  public:
   explicit SpecError(const std::string& message) : JsonError(message) {}
 };
 
+/// Read only: the original schema, without the optional v2 keys.
 inline constexpr const char* kScenarioSchema = "scidmz.scenario.v1";
-/// Emitted (and accepted) when any workload carries a v2-only field.
+/// Written by toJson() and read.
 inline constexpr const char* kScenarioSchemaV2 = "scidmz.scenario.v2";
 inline constexpr const char* kCatalogSchema = "scidmz.scenario.catalog.v1";
 
@@ -224,7 +224,7 @@ struct ScenarioSpec {
   AnalysisSpec analysis;
   std::vector<WorkloadSpec> workloads;
 
-  /// Canonical scidmz.scenario.v1 document (fixed field order).
+  /// Canonical scidmz.scenario.v2 document (fixed field order).
   [[nodiscard]] Json toJson() const;
   /// Parse and validate; throws SpecError naming the offending key.
   static ScenarioSpec fromJson(const Json& doc);

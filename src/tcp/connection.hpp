@@ -162,11 +162,11 @@ class TcpConnection : public net::PacketSink {
 
   /// Snapshot/restore of the full connection state: handshake results, the
   /// hot-table row, sender/receiver sequence state, SACK scoreboard, RTO
-  /// machinery, stats, CC-internal state, telemetry registration, and the
-  /// pending RTO/pacing timers (re-armed under their original keys).
-  /// Span tracing is not snapshotted — the orchestrator refuses to
-  /// snapshot runs with an enabled tracer. Returns the number of pending
-  /// events claimed.
+  /// machinery, stats, CC-internal state, telemetry registration, the
+  /// span-trace phase and open span ids (the spans themselves travel in the
+  /// snapshot's SPAN overlay), and the pending RTO/pacing timers (re-armed
+  /// under their original keys). Returns the number of pending events
+  /// claimed.
   std::uint64_t serialize(sim::Codec& c);
 
  private:

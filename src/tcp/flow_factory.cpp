@@ -463,15 +463,21 @@ class FluidFlowHandle final : public net::FlowHandle {
     root_ = phase_ = handshake_ = telemetry::SpanId{};
   }
 
+  // Ordered for size: id_ packs into FlowHandle's tail padding, and the
+  // 4-byte members follow the pointers.
+  FluidEngine::FlowId id_ = 0;
   net::Context& ctx_;
   FluidEngine& engine_;
-  FluidEngine::FlowId id_ = 0;
-  int streams_ = 1;
   telemetry::Tracer* tracer_ = nullptr;
+  int streams_ = 1;
   telemetry::SpanId root_{};
   telemetry::SpanId handshake_{};
   telemetry::SpanId phase_{};
 };
+
+// Fluid crowds hold tens of thousands of handles; one byte past the arena's
+// 256-byte size class would double their footprint.
+static_assert(sizeof(FluidFlowHandle) <= 256, "fluid handles must stay in a 256-byte block");
 
 }  // namespace
 

@@ -287,31 +287,4 @@ bool FlightRecorder::importBinary(std::istream& in) {
   return true;
 }
 
-void FlightRecorder::exportCsv(std::ostream& out) const {
-  out << "t_ns,ev,point,pkt,src,dst,sport,dport,proto,bytes,seq,depth\n";
-  std::string line;
-  forEach([&](const FlightEvent& e) {
-    line.clear();
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%lld,", static_cast<long long>(e.at.ns()));
-    line += buf;
-    line += toString(e.kind);
-    line += ',';
-    line += pointName(e.point);  // point names never contain commas by convention
-    std::snprintf(buf, sizeof buf, ",%llu,", static_cast<unsigned long long>(e.packetId));
-    line += buf;
-    appendIp(line, e.flow.src);
-    line += ',';
-    appendIp(line, e.flow.dst);
-    std::snprintf(buf, sizeof buf, ",%u,%u,", e.flow.srcPort, e.flow.dstPort);
-    line += buf;
-    line += protoName(e.flow.proto);
-    std::snprintf(buf, sizeof buf, ",%u,%llu,%llu", e.bytes,
-                  static_cast<unsigned long long>(e.aux),
-                  static_cast<unsigned long long>(e.aux2));
-    line += buf;
-    out << line << '\n';
-  });
-}
-
 }  // namespace scidmz::telemetry

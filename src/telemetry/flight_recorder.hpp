@@ -4,9 +4,10 @@
 //
 // Emit points intern their location once ("dtn0/if0", "fw0/input") and
 // record fixed-size POD events; when the ring is full the oldest events
-// are overwritten and counted, never silently lost. Exporters stream the
-// retained window in chronological order as JSONL (one event per line,
-// schema scidmz.trace.v1 — see EXPERIMENTS.md) or CSV.
+// are overwritten and counted, never silently lost. Runs write the retained
+// window as scidmz.frbin.v1; exportJsonl() streams it in chronological
+// order as JSONL (one event per line, schema scidmz.trace.v1 — see
+// EXPERIMENTS.md), the `scidmz_run convert` output.
 #pragma once
 
 #include <cstdint>
@@ -99,15 +100,13 @@ class FlightRecorder {
 
   /// One JSON object per line; deterministic for a given scenario + seed.
   void exportJsonl(std::ostream& out) const;
-  /// Same columns, CSV with a header row.
-  void exportCsv(std::ostream& out) const;
 
   /// Binary export (format scidmz.frbin.v1): the interned point table plus
   /// the retained events oldest-first, bit-packed with delta-encoded
   /// timestamps — typically an order of magnitude smaller than the JSONL.
   void exportBinary(std::ostream& out) const;
   /// Load a scidmz.frbin.v1 blob, replacing the recorder's contents (the
-  /// `scidmz_run convert` path back to JSONL/CSV). False on a malformed or
+  /// `scidmz_run convert` path to JSONL). False on a malformed or
   /// truncated blob; the recorder is cleared either way.
   bool importBinary(std::istream& in);
 

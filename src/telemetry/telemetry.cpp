@@ -208,14 +208,10 @@ TelemetrySnapshot Telemetry::snapshot() const {
   return snap;
 }
 
-bool Telemetry::writeTrace(const std::string& path, bool csv) const {
+bool Telemetry::writeTrace(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
-  if (csv) {
-    recorder_.exportCsv(out);
-  } else {
-    recorder_.exportJsonl(out);
-  }
+  recorder_.exportBinary(out);
   return static_cast<bool>(out);
 }
 

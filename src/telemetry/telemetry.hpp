@@ -106,9 +106,9 @@ class Telemetry {
   /// Returns claimed pending events.
   std::uint64_t serialize(sim::Codec& c);
 
-  /// Write the flight recorder trace; returns false if the file can't be
-  /// opened. Format by extension-agnostic flag: JSONL by default.
-  bool writeTrace(const std::string& path, bool csv = false) const;
+  /// Write the flight recorder trace as scidmz.frbin.v1; returns false if
+  /// the file can't be written. `scidmz_run convert` turns it into JSONL.
+  bool writeTrace(const std::string& path) const;
 
  private:
   void enableFromEnv();

@@ -115,11 +115,19 @@ void expectSameSignature(const std::string& got, const std::string& want, const 
                            << want.substr(0, 400);
 }
 
+/// Destroy the held flows at `drop` (creation-order indices, in the order
+/// given) before the cell runs; both the original and the rebuild do this.
+void dropFlows(Cell& c, const std::vector<std::size_t>& drop) {
+  for (const std::size_t i : drop) c.flowsHeld[i].reset();
+  std::erase_if(c.flowsHeld, [](const net::FlowPtr& flow) { return flow == nullptr; });
+}
+
 /// The core round trip at one fidelity: run to t1, snapshot; keep running
 /// the original to t2. Rebuild, restore, check state byte-match at t1,
 /// continue to t2, check byte-match again.
-void roundTrip(net::FlowFidelity fidelity, int flows) {
+void roundTrip(net::FlowFidelity fidelity, int flows, const std::vector<std::size_t>& drop = {}) {
   Cell original(fidelity, flows);
+  dropFlows(original, drop);
   original.s.simulator.runFor(300_ms);
   const SnapshotBlob blob = saveSnapshot(original.s);
   ASSERT_TRUE(blob.ok()) << blob.error;
@@ -129,6 +137,7 @@ void roundTrip(net::FlowFidelity fidelity, int flows) {
   const std::string uninterrupted = signature(original);
 
   Cell rebuilt(fidelity, flows);
+  dropFlows(rebuilt, drop);
   std::string error;
   ASSERT_TRUE(restoreSnapshot(rebuilt.s, blob.bytes, &error)) << error;
   expectSameSignature(signature(rebuilt), atSnapshot, "state at restore point");
@@ -146,6 +155,38 @@ TEST(SnapshotRoundTrip, FluidFidelityContinuesByteIdentical) {
 
 TEST(SnapshotRoundTrip, MixedFidelityContinuesByteIdentical) {
   roundTrip(net::FlowFidelity::kPacket, 2);
+}
+
+TEST(SnapshotRoundTrip, InterleavedTeardownContinuesByteIdentical) {
+  // Two of six destroyed out of creation order leave tombstones in the
+  // factory's registry at snapshot time; a third tips it into compaction.
+  // Either way the snapshot walks the survivors in creation order.
+  roundTrip(net::FlowFidelity::kPacket, 6, {4, 1});
+  roundTrip(net::FlowFidelity::kPacket, 6, {4, 1, 3});
+}
+
+TEST(FlowRegistry, EmptyAfterDestroyingTenThousandHandlesInCreationOrder) {
+  Scenario s(7);
+  auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
+  auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
+  s.topo.connect(a, b, net::LinkParams{});
+  s.topo.computeRoutes();
+  net::FlowFactory& factory = net::flowFactory(s.ctx);
+  constexpr std::size_t kFlows = 10'000;
+  std::vector<net::FlowPtr> flows;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    net::FlowFactory::Options options;
+    options.port = static_cast<std::uint16_t>(1 + i);
+    options.fidelity = net::FlowFidelity::kFluid;
+    options.pinned = true;
+    flows.push_back(factory.create(a, b, tcp::TcpConfig{}, options));
+  }
+  EXPECT_EQ(factory.liveCount(), kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    flows[i].reset();
+    ASSERT_EQ(factory.liveCount(), kFlows - i - 1);
+  }
+  EXPECT_EQ(factory.liveCount(), 0u);
 }
 
 TEST(SnapshotRoundTrip, RestoringTwiceIntoSameContextIsDeterministic) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
+#include "scenario/engine.hpp"
 #include "scenario/json.hpp"
 #include "scenario/registry.hpp"
+#include "sim/sweep.hpp"
 
 namespace scidmz::scenario {
 namespace {
@@ -102,12 +105,18 @@ TEST(ScenarioSpec, MissingKeyErrorNamesTheKey) {
 
 // --- schema v2: per-workload fidelity --------------------------------------
 
-TEST(ScenarioSpec, DefaultSpecStaysSchemaV1) {
+TEST(ScenarioSpec, DefaultSpecWritesV2AndStillReadsV1) {
   ScenarioSpec spec;
   spec.name = "defaults";
   WorkloadSpec w;
   spec.workloads.push_back(w);
-  EXPECT_EQ(spec.toJson()["schema"].asString(), "scidmz.scenario.v1");
+  Json doc = spec.toJson();
+  EXPECT_EQ(doc["schema"].asString(), "scidmz.scenario.v2");
+  const std::string once = doc.dump();
+  // The same document under the v1 schema (it has no optional keys) reads
+  // back to the same spec.
+  doc.set("schema", "scidmz.scenario.v1");
+  EXPECT_EQ(ScenarioSpec::fromJson(doc).toJson().dump(), once);
 }
 
 TEST(ScenarioSpec, FidelityRoundTripsAsSchemaV2) {
@@ -173,6 +182,50 @@ TEST(ScenarioSpec, BadFidelityValueIsRejected) {
     FAIL() << "expected SpecError";
   } catch (const SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("plasma"), std::string::npos) << e.what();
+  }
+}
+
+// --- fan-in address plan ---------------------------------------------------
+
+/// Past 254 senders the fan-in moves on to the next /24 (10.0.2.x), so no
+/// two senders share an address and every converging flow's ACKs find
+/// their way back to it.
+TEST(ScenarioSpec, FaninPast254SendersKeepsAddressesDistinct) {
+  constexpr int kSenders = 300;
+  ScenarioSpec spec;
+  spec.name = "fanin300";
+  spec.telemetry = true;
+  spec.topology.kind = TopologyKind::kFanin;
+  spec.topology.fanin.senders = kSenders;
+  spec.topology.fanin.senderLink = LinkSpec{100, 5, 1500};
+  spec.topology.fanin.egressLink = LinkSpec{100000, 5, 1500};
+  WorkloadSpec w;
+  w.kind = WorkloadKind::kConvergingFlows;
+  w.warmupS = 0.02;
+  w.windowS = 0.02;
+  spec.workloads.push_back(w);
+
+  sim::SweepCell cell;
+  const ScenarioResult result = runSpec(spec, cell);
+  EXPECT_GT(result.get("w0.delta_bits"), 0.0);
+
+  // Sender-side connections register "tcp/tcp SRC:PORT -> 10.0.0.99:PORT/...".
+  const Json snapshot = Json::parse(cell.telemetryJson);
+  const Json& counters = snapshot.get("counters");
+  std::set<std::string> senderAddresses;
+  for (const auto& [name, value] : counters.members()) {
+    const std::string prefix = "tcp/tcp ";
+    if (name.rfind(prefix, 0) != 0 || name.find(" -> 10.0.0.99:") == std::string::npos) continue;
+    senderAddresses.insert(name.substr(prefix.size(), name.find(':') - prefix.size()));
+  }
+  EXPECT_EQ(senderAddresses.size(), static_cast<std::size_t>(kSenders));
+  EXPECT_EQ(senderAddresses.count("10.0.2.46"), 1u);  // sender 299
+
+  for (int i = 0; i < kSenders; ++i) {
+    // The SYN-ACK and the ACKs for this sender's data reached it.
+    const std::string key = "link/agg->h" + std::to_string(i) + "/delivered";
+    ASSERT_TRUE(counters.contains(key)) << key;
+    EXPECT_GT(counters.get(key).asNumber(), 10.0) << key;
   }
 }
 

@@ -108,13 +108,6 @@ TEST(FlightRecorder, JsonlLineFormat) {
             "\"pkt\":42,\"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"sport\":49152,"
             "\"dport\":5001,\"proto\":\"tcp\",\"bytes\":9040,\"seq\":9000,"
             "\"depth\":1234}\n");
-
-  std::ostringstream csv;
-  rec.exportCsv(csv);
-  EXPECT_EQ(csv.str(),
-            "t_ns,ev,point,pkt,src,dst,sport,dport,proto,bytes,seq,depth\n"
-            "1500000,drop,line-card-router/if1,42,10.0.0.1,10.0.0.2,49152,5001,"
-            "tcp,9040,9000,1234\n");
 }
 
 TEST(Telemetry, DisabledByDefaultAndFirstEnableWins) {

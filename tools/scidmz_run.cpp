@@ -2,7 +2,7 @@
 //
 //   scidmz_run --list                     # catalog: name, family, cells, title
 //   scidmz_run --run fig1_tcp_loss_rtt    # run a catalog entry (repeatable)
-//   scidmz_run --spec myspec.json         # run an ad-hoc scidmz.scenario.v1 spec
+//   scidmz_run --spec myspec.json         # run an ad-hoc scidmz.scenario spec
 //   scidmz_run --spec s.json --sweep topology.path.link.rateMbps=1000,10000
 //   scidmz_run --dump                     # scidmz.scenario.catalog.v1 to stdout
 //   scidmz_run --out DIR ...              # artifacts under DIR (unless the
@@ -20,8 +20,9 @@
 //                                         # BASE.cellN.profile.json
 //   scidmz_run report SPANS.jsonl...      # per-transfer critical-path
 //                                         # breakdown from span traces
+//   scidmz_run convert IN.frbin OUT.jsonl # flight trace to scidmz.trace.v1
 //
-// Catalog runs produce byte-identical output to the legacy bench binaries;
+// Catalog runs print the paper-style tables and write <name>.table.json;
 // ad-hoc specs print every engine metric per sweep cell and mirror them
 // into <name>.table.json.
 #include <cstdio>
@@ -58,7 +59,7 @@ int usage(const char* argv0) {
                "          [--spec FILE [--sweep dotted.path=v1,v2,...]...] \\\n"
                "          [--snapshot BASE] [--restore FILE]\n"
                "       %s report SPANS.jsonl [SPANS.jsonl ...]\n"
-               "       %s convert IN OUT    # flight trace .jsonl <-> .frbin\n",
+               "       %s convert IN.frbin OUT.jsonl\n",
                argv0, argv0, argv0);
   return 2;
 }
@@ -254,25 +255,7 @@ int runRestoreDemo(const std::string& file) {
   return 0;
 }
 
-// --- `scidmz_run convert` — flight trace .jsonl <-> .frbin ----------------
-
-std::uint32_t parseIp(const std::string& text) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  std::sscanf(text.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d);
-  return (a << 24) | (b << 16) | (c << 8) | d;
-}
-
-bool kindFromString(const std::string& text, telemetry::FlightEventKind& out) {
-  using K = telemetry::FlightEventKind;
-  for (const K k : {K::kEnqueue, K::kDequeue, K::kDrop, K::kLinkLoss, K::kRetransmit,
-                    K::kDeliver}) {
-    if (text == telemetry::toString(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
-}
+// --- `scidmz_run convert` — flight trace .frbin -> .jsonl ----------------
 
 int convertTrace(const std::string& inPath, const std::string& outPath) {
   std::ifstream in(inPath, std::ios::binary);
@@ -281,82 +264,32 @@ int convertTrace(const std::string& inPath, const std::string& outPath) {
     return 1;
   }
   telemetry::FlightRecorder recorder(1);
-  // Sniff the format: binary blobs start with the frbin magic.
-  char head[16] = {};
-  in.read(head, sizeof head);
-  in.clear();
-  in.seekg(0);
-  const bool binaryInput = std::memcmp(head, "scidmz.frbin.v1", 15) == 0;
-  if (binaryInput) {
-    if (!recorder.importBinary(in)) {
-      std::fprintf(stderr, "scidmz_run: %s is not a valid scidmz.frbin.v1 blob\n",
-                   inPath.c_str());
-      return 1;
-    }
-  } else {
-    // JSONL input (schema scidmz.trace.v1, one event per line).
-    std::string line;
-    std::size_t lineNo = 0;
-    std::vector<telemetry::FlightEvent> events;
-    while (std::getline(in, line)) {
-      ++lineNo;
-      if (line.empty()) continue;
-      try {
-        const Json doc = Json::parse(line);
-        telemetry::FlightEvent e;
-        e.at = sim::SimTime::fromNs(static_cast<std::int64_t>(doc.get("t_ns").asNumber()));
-        if (!kindFromString(doc.get("ev").asString(), e.kind)) {
-          throw scenario::JsonError("unknown event kind \"" + doc.get("ev").asString() + "\"");
-        }
-        e.point = recorder.internPoint(doc.get("point").asString());
-        e.packetId = static_cast<std::uint64_t>(doc.get("pkt").asNumber());
-        e.flow.src = parseIp(doc.get("src").asString());
-        e.flow.dst = parseIp(doc.get("dst").asString());
-        e.flow.srcPort = static_cast<std::uint16_t>(doc.get("sport").asNumber());
-        e.flow.dstPort = static_cast<std::uint16_t>(doc.get("dport").asNumber());
-        const std::string& proto = doc.get("proto").asString();
-        e.flow.proto = proto == "tcp" ? 6 : proto == "udp" ? 17 : 0;
-        e.bytes = static_cast<std::uint32_t>(doc.get("bytes").asNumber());
-        e.aux = static_cast<std::uint64_t>(doc.get("seq").asNumber());
-        e.aux2 = static_cast<std::uint64_t>(doc.get("depth").asNumber());
-        events.push_back(e);
-      } catch (const scenario::JsonError& err) {
-        std::fprintf(stderr, "scidmz_run: %s:%zu: %s\n", inPath.c_str(), lineNo, err.what());
-        return 1;
-      }
-    }
-    recorder.setCapacity(events.empty() ? 1 : events.size());
-    for (const auto& e : events) recorder.record(e);
+  if (!recorder.importBinary(in)) {
+    std::fprintf(stderr, "scidmz_run: %s is not a valid scidmz.frbin.v1 blob\n", inPath.c_str());
+    return 1;
   }
-
   std::ofstream out(outPath, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "scidmz_run: cannot write %s\n", outPath.c_str());
     return 1;
   }
-  // Output format: the opposite of the input (frbin in -> JSONL out).
-  if (binaryInput) {
-    recorder.exportJsonl(out);
-  } else {
-    recorder.exportBinary(out);
-  }
+  recorder.exportJsonl(out);
   if (!out) {
     std::fprintf(stderr, "scidmz_run: short write to %s\n", outPath.c_str());
     return 1;
   }
-  std::printf("%s -> %s: %zu events, %zu emit points (%s)\n", inPath.c_str(), outPath.c_str(),
-              recorder.size(), recorder.pointCount(),
-              binaryInput ? "frbin -> jsonl" : "jsonl -> frbin");
+  std::printf("%s -> %s: %zu events, %zu emit points\n", inPath.c_str(), outPath.c_str(),
+              recorder.size(), recorder.pointCount());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `scidmz_run convert IN OUT` — offline trace format conversion.
+  // `scidmz_run convert IN OUT` — offline frbin -> JSONL conversion.
   if (argc >= 2 && std::strcmp(argv[1], "convert") == 0) {
     if (argc != 4) {
-      std::fprintf(stderr, "scidmz_run: convert needs IN and OUT paths\n");
+      std::fprintf(stderr, "scidmz_run: convert needs IN.frbin and OUT.jsonl paths\n");
       return usage(argv[0]);
     }
     return convertTrace(argv[2], argv[3]);
