@@ -31,7 +31,7 @@ struct BackgroundProfile {
   /// TCP settings for business hosts (untuned defaults).
   tcp::TcpConfig tcp = tcp::TcpConfig::untunedDefault();
   /// Model fidelity for generated flows. Large fleets of short background
-  /// flows are the fluid model's sweet spot (kAuto/kFluid); kPacket keeps
+  /// flows are the fluid model's sweet spot (kFluid); kPacket keeps
   /// historical scenarios byte-identical.
   net::FlowFidelity fidelity = net::FlowFidelity::kPacket;
 };

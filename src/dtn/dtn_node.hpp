@@ -25,8 +25,8 @@ struct DtnProfile {
   /// design-rule validator flags general-purpose hosts posing as DTNs.
   bool dedicatedApplicationSet = true;
   /// Flow model fidelity for transfers originating at this DTN. kPacket
-  /// keeps full per-segment TCP; kFluid/kAuto let large transfer fleets run
-  /// on the analytic engine.
+  /// keeps full per-segment TCP; kFluid lets large transfer fleets run on
+  /// the analytic engine.
   net::FlowFidelity fidelity = net::FlowFidelity::kPacket;
 
   /// An untuned general-purpose server pressed into transfer duty — the

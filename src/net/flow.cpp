@@ -1,6 +1,5 @@
 #include "net/flow.hpp"
 
-#include "net/firewall.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 
@@ -10,7 +9,6 @@ const char* toString(FlowFidelity fidelity) {
   switch (fidelity) {
     case FlowFidelity::kPacket: return "packet";
     case FlowFidelity::kFluid: return "fluid";
-    case FlowFidelity::kAuto: return "auto";
   }
   return "packet";
 }
@@ -18,7 +16,6 @@ const char* toString(FlowFidelity fidelity) {
 std::optional<FlowFidelity> parseFlowFidelity(std::string_view text) {
   if (text == "packet") return FlowFidelity::kPacket;
   if (text == "fluid") return FlowFidelity::kFluid;
-  if (text == "auto") return FlowFidelity::kAuto;
   return std::nullopt;
 }
 
@@ -48,17 +45,12 @@ FlowPath traceFlowPath(Host& src, Host& dst) {
       path.bottleneck = link->rate();
     }
     survival *= 1.0 - link->lossRate(end);
-    if (!link->lossMemoryless(end)) path.memorylessLoss = false;
-    Device& next = link->peer(end).owner();
-    if (dynamic_cast<FirewallDevice*>(&next) != nullptr) path.crossesFirewall = true;
-    device = &next;
+    device = &link->peer(end).owner();
   }
   path.hops.clear();
   path.oneWayDelay = sim::Duration::zero();
   path.bottleneck = sim::DataRate::zero();
   path.lossRate = 0.0;
-  path.memorylessLoss = true;
-  path.crossesFirewall = false;
   return path;
 }
 
@@ -76,18 +68,5 @@ void setProcessFidelityOverride(std::optional<FlowFidelity> fidelity) {
 std::optional<FlowFidelity> processFidelityOverride() { return processOverrideSlot(); }
 
 FlowFactory::FlowFactory() : override_(processFidelityOverride()) {}
-
-FlowFidelity FlowFactory::resolve(Host& src, Host& dst, const Options& options) const {
-  FlowFidelity fidelity =
-      options.pinned ? options.fidelity : override_.value_or(options.fidelity);
-  if (fidelity != FlowFidelity::kAuto) return fidelity;
-  const FlowPath path = traceFlowPath(src, dst);
-  // Fluid only where the analytic model's assumptions hold: a routable path
-  // with no stateful middlebox and only memoryless (i.i.d.) loss.
-  if (path.complete() && !path.crossesFirewall && path.memorylessLoss) {
-    return FlowFidelity::kFluid;
-  }
-  return FlowFidelity::kPacket;
-}
 
 }  // namespace scidmz::net

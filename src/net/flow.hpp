@@ -16,10 +16,8 @@
 //             coarse ticks (Mathis/TFRC response function), publishing its
 //             aggregate demand onto each traversed link so packet flows see
 //             the load (Link::effectiveRate) and fluid flows see measured
-//             packet traffic. ~100-1000x cheaper per flow.
-//   kAuto   — fluid when the path supports the fluid model's assumptions
-//             (no firewall middlebox, loss models memoryless), packet
-//             otherwise. See DESIGN.md "Hybrid-fidelity flow engine".
+//             packet traffic. ~100-1000x cheaper per flow. See DESIGN.md
+//             "Hybrid-fidelity flow engine".
 //
 // Layering: this header lives in net:: so every layer above can name it,
 // but FlowFactory::create() is *defined* in the tcp library
@@ -49,15 +47,14 @@ namespace scidmz::net {
 class Host;
 class Link;
 
-enum class FlowFidelity { kPacket, kFluid, kAuto };
+enum class FlowFidelity { kPacket, kFluid };
 
 [[nodiscard]] const char* toString(FlowFidelity fidelity);
 [[nodiscard]] std::optional<FlowFidelity> parseFlowFidelity(std::string_view text);
 
 /// The forwarding-plane path a flow's data direction takes, resolved by
 /// walking each device's FIB from src to dst (the same tables packets hit).
-/// Used by the fluid engine to couple analytic flows to link state, and by
-/// the kAuto fidelity rule.
+/// Used by the fluid engine to couple analytic flows to link state.
 struct FlowPath {
   /// (link, transmitting end) per hop, in src -> dst order.
   std::vector<std::pair<Link*, int>> hops;
@@ -65,9 +62,6 @@ struct FlowPath {
   sim::DataRate bottleneck = sim::DataRate::zero();
   /// Combined probability a data packet is dropped by the hop loss models.
   double lossRate = 0.0;
-  /// All loss along the path is i.i.d. per packet (the Mathis premise).
-  bool memorylessLoss = true;
-  bool crossesFirewall = false;
 
   [[nodiscard]] bool complete() const { return !hops.empty(); }
   [[nodiscard]] sim::Duration rtt() const { return oneWayDelay * 2; }
@@ -224,15 +218,9 @@ class FlowFactory {
   }
 
   /// Process-wide overrides (e.g. `scidmz_run --fidelity=fluid`) land here
-  /// per cell; kAuto still resolves per path.
+  /// per cell; they replace the fidelity of every flow not pinned.
   void setOverride(std::optional<FlowFidelity> fidelity) { override_ = fidelity; }
   [[nodiscard]] std::optional<FlowFidelity> overrideFidelity() const { return override_; }
-
-  /// The fidelity a flow between these hosts will actually run at: the
-  /// override (if set, and the options not pinned) replaces the requested
-  /// fidelity; a resulting kAuto picks fluid iff the routed path has no
-  /// firewall and only memoryless loss.
-  [[nodiscard]] FlowFidelity resolve(Host& src, Host& dst, const Options& options) const;
 
   /// Create one flow. Defined in the tcp library (src/tcp/flow_factory.cpp)
   /// — the only production construction site of tcp::TcpConnection.

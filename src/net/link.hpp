@@ -88,15 +88,10 @@ class Link {
   }
 
   /// Long-run drop probability of this direction's impairment model (0 when
-  /// healthy), and whether drops are i.i.d. per packet. Consumed by the
-  /// fluid response function and the kAuto fidelity rule.
+  /// healthy). Consumed by the fluid response function.
   [[nodiscard]] double lossRate(int fromEnd) const {
     const auto& loss = loss_[fromEnd & 1];
     return loss ? loss->dropRate() : 0.0;
-  }
-  [[nodiscard]] bool lossMemoryless(int fromEnd) const {
-    const auto& loss = loss_[fromEnd & 1];
-    return !loss || loss->memoryless();
   }
 
   [[nodiscard]] Interface& end(int which) const { return which == 0 ? endA_ : endB_; }

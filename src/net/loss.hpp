@@ -24,10 +24,6 @@ class LossModel {
   /// Long-run average drop probability — the `p` the fluid model's CC
   /// response function sees when analytic flows traverse this link.
   [[nodiscard]] virtual double dropRate() const { return 0.0; }
-  /// True when drops are i.i.d. per packet, the regime the Mathis/TFRC
-  /// equations assume. Bursty/patterned models return false, which steers
-  /// `auto`-fidelity flows to packet-level simulation.
-  [[nodiscard]] virtual bool memoryless() const { return false; }
 
   /// Snapshot/restore of mutable decision state (Rng position, burst
   /// state, periodic counters). Parameters (rates, intervals) are rebuilt
@@ -40,7 +36,6 @@ class LossModel {
 class NoLoss final : public LossModel {
  public:
   bool shouldDrop(const Packet&) override { return false; }
-  [[nodiscard]] bool memoryless() const override { return true; }
 };
 
 /// Independent random loss with fixed probability (dirty optics, marginal
@@ -50,7 +45,6 @@ class RandomLoss final : public LossModel {
   RandomLoss(double probability, sim::Rng rng) : p_(probability), rng_(rng) {}
   bool shouldDrop(const Packet&) override { return rng_.chance(p_); }
   [[nodiscard]] double dropRate() const override { return p_; }
-  [[nodiscard]] bool memoryless() const override { return true; }
   void serializeState(sim::Codec& c) override { rng_.serialize(c); }
 
  private:

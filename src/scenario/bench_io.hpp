@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/json_escape.hpp"
 #include "sim/sweep.hpp"
 
 namespace scidmz::bench {
@@ -115,18 +116,7 @@ struct JsonValue {
       return;
     }
     out.push_back('"');
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      } else {
-        out.push_back(c);
-      }
-    }
+    sim::appendJsonEscaped(out, text);
     out.push_back('"');
   }
 };

@@ -7,9 +7,9 @@
 // scenario registered under the same name. Recurring callbacks reschedule
 // themselves by name from inside their own body.
 //
-// Header-only on purpose: the users live in apps/ and usecase/, below the
-// scenario library in the link order; only the checkpoint code in
-// scenario/ walks the registry.
+// Header-only on purpose: some users live in apps/, below the scenario
+// library in the link order; only the checkpoint code in scenario/ walks
+// the registry.
 #pragma once
 
 #include <cstdint>

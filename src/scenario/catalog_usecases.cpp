@@ -1,83 +1,228 @@
-// Catalog: the Section 6 use cases. Each cell materializes the
-// corresponding src/usecase/ run; the renderers rebuild the legacy tables
-// (and pennstate's Figure 8-style utilization series, which needs a live
-// mid-run firewall change and so runs natively inside its render).
+// Catalog: the Section 6 use cases. Each cell is one simulation built into
+// the cell's Scenario (runUsecase below); the renderers rebuild the tables
+// from the cells' metrics, the derived times and speedups included.
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/bulk_transfer.hpp"
+#include "core/site_builder.hpp"
+#include "dtn/dtn_cluster.hpp"
+#include "dtn/dtn_node.hpp"
 #include "scenario/bench_io.hpp"
-#include "sim/units.hpp"
+#include "scenario/callback_registry.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/registry.hpp"
-#include "usecase/pennstate.hpp"
+#include "sim/units.hpp"
+#include "tcp/mathis.hpp"
 
 namespace scidmz::scenario {
 namespace {
 
 using namespace scidmz::sim::literals;
 
-// --- usecase_colorado_fanin ------------------------------------------------
-
-std::vector<ScenarioSpec> coloradoSpecs() {
-  std::vector<ScenarioSpec> specs;
-  for (const int hosts : {2, 5, 8}) {
-    for (const bool fixed : {false, true}) {
-      ScenarioSpec s;
-      s.name = "usecase_colorado_fanin#" + std::to_string(specs.size());
-      s.topology.kind = TopologyKind::kUsecase;
-      s.topology.usecase.which = UsecaseKind::kColorado;
-      s.topology.usecase.physicsHosts = hosts;
-      s.topology.usecase.vendorFix = fixed;
-      specs.push_back(std::move(s));
-    }
-  }
-  return specs;
-}
-
-void renderColorado(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
-  bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"hosts", "%-8d"},
-                      {"fix", "%-10s"},
-                      {"latched_sf", "%-12s"},
-                      {"switch_drops", "%-16llu"},
-                      {"worst_mbps", "%-14.1f"},
-                      {"aggregate_mbps", "%-14.1f"}});
-  table.printHeader();
-  std::size_t next = 0;
-  for (const int hosts : {2, 5, 8}) {
-    for (const bool fixed : {false, true}) {
-      const auto& o = outcomes[next++];
-      table.emit({hosts, fixed ? "applied" : "no",
-                  o.result.at("colorado.latched") != 0.0 ? "yes" : "no",
-                  static_cast<unsigned long long>(o.result.at("colorado.switch_drops")),
-                  o.result.at("colorado.worst_mbps"), o.result.at("colorado.aggregate_mbps")});
-    }
-  }
-  table.blankRow();
-  bench::row("paper outcome: before the vendor fix, heavy use collapsed throughput");
-  bench::row("(store-and-forward fallback lost its buffers); after the fix,");
-  bench::row("\"performance returned to near line rate for each member\".");
-  table.json().addNote("before the vendor fix, heavy use collapsed throughput; after the fix,"
-                       " performance returned to near line rate for each member");
-  table.write();
-}
-
-// --- usecase_pennstate_firewall --------------------------------------------
-
-std::vector<ScenarioSpec> pennstateSpecs() {
+ScenarioSpec usecaseSpec(const std::string& entry, std::size_t index, UsecaseKind which,
+                         bool vendorFix, std::uint64_t seed) {
   ScenarioSpec s;
-  s.name = "usecase_pennstate_firewall#0";
+  s.name = entry + "#" + std::to_string(index);
+  s.seed = seed;
   s.topology.kind = TopologyKind::kUsecase;
-  s.topology.usecase.which = UsecaseKind::kPennState;
-  return {std::move(s)};
+  s.topology.usecase.which = which;
+  s.topology.usecase.vendorFix = vendorFix;
+  return s;
 }
 
-/// Figure 8 style: sample CoE-edge utilization while flows run, with the
-/// firewall feature disabled mid-run. A live mid-run device change cannot
-/// be expressed as an independent spec cell, so this stays native.
-void utilizationTimeSeries(bench::JsonTable& utilTable) {
-  Scenario s;
+std::string metricFor(const char* prefix, int index, const char* suffix) {
+  return prefix + std::to_string(index) + suffix;
+}
+
+// --- Section 6.1: University of Colorado, Boulder (Figures 6-7) -------------
+//
+// The CMS physics group's hosts sit on 1G ports of an RCNet aggregation
+// switch with a 10G uplink. Under heavy load the switch fell back from
+// cut-through to store-and-forward and, due to a vendor defect, could no
+// longer provide loss-free service; downloads from the LHC tiers
+// collapsed. After the vendor fix performance returned to near line rate
+// per host.
+
+constexpr auto kColoradoMeasureWindow = sim::Duration::seconds(5);
+
+/// Simultaneous bulk downloads from the tier site to every physics host,
+/// measured over a 5 s window after a 3 s ramp-up.
+void runColorado(const UsecaseTopology& u, Scenario& s, ScenarioResult& r) {
+  // Tier site --10G WAN-- border --10G-- RCNet aggregation switch --1G-- hosts.
+  auto& tier = s.topo.addHost("cms-tier", net::Address(192, 12, 15, 1));
+  auto& border = s.topo.addRouter("campus-border");
+  auto& rcnet = s.topo.addSwitch("rcnet-agg", net::SwitchProfile::scienceDmz());
+
+  net::FanInDefect defect;
+  defect.enabled = true;
+  // Aggregate ingress load that trips the cut-through fallback.
+  defect.loadThreshold = 2_Gbps;
+  defect.defectiveBuffer = 64_KiB;
+  // Average over a window long enough that the trigger reflects sustained
+  // demand, not the line-rate micro-bursts every TCP flow emits.
+  defect.loadWindow = 100_ms;
+  rcnet.setFanInDefect(defect);
+  if (u.vendorFix) rcnet.applyVendorFix();
+
+  net::LinkParams wan;
+  wan.rate = 10_Gbps;
+  wan.delay = 20_ms;  // half the 40 ms RTT to the LHC tier
+  wan.mtu = 1500_B;
+  s.topo.connect(tier, border, wan);
+
+  net::LinkParams uplink;
+  uplink.rate = 10_Gbps;
+  uplink.delay = 50_us;
+  uplink.mtu = 1500_B;
+  s.topo.connect(border, rcnet, uplink);
+
+  std::vector<net::Host*> hosts;
+  net::LinkParams edge;
+  edge.rate = 1_Gbps;
+  edge.delay = 20_us;
+  edge.mtu = 1500_B;
+  for (int i = 0; i < u.physicsHosts; ++i) {
+    auto& host = s.topo.addHost("physics-" + std::to_string(i), numberedHost(10, 40, i));
+    s.topo.connect(host, rcnet, edge);
+    hosts.push_back(&host);
+  }
+  s.topo.computeRoutes();
+
+  // One tuned bulk download per host (CMS data pulls). Sender is the tier.
+  // Buffers sized ~1.5x the path BDP: enough to fill the 1G edge, small
+  // enough that the healthy switch's buffers absorb the standing queue.
+  tcp::TcpConfig tcpCfg;
+  tcpCfg.algorithm = tcp::CcAlgorithm::kCubic;
+  tcpCfg.sndBuf = 8_MB;
+  tcpCfg.rcvBuf = 8_MB;
+
+  std::vector<net::FlowPtr> flows;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    // The host "requests" data: it is the TCP client; the tier listens and
+    // pushes. Flow direction: tier -> host. Server push drives per-packet
+    // TCP state directly, so the fidelity is pinned at packet — the global
+    // --fidelity override does not apply.
+    net::FlowFactory::Options options;
+    options.port = static_cast<std::uint16_t>(7000 + i);
+    options.pinned = true;
+    auto flow = net::flowFactory(s.ctx).create(*hosts[i], tier, tcpCfg, options);
+    auto* raw = flow.get();
+    flow->onAccepted = [raw](int stream) {
+      raw->serverConnection(stream)->sendData(sim::DataSize::terabytes(1));
+    };
+    flow->start();
+    flows.push_back(std::move(flow));
+  }
+
+  // Ramp-up, then measure deltas over the window. The data direction is
+  // tier -> host, so delivery is read on the *client* connection.
+  s.runFor(3_s);
+  std::vector<sim::DataSize> base(hosts.size(), sim::DataSize::zero());
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    base[i] = flows[i]->clientConnection(0)->deliveredBytes();
+  }
+  s.runFor(kColoradoMeasureWindow);
+
+  const double windowSecs = kColoradoMeasureWindow.toSeconds();
+  std::vector<double> perHostMbps;
+  double aggregateMbps = 0.0;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const auto delta = flows[i]->clientConnection(0)->deliveredBytes() - base[i];
+    const double mbps = static_cast<double>(delta.bitCount()) / windowSecs / 1e6;
+    r.metrics[metricFor("colorado.host", static_cast<int>(i), "_mbps")] = mbps;
+    perHostMbps.push_back(mbps);
+    aggregateMbps += mbps;
+  }
+  std::uint64_t switchDrops = 0;
+  for (std::size_t i = 0; i < rcnet.interfaceCount(); ++i) {
+    switchDrops += rcnet.interface(i).queue().stats().dropped;
+  }
+  r.metrics["colorado.worst_mbps"] =
+      perHostMbps.empty() ? 0.0 : *std::min_element(perHostMbps.begin(), perHostMbps.end());
+  r.metrics["colorado.aggregate_mbps"] = aggregateMbps;
+  r.metrics["colorado.latched"] = rcnet.fallbackLatched() ? 1.0 : 0.0;
+  r.metrics["colorado.switch_drops"] = static_cast<double>(switchDrops);
+}
+
+// --- Section 6.2: Penn State College of Engineering & VTTI (Figure 8) -------
+//
+// Collocated VTTI equipment behind the CoE firewall saw ~50 Mbps on 1G
+// connections despite auto-tuning, in both directions. perfSONAR testing
+// showed the TCP window stuck at 64 KB: the firewall's "TCP flow sequence
+// checking" was rewriting SYN options and stripping RFC 1323 window
+// scaling. Disabling the feature multiplied inbound throughput ~5x and
+// outbound ~12x.
+
+constexpr auto kPennStateAccessRate = sim::DataRate::gigabitsPerSecond(1);
+/// Paper: "the sites were measured at 10 ms away" round trip.
+constexpr auto kPennStateRtt = sim::Duration::milliseconds(10);
+
+/// One 200 MB transfer across the CoE firewall, sequence checking on
+/// unless the remedy (`vendorFix`) turned it off.
+void runPennStateDirection(const UsecaseTopology& u, Scenario& s, ScenarioResult& r) {
+  // vtti --(campus access, RTT split)-- fw -- coe-switch -- coe-server
+  auto& vtti = s.topo.addHost("vtti", net::Address(198, 82, 0, 1));
+  auto profile = net::FirewallProfile::enterprise10G();
+  profile.tcpSequenceChecking = !u.vendorFix;
+  auto& fw = s.topo.addFirewall("coe-fw", profile);
+  auto& coeSwitch = s.topo.addSwitch("coe-switch");
+  auto& server = s.topo.addHost("coe-server", net::Address(10, 30, 1, 1));
+
+  net::LinkParams outside;
+  outside.rate = kPennStateAccessRate;
+  outside.delay = sim::Duration::nanoseconds(kPennStateRtt.ns() / 2);
+  outside.mtu = 1500_B;
+  s.topo.connect(vtti, fw, outside);
+  net::LinkParams inside;
+  inside.rate = kPennStateAccessRate;
+  inside.delay = 10_us;
+  inside.mtu = 1500_B;
+  s.topo.connect(fw, coeSwitch, inside);
+  s.topo.connect(coeSwitch, server, inside);
+  s.topo.computeRoutes();
+
+  // Hosts are configured with auto-tuning: big buffers, scaling offered.
+  tcp::TcpConfig tcpCfg;
+  tcpCfg.algorithm = tcp::CcAlgorithm::kCubic;
+  tcpCfg.sndBuf = 64_MB;
+  tcpCfg.rcvBuf = 64_MB;
+
+  const bool inbound = u.which == UsecaseKind::kPennStateInbound;
+  net::Host& src = inbound ? vtti : server;
+  net::Host& dst = inbound ? server : vtti;
+  apps::BulkTransfer transfer{src, dst, 5001, 200_MB, tcpCfg};
+  transfer.start();
+
+  // Sample the receiver's advertised window as seen by the sender. Named
+  // registration (not a raw schedule) so a snapshot mid-run can claim and
+  // re-arm the sampler.
+  std::uint64_t peakWindow = 0;
+  auto& callbacks = s.ctx.extension<CallbackRegistry>();
+  callbacks.registerNamed("pennstate/window_sampler", [&] {
+    if (auto* conn = transfer.clientConnection()) {
+      peakWindow = std::max(peakWindow, conn->peerWindowBytes());
+    }
+    if (!transfer.finished()) {
+      callbacks.scheduleNamed(s.simulator, "pennstate/window_sampler", 50_ms);
+    }
+  });
+  callbacks.scheduleNamed(s.simulator, "pennstate/window_sampler", 50_ms);
+  s.runFor(600_s);
+
+  const auto* conn = transfer.clientConnection();
+  r.metrics["pennstate.mbps"] =
+      transfer.result().completed ? transfer.result().goodput.toMbps() : 0.0;
+  r.metrics["pennstate.peak_window"] = static_cast<double>(peakWindow);
+  r.metrics["pennstate.window_scaling"] =
+      conn != nullptr && conn->windowScalingActive() ? 1.0 : 0.0;
+}
+
+/// Figure 8 style: CoE-edge utilization sampled every 10 s while flows run,
+/// with sequence checking disabled live at t = 60 s.
+void runPennStateSeries(Scenario& s, ScenarioResult& r) {
   auto& vtti = s.topo.addHost("vtti", net::Address(198, 82, 0, 1));
   auto profile = net::FirewallProfile::enterprise10G();
   profile.tcpSequenceChecking = true;
@@ -112,17 +257,7 @@ void utilizationTimeSeries(bench::JsonTable& utilTable) {
     flow->start();
     flows.push_back(std::move(flow));
   };
-
   launchFlow(5001);
-  bench::row("%s", "");
-  bench::row("figure-8-style SNMP series (edge utilization, 10s samples):");
-  bench::row("%-8s %-12s %-10s", "t_sec", "util_mbps", "note");
-
-  auto sampleDelivered = [&flows]() {
-    sim::DataSize total = sim::DataSize::zero();
-    for (const auto& f : flows) total += f->ackedBytes();
-    return total;
-  };
 
   sim::DataSize last = sim::DataSize::zero();
   for (int t = 10; t <= 120; t += 10) {
@@ -132,52 +267,243 @@ void utilizationTimeSeries(bench::JsonTable& utilTable) {
       // their transfers (new connections) as word of the fix spreads.
       launchFlow(5002);
     }
-    s.simulator.runFor(10_s);
-    const auto now = sampleDelivered();
-    const double mbps = static_cast<double>((now - last).bitCount()) / 10.0 / 1e6;
+    s.runFor(10_s);
+    sim::DataSize now = sim::DataSize::zero();
+    for (const auto& f : flows) now += f->ackedBytes();
+    r.metrics[metricFor("pennstate.t", t, "_mbps")] =
+        static_cast<double>((now - last).bitCount()) / 10.0 / 1e6;
     last = now;
-    bench::row("%-8d %-12.1f %-10s", t, mbps, t == 60 ? "<- sequence checking disabled" : "");
-    utilTable.addRow({t, mbps, t == 60 ? "sequence checking disabled" : ""});
   }
 }
 
+// --- Sections 6.3 and 6.4: NOAA, NERSC <-> OLCF ----------------------------
+//
+// NOAA: the team needed ~170 TB of the 800 TB GEFS reforecast archive moved
+// from NERSC to Boulder. Through the legacy firewalled FTP server, data
+// trickled at 1-2 MB/s. A Science DMZ data path with a dedicated DTN and
+// Globus-style transfers moved 273 files totalling 239.5 GB in just over
+// ten minutes — about 395 MB/s, a ~200x improvement.
+//
+// NERSC <-> OLCF: before the 2009 DTN rollout, a computational scientist
+// waited more than a workday for a single 33 GB input file between the
+// centers' mass storage systems. With dedicated DTNs the rate reached
+// ~200 MB/s, moving the full 40 TB campaign in under three days — at
+// least a 20x improvement for many collaborations.
+//
+// Both "before" paths run a 30 MB sample and both "after" paths a sample
+// batch; whole-batch times are extrapolated from the measured rate.
+
+constexpr auto kFirewalledSample = sim::DataSize::megabytes(30);
+constexpr auto kNerscFileSize = sim::DataSize::gigabytes(33);
+
+/// The "before" path of both: one untuned stream from the remote DTN to a
+/// server behind the general-purpose campus firewall, over a 10G WAN with
+/// `wanDelay` one way and 1500-byte frames.
+apps::BulkTransfer::Result runFirewalledSample(Scenario& s, sim::Duration wanDelay,
+                                               std::uint16_t port) {
+  core::SiteConfig site;
+  site.wan.rate = 10_Gbps;
+  site.wan.delay = wanDelay;
+  site.wan.mtu = 1500_B;  // the legacy path never saw jumbo frames
+  site.dtnProfile = dtn::DtnProfile::untunedGeneralPurpose();
+  site.remoteProfile = dtn::DtnProfile::untunedGeneralPurpose();
+  auto campus = core::buildGeneralPurposeCampus(s.topo, site);
+
+  apps::BulkTransfer transfer{campus->remoteDtn->host(), campus->primaryDtn()->host(), port,
+                              kFirewalledSample, campus->primaryDtn()->profile().tcp};
+  transfer.start();
+  s.runFor(3600_s);
+  return transfer.result();
+}
+
+double measureMBps(double sampleMB, sim::Duration elapsed) {
+  return elapsed > sim::Duration::zero() ? sampleMB / elapsed.toSeconds() : 0.0;
+}
+
+/// NOAA before: an FTP fetch across a 50 ms round trip.
+void runNoaaLegacy(Scenario& s, ScenarioResult& r) {
+  const auto result = runFirewalledSample(s, 25_ms, 21);
+  r.metrics["noaa.legacy_MBps"] = result.completed ? result.goodput.toMBps() : 0.0;
+}
+
+/// NOAA after: NERSC DTN -> NOAA DTN, Globus-style, on a representative
+/// 20-file sample of the 273-file batch.
+void runNoaaDmz(Scenario& s, ScenarioResult& r) {
+  core::SiteConfig site;
+  site.wan.rate = 10_Gbps;
+  site.wan.delay = 25_ms;  // 50 ms round trip
+  site.wan.mtu = 9000_B;
+  // Storage sized like the modest RAID the team had — this is what pins
+  // the "after" rate near the paper's ~395 MB/s.
+  dtn::StorageProfile raid;
+  raid.readRate = sim::DataRate::megabitsPerSecond(6400);   // 800 MB/s
+  raid.writeRate = sim::DataRate::megabitsPerSecond(3300);  // ~410 MB/s
+  raid.perStreamCap = raid.readRate;
+  site.dtnStorage = raid;
+  auto dmz = core::buildSimpleScienceDmz(s.topo, site);
+
+  const std::size_t sampleFiles = 20;
+  const auto batchBytes = sim::DataSize::gigabytes(239) + sim::DataSize::megabytes(500);
+  const auto fileSize = sim::DataSize::bytes(batchBytes.byteCount() / 273);
+
+  dtn::DtnCluster src{"nersc"};
+  dtn::DtnCluster dst{"noaa"};
+  src.addNode(*dmz->remoteDtn);
+  dst.addNode(*dmz->primaryDtn());
+  dtn::TransferCampaign campaign{src, dst};
+  for (std::size_t i = 0; i < sampleFiles; ++i) {
+    campaign.enqueue({"gefs-" + std::to_string(i) + ".grb2", fileSize});
+  }
+  bool done = false;
+  sim::Duration sampleElapsed = sim::Duration::zero();
+  campaign.onComplete = [&](const dtn::TransferCampaign::Report& report) {
+    done = true;
+    sampleElapsed = report.elapsed;
+  };
+  campaign.start();
+  s.runFor(3600_s);
+
+  double dmzMBps = 0.0;
+  sim::Duration batchTime;
+  std::size_t filesMoved = 0;
+  if (done && sampleElapsed > sim::Duration::zero()) {
+    const auto sampleBytes = fileSize * sampleFiles;
+    dmzMBps = static_cast<double>(sampleBytes.byteCount()) / 1e6 / sampleElapsed.toSeconds();
+    filesMoved = sampleFiles;
+    batchTime =
+        sim::Duration::fromSeconds(static_cast<double>(batchBytes.byteCount()) / 1e6 / dmzMBps);
+  }
+  r.metrics["noaa.dmz_MBps"] = dmzMBps;
+  r.metrics["noaa.batch_s"] = batchTime.toSeconds();
+  r.metrics["noaa.files_moved"] = static_cast<double>(filesMoved);
+}
+
+/// NERSC before: a login-node-style transfer across a 60 ms round trip.
+void runNerscBefore(Scenario& s, ScenarioResult& r) {
+  const auto result = runFirewalledSample(s, 30_ms, 2811);
+  const double beforeMBps =
+      result.completed ? measureMBps(kFirewalledSample.toMB(), result.elapsed) : 0.0;
+  sim::Duration fileTime;
+  if (beforeMBps > 0) fileTime = sim::Duration::fromSeconds(kNerscFileSize.toMB() / beforeMBps);
+  r.metrics["nersc.before_MBps"] = beforeMBps;
+  r.metrics["nersc.file_before_s"] = fileTime.toSeconds();
+}
+
+/// NERSC after: DTN to DTN between the two centers on a 4 GB sample.
+void runNerscAfter(Scenario& s, ScenarioResult& r) {
+  // HPSS-archive-backed DTN storage of the era: ~200 MB/s per mover. The
+  // sending side's read rate is what pins the end-to-end result.
+  dtn::StorageProfile mover;
+  mover.readRate = sim::DataRate::megabitsPerSecond(1700);  // ~212 MB/s
+  mover.writeRate = sim::DataRate::megabitsPerSecond(1700);
+  mover.perStreamCap = sim::DataRate::megabitsPerSecond(1700);
+  core::SiteConfig site;
+  site.wan.rate = 10_Gbps;
+  site.wan.delay = 30_ms;  // 60 ms round trip
+  site.wan.mtu = 9000_B;
+  site.dtnStorage = mover;
+  site.remoteStorage = mover;
+  auto center = core::buildSupercomputerCenter(s.topo, site);
+
+  const auto sample = sim::DataSize::gigabytes(4);
+  dtn::DtnTransfer transfer{*center->remoteDtn, *center->primaryDtn(), "c14-input.h5", sample,
+                            50000};
+  transfer.start();
+  s.runFor(3600_s);
+  const double afterMBps = transfer.finished() && transfer.result().completed
+                               ? measureMBps(sample.toMB(), transfer.result().elapsed)
+                               : 0.0;
+  sim::Duration fileTime;
+  sim::Duration campaignTime;
+  if (afterMBps > 0) {
+    fileTime = sim::Duration::fromSeconds(kNerscFileSize.toMB() / afterMBps);
+    campaignTime = sim::Duration::fromSeconds(
+        static_cast<double>(sim::DataSize::terabytes(40).byteCount()) / 1e6 / afterMBps);
+  }
+  r.metrics["nersc.after_MBps"] = afterMBps;
+  r.metrics["nersc.file_after_s"] = fileTime.toSeconds();
+  r.metrics["nersc.campaign_after_s"] = campaignTime.toSeconds();
+}
+
+// --- usecase_colorado_fanin ------------------------------------------------
+
+std::vector<ScenarioSpec> coloradoSpecs() {
+  std::vector<ScenarioSpec> specs;
+  for (const int hosts : {2, 5, 8}) {
+    for (const bool fixed : {false, true}) {
+      specs.push_back(usecaseSpec("usecase_colorado_fanin", specs.size(),
+                                  UsecaseKind::kColorado, fixed, 42));
+      specs.back().topology.usecase.physicsHosts = hosts;
+    }
+  }
+  return specs;
+}
+
+void renderColorado(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+  bench::Table table(entry.name, entry.title, entry.paperRef,
+                     {{"hosts", "%-8d"},
+                      {"fix", "%-10s"},
+                      {"latched_sf", "%-12s"},
+                      {"switch_drops", "%-16llu"},
+                      {"worst_mbps", "%-14.1f"},
+                      {"aggregate_mbps", "%-14.1f"}});
+  table.printHeader();
+  for (const auto& o : outcomes) {
+    const auto& u = o.spec->topology.usecase;
+    table.emit({u.physicsHosts, u.vendorFix ? "applied" : "no",
+                o.result.at("colorado.latched") != 0.0 ? "yes" : "no",
+                static_cast<unsigned long long>(o.result.at("colorado.switch_drops")),
+                o.result.at("colorado.worst_mbps"), o.result.at("colorado.aggregate_mbps")});
+  }
+  table.blankRow();
+  bench::row("paper outcome: before the vendor fix, heavy use collapsed throughput");
+  bench::row("(store-and-forward fallback lost its buffers); after the fix,");
+  bench::row("\"performance returned to near line rate for each member\".");
+  table.json().addNote("before the vendor fix, heavy use collapsed throughput; after the fix,"
+                       " performance returned to near line rate for each member");
+  table.write();
+}
+
+// --- usecase_pennstate_firewall --------------------------------------------
+
+/// Inbound and outbound with sequence checking on, the same after turning
+/// it off, then the Figure 8 series.
+std::vector<ScenarioSpec> pennstateSpecs() {
+  const std::string entry = "usecase_pennstate_firewall";
+  std::vector<ScenarioSpec> specs;
+  for (const bool fixed : {false, true}) {
+    for (const auto which : {UsecaseKind::kPennStateInbound, UsecaseKind::kPennStateOutbound}) {
+      specs.push_back(usecaseSpec(entry, specs.size(), which, fixed, 7));
+    }
+  }
+  specs.push_back(usecaseSpec(entry, specs.size(), UsecaseKind::kPennStateSeries, false,
+                              ScenarioSpec{}.seed));
+  return specs;
+}
+
 void renderPennstate(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
-  usecase::PennStateConfig config;
   bench::row("equation 2: required window = %s (paper: 1.25 MB, ~20x the 64KB default)",
-             sim::toString(usecase::requiredWindow(config)).c_str());
+             sim::toString(tcp::bandwidthDelayWindow(kPennStateAccessRate, kPennStateRtt))
+                 .c_str());
 
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"direction", "%-12s"},
                       {"sequence_checking", "%-22s"},
                       {"mbps", "%-14.1f"},
                       {"peak_window_bytes", "%-18llu"}});
-  const auto& o = outcomes[0];
   table.blankRow();
   table.printHeader();
-  struct RowKeys {
-    const char* direction;
-    const char* state;
-    const char* mbps;
-    const char* window;
-  };
-  const RowKeys rows[] = {
-      {"inbound", "on (before)", "pennstate.in_before_mbps", "pennstate.in_before_peak_window"},
-      {"outbound", "on (before)", "pennstate.out_before_mbps",
-       "pennstate.out_before_peak_window"},
-      {"inbound", "off (after)", "pennstate.in_after_mbps", "pennstate.in_after_peak_window"},
-      {"outbound", "off (after)", "pennstate.out_after_mbps",
-       "pennstate.out_after_peak_window"}};
-  for (const auto& r : rows) {
-    table.emit({r.direction, r.state, o.result.at(r.mbps),
-                static_cast<unsigned long long>(o.result.at(r.window))});
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto& o = outcomes[i];
+    const auto& u = o.spec->topology.usecase;
+    table.emit({u.which == UsecaseKind::kPennStateInbound ? "inbound" : "outbound",
+                u.vendorFix ? "off (after)" : "on (before)", o.result.at("pennstate.mbps"),
+                static_cast<unsigned long long>(o.result.at("pennstate.peak_window"))});
   }
   table.blankRow();
-  const double inBefore = o.result.at("pennstate.in_before_mbps");
-  const double outBefore = o.result.at("pennstate.out_before_mbps");
-  const double inSpeedup =
-      inBefore > 0 ? o.result.at("pennstate.in_after_mbps") / inBefore : 0.0;
-  const double outSpeedup =
-      outBefore > 0 ? o.result.at("pennstate.out_after_mbps") / outBefore : 0.0;
+  const auto mbps = [&outcomes](std::size_t i) { return outcomes[i].result.at("pennstate.mbps"); };
+  const double inSpeedup = mbps(0) > 0 ? mbps(2) / mbps(0) : 0.0;
+  const double outSpeedup = mbps(1) > 0 ? mbps(3) / mbps(1) : 0.0;
   bench::row("speedup: inbound %.1fx, outbound %.1fx (paper: ~5x inbound, ~12x outbound",
              inSpeedup, outSpeedup);
   bench::row("from a lower outbound baseline; our symmetric model improves both alike)");
@@ -190,25 +516,29 @@ void renderPennstate(const ScenarioEntry& entry, const std::vector<CellOutcome>&
   bench::JsonTable utilTable("usecase_pennstate_firewall_util",
                              "figure-8-style SNMP series (edge utilization, 10s samples)",
                              "Figure 8, Dart et al. SC13", {"t_sec", "util_mbps", "note"});
-  utilizationTimeSeries(utilTable);
+  bench::row("%s", "");
+  bench::row("figure-8-style SNMP series (edge utilization, 10s samples):");
+  bench::row("%-8s %-12s %-10s", "t_sec", "util_mbps", "note");
+  const auto& series = outcomes[4].result;
+  for (int t = 10; t <= 120; t += 10) {
+    const double util = series.at(metricFor("pennstate.t", t, "_mbps"));
+    bench::row("%-8d %-12.1f %-10s", t, util, t == 60 ? "<- sequence checking disabled" : "");
+    utilTable.addRow({t, util, t == 60 ? "sequence checking disabled" : ""});
+  }
   utilTable.write();
 }
 
 // --- usecase_noaa_transfer -------------------------------------------------
 
 std::vector<ScenarioSpec> noaaSpecs() {
-  ScenarioSpec s;
-  s.name = "usecase_noaa_transfer#0";
-  s.topology.kind = TopologyKind::kUsecase;
-  s.topology.usecase.which = UsecaseKind::kNoaa;
-  return {std::move(s)};
+  return {usecaseSpec("usecase_noaa_transfer", 0, UsecaseKind::kNoaa, false, 11),
+          usecaseSpec("usecase_noaa_transfer", 1, UsecaseKind::kNoaa, true, 12)};
 }
 
 void renderNoaa(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
-  const auto& o = outcomes[0];
-  const double legacyMBps = o.result.at("noaa.legacy_MBps");
-  const double dmzMBps = o.result.at("noaa.dmz_MBps");
-  const double batchSecs = o.result.at("noaa.batch_s");
+  const double legacyMBps = outcomes[0].result.at("noaa.legacy_MBps");
+  const double dmzMBps = outcomes[1].result.at("noaa.dmz_MBps");
+  const double batchSecs = outcomes[1].result.at("noaa.batch_s");
   const double speedup = legacyMBps > 0 ? dmzMBps / legacyMBps : 0.0;
   bench::row("%-28s %-14s %-20s", "path", "rate_MBps", "239.5GB batch time");
   bench::row("%-28s %-14.2f %s", "firewalled FTP (legacy)", legacyMBps,
@@ -231,20 +561,18 @@ void renderNoaa(const ScenarioEntry& entry, const std::vector<CellOutcome>& outc
 // --- usecase_nersc_olcf ----------------------------------------------------
 
 std::vector<ScenarioSpec> nerscSpecs() {
-  ScenarioSpec s;
-  s.name = "usecase_nersc_olcf#0";
-  s.topology.kind = TopologyKind::kUsecase;
-  s.topology.usecase.which = UsecaseKind::kNerscOlcf;
-  return {std::move(s)};
+  return {usecaseSpec("usecase_nersc_olcf", 0, UsecaseKind::kNerscOlcf, false, 13),
+          usecaseSpec("usecase_nersc_olcf", 1, UsecaseKind::kNerscOlcf, true, 14)};
 }
 
 void renderNersc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
-  const auto& o = outcomes[0];
-  const double beforeMBps = o.result.at("nersc.before_MBps");
-  const double afterMBps = o.result.at("nersc.after_MBps");
-  const double fileBeforeSecs = o.result.at("nersc.file_before_s");
-  const double fileAfterSecs = o.result.at("nersc.file_after_s");
-  const double campaignAfterSecs = o.result.at("nersc.campaign_after_s");
+  const auto& before = outcomes[0].result;
+  const auto& after = outcomes[1].result;
+  const double beforeMBps = before.at("nersc.before_MBps");
+  const double afterMBps = after.at("nersc.after_MBps");
+  const double fileBeforeSecs = before.at("nersc.file_before_s");
+  const double fileAfterSecs = after.at("nersc.file_after_s");
+  const double campaignAfterSecs = after.at("nersc.campaign_after_s");
   const double speedup = beforeMBps > 0 ? afterMBps / beforeMBps : 0.0;
   bench::row("%-26s %-12s %-20s %-18s", "path", "rate_MBps", "33GB file", "40TB campaign");
   bench::row("%-26s %-12.2f %-20s %-18s", "login-node path (before)", beforeMBps,
@@ -270,6 +598,17 @@ void renderNersc(const ScenarioEntry& entry, const std::vector<CellOutcome>& out
 }
 
 }  // namespace
+
+void runUsecase(const UsecaseTopology& u, Scenario& s, ScenarioResult& r) {
+  switch (u.which) {
+    case UsecaseKind::kColorado: runColorado(u, s, r); break;
+    case UsecaseKind::kPennStateInbound:
+    case UsecaseKind::kPennStateOutbound: runPennStateDirection(u, s, r); break;
+    case UsecaseKind::kPennStateSeries: runPennStateSeries(s, r); break;
+    case UsecaseKind::kNoaa: u.vendorFix ? runNoaaDmz(s, r) : runNoaaLegacy(s, r); break;
+    case UsecaseKind::kNerscOlcf: u.vendorFix ? runNerscAfter(s, r) : runNerscBefore(s, r); break;
+  }
+}
 
 void registerUsecaseScenarios(ScenarioRegistry& registry) {
   registry.add({"usecase_colorado_fanin", "usecase", "RCNet aggregation switch defect",

@@ -20,10 +20,6 @@
 #include "scenario/harness.hpp"
 #include "scenario/partition.hpp"
 #include "scenario/shard.hpp"
-#include "usecase/colorado.hpp"
-#include "usecase/nersc_olcf.hpp"
-#include "usecase/noaa.hpp"
-#include "usecase/pennstate.hpp"
 #include "vc/openflow.hpp"
 #include "vc/roce.hpp"
 
@@ -168,10 +164,7 @@ void buildFanin(const FaninTopology& t, Scenario& s, Materialized& m) {
   s.topo.connect(sw, sink, toLinkParams(t.egressLink));
   const auto in = toLinkParams(t.senderLink);
   for (int i = 0; i < t.senders; ++i) {
-    // 254 senders per /24: 10.0.1.1 .. 10.0.1.254, then 10.0.2.1, ...
-    auto& h = s.topo.addHost("h" + std::to_string(i),
-                             net::Address(10, 0, static_cast<std::uint8_t>(1 + i / 254),
-                                          static_cast<std::uint8_t>(1 + i % 254)));
+    auto& h = s.topo.addHost("h" + std::to_string(i), numberedHost(10, 0, i));
     s.topo.connect(h, sw, in);
     m.senders.push_back(&h);
   }
@@ -188,12 +181,10 @@ void buildEnterpriseEdge(const EnterpriseEdgeTopology& t, Scenario& s, Materiali
   s.topo.connect(fw, inside, core);
   const auto edge = toLinkParams(t.edgeLink);
   for (int i = 0; i < t.pairs; ++i) {
-    auto& c = s.topo.addHost("c" + std::to_string(i),
-                             net::Address(198, 0, 1, static_cast<std::uint8_t>(i + 1)));
+    auto& c = s.topo.addHost("c" + std::to_string(i), numberedHost(198, 0, i));
     s.topo.connect(c, outside, edge);
     m.edgeClients.push_back(&c);
-    auto& v = s.topo.addHost("s" + std::to_string(i),
-                             net::Address(10, 20, 1, static_cast<std::uint8_t>(i + 1)));
+    auto& v = s.topo.addHost("s" + std::to_string(i), numberedHost(10, 20, i));
     s.topo.connect(v, inside, edge);
     m.edgeServers.push_back(&v);
   }
@@ -469,60 +460,6 @@ void runWorkload(const WorkloadSpec& w, const std::string& p, const ScenarioSpec
   if (!w.label.empty()) recordDeviceMetrics(m, r, w.label + ".");
 }
 
-/// Section 6 use cases drive their own simulation (src/usecase/*); map the
-/// result structs onto metrics. The sweep cell keeps its defaults — the
-/// use-case runner owns its simulator, so there is no event count to report.
-ScenarioResult runUsecase(const UsecaseTopology& u) {
-  ScenarioResult r;
-  switch (u.which) {
-    case UsecaseKind::kColorado: {
-      usecase::ColoradoConfig config;
-      config.physicsHosts = u.physicsHosts;
-      config.vendorFixApplied = u.vendorFix;
-      const auto result = usecase::runColorado(config);
-      r.metrics["colorado.worst_mbps"] = result.worstHostMbps();
-      r.metrics["colorado.aggregate_mbps"] = result.aggregateMbps;
-      r.metrics["colorado.latched"] = result.storeForwardLatched ? 1.0 : 0.0;
-      r.metrics["colorado.switch_drops"] = static_cast<double>(result.switchDrops);
-      break;
-    }
-    case UsecaseKind::kPennState: {
-      const auto result = usecase::runPennState(usecase::PennStateConfig{});
-      r.metrics["pennstate.in_before_mbps"] = result.inboundBefore.mbps;
-      r.metrics["pennstate.in_before_peak_window"] =
-          static_cast<double>(result.inboundBefore.peakWindowBytes);
-      r.metrics["pennstate.out_before_mbps"] = result.outboundBefore.mbps;
-      r.metrics["pennstate.out_before_peak_window"] =
-          static_cast<double>(result.outboundBefore.peakWindowBytes);
-      r.metrics["pennstate.in_after_mbps"] = result.inboundAfter.mbps;
-      r.metrics["pennstate.in_after_peak_window"] =
-          static_cast<double>(result.inboundAfter.peakWindowBytes);
-      r.metrics["pennstate.out_after_mbps"] = result.outboundAfter.mbps;
-      r.metrics["pennstate.out_after_peak_window"] =
-          static_cast<double>(result.outboundAfter.peakWindowBytes);
-      break;
-    }
-    case UsecaseKind::kNoaa: {
-      const auto result = usecase::runNoaa();
-      r.metrics["noaa.legacy_MBps"] = result.legacyMBps;
-      r.metrics["noaa.dmz_MBps"] = result.dmzMBps;
-      r.metrics["noaa.batch_s"] = result.dmzBatchTime.toSeconds();
-      r.metrics["noaa.files_moved"] = static_cast<double>(result.filesMoved);
-      break;
-    }
-    case UsecaseKind::kNerscOlcf: {
-      const auto result = usecase::runNerscOlcf();
-      r.metrics["nersc.before_MBps"] = result.beforeMBps;
-      r.metrics["nersc.after_MBps"] = result.afterMBps;
-      r.metrics["nersc.file_before_s"] = result.fileTimeBefore.toSeconds();
-      r.metrics["nersc.file_after_s"] = result.fileTimeAfter.toSeconds();
-      r.metrics["nersc.campaign_after_s"] = result.campaignTimeAfter.toSeconds();
-      break;
-    }
-  }
-  return r;
-}
-
 /// Validate the sharding gate and arm the scenario before any topology
 /// construction. Sharded execution covers the conservative subset the
 /// determinism contract holds for: path topologies with pure packet-TCP
@@ -572,25 +509,26 @@ void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
 
 }  // namespace
 
-ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell) {
-  if (spec.topology.kind == TopologyKind::kUsecase) {
-    return runUsecase(spec.topology.usecase);
-  }
+net::Address numberedHost(std::uint8_t a, std::uint8_t b, int i) {
+  return net::Address(a, b, static_cast<std::uint8_t>(1 + i / 254),
+                      static_cast<std::uint8_t>(1 + i % 254));
+}
 
+ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell) {
   Scenario s(spec.seed);
   if (spec.telemetry) s.ctx.telemetry().enable();
   maybeAttachShards(spec, processDomainsOverride().value_or(spec.domains), s);
 
   Materialized m;
+  ScenarioResult r;
   switch (spec.topology.kind) {
     case TopologyKind::kPath: buildPath(spec.topology.path, s, m); break;
     case TopologyKind::kFanin: buildFanin(spec.topology.fanin, s, m); break;
     case TopologyKind::kEnterpriseEdge: buildEnterpriseEdge(spec.topology.edge, s, m); break;
     case TopologyKind::kSite: buildSite(spec.topology.site, s, m); break;
-    case TopologyKind::kUsecase: break;  // handled above
+    case TopologyKind::kUsecase: runUsecase(spec.topology.usecase, s, r); break;
   }
 
-  ScenarioResult r;
   runAnalysis(spec, s, m, r);
   for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
     const auto& w = spec.workloads[i];

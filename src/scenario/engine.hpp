@@ -14,10 +14,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "net/address.hpp"
 #include "scenario/spec.hpp"
 #include "sim/sweep.hpp"
 
 namespace scidmz::scenario {
+
+struct Scenario;
 
 /// Flat results of one scenario cell. Keys are "<prefix>.<metric>":
 /// workload metrics under the workload's label (or "w<index>"), device
@@ -49,5 +52,15 @@ struct ScenarioResult {
 /// Throws SpecError when the spec combines a workload with a topology that
 /// cannot host it (e.g. a campaign on a two-host path).
 ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell);
+
+/// Build and run one Section 6 use case in the cell's scenario, writing the
+/// metrics its catalog renderer reads. Defined in catalog_usecases.cpp.
+void runUsecase(const UsecaseTopology& u, Scenario& s, ScenarioResult& r);
+
+/// Host `i` of a numbered host block: a.b.(1 + i/254).(1 + i%254), 254
+/// hosts per /24 and never a .0 or .255 host byte. Unique for
+/// 0 <= i < kMaxNumberedHosts; the fan-in and enterprise-edge builders
+/// and the Colorado use case number their hosts this way.
+[[nodiscard]] net::Address numberedHost(std::uint8_t a, std::uint8_t b, int i);
 
 }  // namespace scidmz::scenario

@@ -256,6 +256,16 @@ PathTopology pathFromJson(const Json& doc, const std::string& path) {
   return p;
 }
 
+/// A numbered host count: each host needs a distinct numberedHost address.
+int getHostCount(ObjectReader& r, const char* key) {
+  const int n = r.getInt(key);
+  if (n < 1 || n > kMaxNumberedHosts) {
+    throw SpecError("\"" + r.path() + "." + key + "\" must be between 1 and " +
+                    std::to_string(kMaxNumberedHosts) + ", got " + std::to_string(n));
+  }
+  return n;
+}
+
 Json faninToJson(const FaninTopology& f) {
   Json j = Json::object();
   j.set("senders", f.senders);
@@ -268,7 +278,7 @@ Json faninToJson(const FaninTopology& f) {
 FaninTopology faninFromJson(const Json& doc, const std::string& path) {
   ObjectReader r(doc, path);
   FaninTopology f;
-  f.senders = r.getInt("senders");
+  f.senders = getHostCount(r, "senders");
   f.egressBufferBytes = r.getUint("egress_buffer_bytes");
   f.egressLink = linkFromJson(r.getObject("egress_link"), path + ".egress_link");
   f.senderLink = linkFromJson(r.getObject("sender_link"), path + ".sender_link");
@@ -287,7 +297,7 @@ Json edgeToJson(const EnterpriseEdgeTopology& e) {
 EnterpriseEdgeTopology edgeFromJson(const Json& doc, const std::string& path) {
   ObjectReader r(doc, path);
   EnterpriseEdgeTopology e;
-  e.pairs = r.getInt("pairs");
+  e.pairs = getHostCount(r, "pairs");
   e.coreLink = linkFromJson(r.getObject("core_link"), path + ".core_link");
   e.edgeLink = linkFromJson(r.getObject("edge_link"), path + ".edge_link");
   r.done();
@@ -327,10 +337,8 @@ SiteTopology siteFromJson(const Json& doc, const std::string& path) {
 Json usecaseToJson(const UsecaseTopology& u) {
   Json j = Json::object();
   j.set("which", toString(u.which));
-  if (u.which == UsecaseKind::kColorado) {
-    j.set("physics_hosts", u.physicsHosts);
-    j.set("vendor_fix", u.vendorFix);
-  }
+  if (u.which == UsecaseKind::kColorado) j.set("physics_hosts", u.physicsHosts);
+  if (u.which != UsecaseKind::kPennStateSeries) j.set("vendor_fix", u.vendorFix);
   return j;
 }
 
@@ -339,13 +347,13 @@ UsecaseTopology usecaseFromJson(const Json& doc, const std::string& path) {
   UsecaseTopology u;
   u.which = parseEnum<UsecaseKind>(r.getString("which"), path + ".which",
                                    {{"colorado", UsecaseKind::kColorado},
-                                    {"pennstate", UsecaseKind::kPennState},
+                                    {"pennstate_inbound", UsecaseKind::kPennStateInbound},
+                                    {"pennstate_outbound", UsecaseKind::kPennStateOutbound},
+                                    {"pennstate_series", UsecaseKind::kPennStateSeries},
                                     {"noaa", UsecaseKind::kNoaa},
                                     {"nersc_olcf", UsecaseKind::kNerscOlcf}});
-  if (u.which == UsecaseKind::kColorado) {
-    u.physicsHosts = r.getInt("physics_hosts");
-    u.vendorFix = r.getBool("vendor_fix");
-  }
+  if (u.which == UsecaseKind::kColorado) u.physicsHosts = getHostCount(r, "physics_hosts");
+  if (u.which != UsecaseKind::kPennStateSeries) u.vendorFix = r.getBool("vendor_fix");
   r.done();
   return u;
 }
@@ -561,8 +569,7 @@ WorkloadSpec workloadFromJson(const Json& doc, const std::string& path, bool all
   if (allowV2 && workloadHasFidelity(w.kind) && r.has("fidelity")) {
     w.fidelity = parseEnum<net::FlowFidelity>(r.getString("fidelity"), path + ".fidelity",
                                               {{"packet", net::FlowFidelity::kPacket},
-                                               {"fluid", net::FlowFidelity::kFluid},
-                                               {"auto", net::FlowFidelity::kAuto}});
+                                               {"fluid", net::FlowFidelity::kFluid}});
   }
   if (allowV2 && w.kind == WorkloadKind::kConvergingFlows && r.has("fluid_flows")) {
     w.fluidFlows = r.getInt("fluid_flows");
@@ -668,7 +675,9 @@ const char* toString(SiteDesign v) {
 const char* toString(UsecaseKind v) {
   switch (v) {
     case UsecaseKind::kColorado: return "colorado";
-    case UsecaseKind::kPennState: return "pennstate";
+    case UsecaseKind::kPennStateInbound: return "pennstate_inbound";
+    case UsecaseKind::kPennStateOutbound: return "pennstate_outbound";
+    case UsecaseKind::kPennStateSeries: return "pennstate_series";
     case UsecaseKind::kNoaa: return "noaa";
     case UsecaseKind::kNerscOlcf: return "nersc_olcf";
   }

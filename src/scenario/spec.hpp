@@ -94,6 +94,11 @@ struct PathTopology {
   std::vector<LossSpec> losses;
 };
 
+/// Most hosts one numbered block can address (255 /24s of 254 hosts each;
+/// see numberedHost in engine.hpp). A fan-in's `senders`, an enterprise
+/// edge's `pairs` and Colorado's `physics_hosts` lie in [1, this].
+inline constexpr int kMaxNumberedHosts = 255 * 254;
+
 /// `senders` hosts on fast ports converge on one egress toward a sink.
 struct FaninTopology {
   int senders = 2;
@@ -123,14 +128,22 @@ struct SiteTopology {
   std::uint64_t remoteStoragePerStreamCapMbps = 0;  ///< 0 = profile default
 };
 
-enum class UsecaseKind { kColorado, kPennState, kNoaa, kNerscOlcf };
+/// One Section 6 use-case simulation (src/scenario/catalog_usecases.cpp).
+enum class UsecaseKind {
+  kColorado,           ///< fan-in downloads through the RCNet aggregation switch
+  kPennStateInbound,   ///< one VTTI -> CoE transfer across the CoE firewall
+  kPennStateOutbound,  ///< one CoE -> VTTI transfer across the CoE firewall
+  kPennStateSeries,    ///< Figure 8 utilization series, remedy applied live
+  kNoaa,               ///< reforecast retrieval, legacy FTP or DMZ DTN path
+  kNerscOlcf,          ///< inter-center transfer, login node or DTN path
+};
 
-/// A self-contained Section 6 use-case run (src/usecase/*); the use case
-/// builds and drives its own simulation, so it takes no workloads.
+/// A Section 6 use case: the use case builds and drives its own topology
+/// and traffic in the cell's scenario, so it takes no workloads.
 struct UsecaseTopology {
   UsecaseKind which = UsecaseKind::kColorado;
-  int physicsHosts = 5;     ///< colorado
-  bool vendorFix = false;   ///< colorado
+  int physicsHosts = 5;    ///< colorado
+  bool vendorFix = false;  ///< after the paper's remedy (all but the series)
 };
 
 enum class TopologyKind { kPath, kFanin, kEnterpriseEdge, kSite, kUsecase };

@@ -1,5 +1,7 @@
 #include "sim/sweep.hpp"
 
+#include "sim/json_escape.hpp"
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -20,19 +22,7 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 
 std::string jsonEscape(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
+  appendJsonEscaped(out, s);
   return out;
 }
 

@@ -487,7 +487,8 @@ namespace scidmz::net {
 
 FlowPtr FlowFactory::create(Host& src, Host& dst, const tcp::TcpConfig& tcp,
                             const Options& options) {
-  const FlowFidelity fidelity = resolve(src, dst, options);
+  const FlowFidelity fidelity =
+      options.pinned ? options.fidelity : override_.value_or(options.fidelity);
   const int streams = options.streams < 1 ? 1 : options.streams;
   flows_created_ += static_cast<std::uint64_t>(streams);
   Context& ctx = src.ctx();

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <tuple>
 
+#include "sim/json_escape.hpp"
+
 namespace scidmz::telemetry {
 
 namespace {
@@ -103,21 +105,6 @@ void codecPoints(sim::Codec& c, std::vector<std::string>& points,
   }
 }
 
-void appendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 void appendIp(std::string& out, std::uint32_t ip) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (ip >> 24) & 0xff, (ip >> 16) & 0xff,
@@ -197,7 +184,7 @@ void FlightRecorder::exportJsonl(std::ostream& out) const {
     line += buf;
     line += toString(e.kind);
     line += "\",\"point\":\"";
-    appendEscaped(line, pointName(e.point));
+    sim::appendJsonEscaped(line, pointName(e.point));
     line += "\",\"pkt\":";
     std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(e.packetId));
     line += buf;

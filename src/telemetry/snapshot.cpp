@@ -3,24 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/json_escape.hpp"
+
 namespace scidmz::telemetry {
 
 namespace {
-
-void appendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 void appendDouble(std::string& out, double v) {
   char buf[40];
@@ -52,7 +39,7 @@ std::string TelemetrySnapshot::toJson() const {
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i) out += ',';
     out += '"';
-    appendEscaped(out, counters[i].name);
+    sim::appendJsonEscaped(out, counters[i].name);
     out += "\":";
     char buf[24];
     std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(counters[i].value));
@@ -62,7 +49,7 @@ std::string TelemetrySnapshot::toJson() const {
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     if (i) out += ',';
     out += '"';
-    appendEscaped(out, gauges[i].name);
+    sim::appendJsonEscaped(out, gauges[i].name);
     out += "\":";
     appendDouble(out, gauges[i].value);
   }
@@ -71,7 +58,7 @@ std::string TelemetrySnapshot::toJson() const {
     const SeriesSummary& s = series[i];
     if (i) out += ',';
     out += '"';
-    appendEscaped(out, s.name);
+    sim::appendJsonEscaped(out, s.name);
     out += "\":{\"samples\":";
     char buf[24];
     std::snprintf(buf, sizeof buf, "%zu", s.sampleCount);

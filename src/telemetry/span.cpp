@@ -6,32 +6,19 @@
 #include <ostream>
 #include <utility>
 
+#include "sim/json_escape.hpp"
+
 namespace scidmz::telemetry {
 
 namespace {
 
 bool g_process_tracing = false;
 
-void appendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 std::string jsonString(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   out.push_back('"');
-  appendEscaped(out, s);
+  sim::appendJsonEscaped(out, s);
   out.push_back('"');
   return out;
 }

@@ -185,6 +185,28 @@ TEST(ScenarioSpec, BadFidelityValueIsRejected) {
   }
 }
 
+/// `auto` fidelity is gone: the spec reader and the --fidelity parser both
+/// refuse it as an unknown value.
+TEST(ScenarioSpec, AutoFidelityIsRejected) {
+  EXPECT_FALSE(net::parseFlowFidelity("auto").has_value());
+  ScenarioSpec spec;
+  spec.name = "auto";
+  WorkloadSpec w;
+  w.fidelity = net::FlowFidelity::kFluid;
+  spec.workloads.push_back(w);
+  Json doc = spec.toJson();
+  Json workload = doc["workloads"].at(0);
+  workload.set("fidelity", "auto");
+  doc.set("workloads", Json::array());
+  doc["workloads"].push(std::move(workload));
+  try {
+    ScenarioSpec::fromJson(doc);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"auto\""), std::string::npos) << e.what();
+  }
+}
+
 // --- fan-in address plan ---------------------------------------------------
 
 /// Past 254 senders the fan-in moves on to the next /24 (10.0.2.x), so no
@@ -227,6 +249,70 @@ TEST(ScenarioSpec, FaninPast254SendersKeepsAddressesDistinct) {
     ASSERT_TRUE(counters.contains(key)) << key;
     EXPECT_GT(counters.get(key).asNumber(), 10.0) << key;
   }
+}
+
+/// The enterprise edge numbers its client and server hosts with the fan-in
+/// rule, so 300 pairs get 600 distinct addresses, none ending in .0 or
+/// .255, and the 300-pair edge builds and routes.
+TEST(ScenarioSpec, EnterpriseEdgePast254PairsKeepsAddressesDistinct) {
+  constexpr int kPairs = 300;
+  std::set<std::uint32_t> addresses;
+  for (int i = 0; i < kPairs; ++i) {
+    for (const auto address : {numberedHost(198, 0, i), numberedHost(10, 20, i)}) {
+      const auto hostByte = address.value() & 0xff;
+      EXPECT_NE(hostByte, 0u) << address.toString();
+      EXPECT_NE(hostByte, 255u) << address.toString();
+      addresses.insert(address.value());
+    }
+  }
+  EXPECT_EQ(addresses.size(), static_cast<std::size_t>(2 * kPairs));
+  EXPECT_EQ(numberedHost(198, 0, 253).toString(), "198.0.1.254");  // unchanged below 254
+  EXPECT_EQ(numberedHost(198, 0, 254).toString(), "198.0.2.1");
+  EXPECT_EQ(numberedHost(10, 20, kMaxNumberedHosts - 1).toString(), "10.20.255.254");
+
+  ScenarioSpec spec;
+  spec.name = "edge300";
+  spec.topology.kind = TopologyKind::kEnterpriseEdge;
+  spec.topology.edge.pairs = kPairs;
+  WorkloadSpec w;
+  w.kind = WorkloadKind::kBackground;
+  w.flowsPerSecond = 200.0;
+  w.runS = 1.0;
+  w.drainS = 1.0;
+  spec.workloads.push_back(w);
+  sim::SweepCell cell;
+  const ScenarioResult result = runSpec(spec, cell);
+  EXPECT_GT(result.get("w0.flows_started"), 100.0);
+}
+
+/// `senders` and `pairs` must name at least one host and no more than the
+/// numbering rule can address.
+TEST(ScenarioSpec, HostCountsOutsideTheAddressPlanAreRejected) {
+  ScenarioSpec fanin;
+  fanin.name = "fanin";
+  fanin.topology.kind = TopologyKind::kFanin;
+  ScenarioSpec edge;
+  edge.name = "edge";
+  edge.topology.kind = TopologyKind::kEnterpriseEdge;
+  const auto withCount = [](const ScenarioSpec& spec, const char* topology, const char* key,
+                            int n) {
+    Json doc = spec.toJson();
+    doc["topology"][topology].set(key, n);
+    return doc;
+  };
+  for (const int bad : {-1, 0, kMaxNumberedHosts + 1}) {
+    EXPECT_THROW(ScenarioSpec::fromJson(withCount(fanin, "fanin", "senders", bad)), SpecError)
+        << bad;
+    EXPECT_THROW(ScenarioSpec::fromJson(withCount(edge, "enterprise_edge", "pairs", bad)),
+                 SpecError)
+        << bad;
+  }
+  EXPECT_EQ(ScenarioSpec::fromJson(withCount(fanin, "fanin", "senders", kMaxNumberedHosts))
+                .topology.fanin.senders,
+            kMaxNumberedHosts);
+  EXPECT_EQ(ScenarioSpec::fromJson(withCount(edge, "enterprise_edge", "pairs", 1))
+                .topology.edge.pairs,
+            1);
 }
 
 // --- the JSON layer under the spec ----------------------------------------

@@ -54,7 +54,7 @@ using scenario::ScenarioSpec;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--out DIR] [--fidelity packet|fluid|auto] [--domains N] \\\n"
+               "usage: %s [--out DIR] [--fidelity packet|fluid] [--domains N] \\\n"
                "          [--trace BASE] [--profile BASE] [--list] [--dump] [--run NAME]... \\\n"
                "          [--spec FILE [--sweep dotted.path=v1,v2,...]...] \\\n"
                "          [--snapshot BASE] [--restore FILE]\n"
@@ -353,10 +353,10 @@ int main(int argc, char** argv) {
       outDir = operand("a directory");
     } else if (arg == "--fidelity" || arg.rfind("--fidelity=", 0) == 0) {
       const std::string text =
-          arg == "--fidelity" ? operand("packet|fluid|auto") : arg.substr(std::strlen("--fidelity="));
+          arg == "--fidelity" ? operand("packet|fluid") : arg.substr(std::strlen("--fidelity="));
       const auto parsed = net::parseFlowFidelity(text);
       if (!parsed) {
-        std::fprintf(stderr, "scidmz_run: --fidelity wants packet|fluid|auto (got \"%s\")\n",
+        std::fprintf(stderr, "scidmz_run: --fidelity wants packet|fluid (got \"%s\")\n",
                      text.c_str());
         return usage(argv[0]);
       }

@@ -326,7 +326,7 @@ WORKLOAD_KINDS = {"steady_flow", "converging_flows", "timed_flow", "parallel_tra
 SCENARIO_FAMILIES = {"figure", "arch", "usecase", "ablation", "vc"}
 
 
-FLOW_FIDELITIES = {"packet", "fluid", "auto"}
+FLOW_FIDELITIES = {"packet", "fluid"}
 
 
 def validate_scenario_spec(doc, where):
