@@ -156,11 +156,13 @@ Interface& Device::addInterface(sim::DataSize egressBuffer) {
 }
 
 void Device::addRoute(Prefix prefix, int ifIndex) {
-  routes_.push_back(RouteEntry{prefix, ifIndex});
-  std::stable_sort(routes_.begin(), routes_.end(),
-                   [](const RouteEntry& a, const RouteEntry& b) {
-                     return a.prefix.length() > b.prefix.length();
-                   });
+  // After every route at least as long: descending length, and among equal
+  // lengths the first inserted stays first.
+  const auto at = std::upper_bound(routes_.begin(), routes_.end(), prefix.length(),
+                                   [](int length, const RouteEntry& e) {
+                                     return length > e.prefix.length();
+                                   });
+  routes_.insert(at, RouteEntry{prefix, ifIndex});
   fib_compiled_ = false;
   ++route_generation_;
 }
@@ -177,7 +179,7 @@ void Device::compileFib() const {
   for (const auto& entry : routes_) {
     if (entry.prefix.length() == 32) {
       // emplace keeps the first-inserted route for a duplicate /32 — the
-      // same winner the stable-sorted linear scan would pick.
+      // same winner the ordered linear scan would pick.
       fib_exact_.emplace(entry.prefix.base().value(), entry.ifIndex);
     } else {
       fib_prefixes_.push_back(entry);  // already in descending-length order

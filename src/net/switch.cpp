@@ -27,13 +27,18 @@ void SwitchDevice::receive(PacketRef packet, Interface& in) {
 
   // While latched into the defective store-and-forward state, usable egress
   // buffering collapses. Model: clamp every egress queue's capacity; restore
-  // when the fix is applied (applyVendorFix re-expands on next packet).
+  // when the fix is applied (applyVendorFix re-expands on next packet). The
+  // target only moves when the defect latches or the fix lands, so the
+  // queues are walked only when it (or the port count) differs from the
+  // last clamp.
   const auto targetCapacity =
       inDefectiveState() ? defect_.defectiveBuffer : profile_.egressBuffer;
-  for (std::size_t i = 0; i < interfaceCount(); ++i) {
-    if (interface(i).queue().capacity() != targetCapacity) {
+  if (clamp_applied_ != targetCapacity || clamp_ports_ != interfaceCount()) {
+    for (std::size_t i = 0; i < interfaceCount(); ++i) {
       interface(i).queue().setCapacity(targetCapacity);
     }
+    clamp_applied_ = targetCapacity;
+    clamp_ports_ = interfaceCount();
   }
 
   const auto latency = forwardingLatency(*packet, in);
@@ -67,6 +72,7 @@ std::uint64_t SwitchDevice::serialize(sim::Codec& c) {
   if (!c.ok()) return claimed;
   c.b(defect_latched_);
   c.b(defect_fixed_);
+  if (!c.writing()) clamp_applied_.reset();  // queue capacities were restored
   sim::codecTime(c, window_start_);
   sim::codecSize(c, window_bytes_);
   if (c.writing()) {

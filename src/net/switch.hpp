@@ -103,6 +103,10 @@ class SwitchDevice : public Device {
   FanInDefect defect_;
   bool defect_latched_ = false;
   bool defect_fixed_ = false;
+  /// Egress capacity last clamped onto the queues, and how many queues
+  /// there were; unset until the first packet and after a restore.
+  std::optional<sim::DataSize> clamp_applied_;
+  std::size_t clamp_ports_ = 0;
   sim::SimTime window_start_ = sim::SimTime::zero();
   sim::DataSize window_bytes_ = sim::DataSize::zero();
   std::vector<InFlight> in_flight_;

@@ -1,7 +1,6 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -152,48 +151,59 @@ Link& Topology::connect(Device& a, Device& b, LinkParams params, sim::DataSize b
 }
 
 void Topology::computeRoutes() {
+  // Dense device indices: the topology's own devices first, in order, then
+  // any link endpoint it does not own.
+  std::unordered_map<Device*, std::size_t> index;
+  auto indexOf = [&index](Device* dev) {
+    return index.try_emplace(dev, index.size()).first->second;
+  };
+  for (const auto& devPtr : devices_) indexOf(devPtr.get());
   // Adjacency: device -> (neighbor, local egress interface index).
-  std::unordered_map<Device*, std::vector<std::pair<Device*, int>>> adj;
+  std::vector<std::vector<std::pair<std::size_t, int>>> adj;
   for (const auto& link : links_) {
     Interface& a = link->end(0);
     Interface& b = link->end(1);
-    adj[&a.owner()].emplace_back(&b.owner(), a.index());
-    adj[&b.owner()].emplace_back(&a.owner(), b.index());
+    const std::size_t ia = indexOf(&a.owner());
+    const std::size_t ib = indexOf(&b.owner());
+    adj.resize(index.size());
+    adj[ia].emplace_back(ib, a.index());
+    adj[ib].emplace_back(ia, b.index());
   }
+  adj.resize(index.size());
 
   for (const auto& devPtr : devices_) devPtr->clearRoutes();
 
   // BFS from each host; every device on a shortest path toward the host
   // gets a /32 route via the interface that BFS arrived through.
-  for (const auto& destPtr : devices_) {
-    auto* dest = dynamic_cast<Host*>(destPtr.get());
+  constexpr int kUnreached = -1;
+  std::vector<int> dist(index.size());
+  std::vector<std::size_t> frontier;
+  frontier.reserve(index.size());
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
+    auto* dest = dynamic_cast<Host*>(devices_[d].get());
     if (dest == nullptr) continue;
     const Prefix hostPrefix{dest->address(), 32};
 
-    std::unordered_map<Device*, int> dist;
-    std::deque<Device*> frontier;
-    dist[dest] = 0;
-    frontier.push_back(dest);
-    while (!frontier.empty()) {
-      Device* cur = frontier.front();
-      frontier.pop_front();
+    std::fill(dist.begin(), dist.end(), kUnreached);
+    dist[d] = 0;
+    frontier.assign(1, d);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::size_t cur = frontier[head];
       for (const auto& [nbr, nbrIf] : adj[cur]) {
         (void)nbrIf;
-        if (dist.count(nbr)) continue;
+        if (dist[nbr] != kUnreached) continue;
         dist[nbr] = dist[cur] + 1;
         frontier.push_back(nbr);
       }
     }
-    for (const auto& devPtr : devices_) {
-      Device* dev = devPtr.get();
-      if (dev == dest || !dist.count(dev)) continue;
+    for (std::size_t v = 0; v < devices_.size(); ++v) {
+      if (v == d || dist[v] == kUnreached) continue;
       // Pick the neighbor one step closer to the destination; ties break by
       // adjacency order, which is insertion (= link creation) order, so
       // routing is deterministic.
-      for (const auto& [nbr, localIf] : adj[dev]) {
-        const auto it = dist.find(nbr);
-        if (it != dist.end() && it->second == dist[dev] - 1) {
-          dev->addRoute(hostPrefix, localIf);
+      for (const auto& [nbr, localIf] : adj[v]) {
+        if (dist[nbr] == dist[v] - 1) {
+          devices_[v]->addRoute(hostPrefix, localIf);
           break;
         }
       }

@@ -21,7 +21,7 @@ struct CellOutcome {
 
 struct ScenarioEntry {
   std::string name;       ///< bench/binary name, e.g. "fig1_tcp_loss_rtt"
-  std::string family;     ///< "figure" | "arch" | "usecase" | "ablation" | "vc"
+  std::string family;     ///< "figure" | "arch" | "usecase" | "ablation" | "vc" | "scale"
   std::string title;      ///< header/table title (header prints "name: title")
   std::string paperRef;
   std::string sweepName;  ///< SweepRunner sweep label

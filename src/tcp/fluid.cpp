@@ -144,7 +144,7 @@ void FluidEngine::establishmentFire(FlowId id, std::uint32_t epoch) {
   flow->lastDeliveryAt = flow->establishedAt;
   rates_dirty_ = true;
   if (flow->cb.onEstablished) flow->cb.onEstablished();
-  if (activeSendingAt(id - 1)) ensureTicker();
+  wake(id - 1);
 }
 
 void FluidEngine::queueData(FlowId id, sim::DataSize bytes) {
@@ -153,7 +153,7 @@ void FluidEngine::queueData(FlowId id, sim::DataSize bytes) {
   hot_target_[id - 1] += bytes.byteCount();
   f->completeNotified = false;
   rates_dirty_ = true;
-  if (activeSendingAt(id - 1)) ensureTicker();
+  wake(id - 1);
 }
 
 bool FluidEngine::established(FlowId id) const {
@@ -254,6 +254,12 @@ std::uint32_t FluidEngine::linkDirIndex(net::Link* link, int end) {
   return it->second;
 }
 
+void FluidEngine::wake(std::uint32_t idx) {
+  if (!activeSendingAt(idx)) return;
+  wake_.push_back(idx);
+  ensureTicker();
+}
+
 void FluidEngine::ensureTicker() {
   if (ticker_armed_) return;
   ticker_armed_ = true;
@@ -266,7 +272,7 @@ void FluidEngine::ensureTicker() {
   }
   recomputeRates();
   rates_dirty_ = false;
-  ticker_event_ = ctx_->sim().schedule(tick_, [this] { onTick(); });
+  ticker_event_ = ctx_->sim().schedule(kTick, [this] { onTick(); });
 }
 
 void FluidEngine::onTick() {
@@ -286,7 +292,7 @@ void FluidEngine::onTick() {
     rates_dirty_ = false;
   }
   if (active_left_ > 0) {
-    ticker_event_ = ctx_->sim().schedule(tick_, [this] { onTick(); });
+    ticker_event_ = ctx_->sim().schedule(kTick, [this] { onTick(); });
   } else {
     withdrawDemand();
     ticker_armed_ = false;
@@ -368,10 +374,22 @@ void FluidEngine::recomputeRates() {
     dir.publishBps = 0.0;
   }
   // Pass 1 (flows, id order): unconstrained per-flow caps, link weights,
-  // and the active list the per-tick integration iterates.
+  // and the active list the per-tick integration iterates. Only the
+  // previous active list and the wake list can hold a sending flow; both
+  // are walked as one ascending, duplicate-free sequence, so the order
+  // (and every floating-point sum below) matches a scan of all flows.
+  std::sort(wake_.begin(), wake_.end());
+  prev_active_.swap(active_);
   active_.clear();
-  const std::size_t n = flows_.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t a = 0;
+  std::size_t w = 0;
+  std::uint32_t last = UINT32_MAX;
+  while (a < prev_active_.size() || w < wake_.size()) {
+    const bool fromPrev =
+        w == wake_.size() || (a < prev_active_.size() && prev_active_[a].idx <= wake_[w]);
+    const std::uint32_t i = fromPrev ? prev_active_[a++].idx : wake_[w++];
+    if (i == last) continue;
+    last = i;
     Flow& f = flows_[i];
     if (!f.inUse || !activeSendingAt(i)) {
       hot_rate_[i] = 0.0;
@@ -383,6 +401,7 @@ void FluidEngine::recomputeRates() {
       link_dirs_[idx].fluidWeight += static_cast<double>(f.weight);
     }
   }
+  wake_.clear();
   active_left_ = active_.size();
   // Pass 2 (links): capacity available to fluid flows — the measured
   // leftover, floored by a flow-count-proportional entitlement so the
@@ -588,7 +607,16 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
   c.b(telInit);
   if (!c.writing() && telInit && !tel_init_ && ctx_->telemetry().enabled()) initTelemetry();
   claimed += sim::codecTimer(c, ctx_->sim(), ticker_event_, [this] { onTick(); });
-  if (!c.writing()) ticker_armed_ = ticker_event_.valid();
+  if (!c.writing()) {
+    ticker_armed_ = ticker_event_.valid();
+    // The wake list is not carried: every restored flow that is sending
+    // rejoins it, a superset of the original list that the next recompute
+    // filters the same way.
+    wake_.clear();
+    for (std::uint32_t i = 0; i < flows_.size(); ++i) {
+      if (flows_[i].inUse && activeSendingAt(i)) wake_.push_back(i);
+    }
+  }
   return claimed;
 }
 

@@ -30,7 +30,11 @@
 // load); between changes a tick is a single pass over the compact hot
 // arrays (rate/carry/target/delivered), which is what keeps 100k-flow
 // crowds at a few hundred megabytes of memory traffic per simulated
-// second instead of tens of gigabytes.
+// second instead of tens of gigabytes. A recompute visits only the flows
+// in flight at the previous one plus the flows woken since (established,
+// or given more data), so it costs O(in-flight + newly woken flows), not
+// O(flows ever created): the rest of a crowd is idle, and idle flows hold
+// a zero rate.
 //
 // One engine per net::Context, reached via ctx.extension<FluidEngine>()
 // (default-constructed; attach() binds it to the Context on first use by
@@ -92,11 +96,6 @@ class FluidEngine {
   /// Bind to the owning Context (idempotent; extension<T> requires default
   /// construction, so the binding happens on first factory use).
   void attach(net::Context& ctx) { if (ctx_ == nullptr) ctx_ = &ctx; }
-
-  /// Rate-integration cadence. Coarser ticks are cheaper; finer ticks track
-  /// packet-flow dynamics more closely. Takes effect at the next (re)arm.
-  void setTickInterval(sim::Duration tick) { tick_ = tick; }
-  [[nodiscard]] sim::Duration tickInterval() const { return tick_; }
 
   /// Create a fluid flow; the path is traced through the FIBs now, so
   /// routes must be installed. `streams` parallel streams aggregate into
@@ -209,6 +208,9 @@ class FluidEngine {
     return flows_[idx].established && hot_target_[idx] > hot_delivered_[idx];
   }
 
+  /// Put a flow that may have started sending on the wake list and make
+  /// sure the ticker runs; a no-op unless it is established with data left.
+  void wake(std::uint32_t idx);
   void ensureTicker();
   void onTick();
   /// Body of the deferred-establishment event (shared by startFlow and the
@@ -219,21 +221,30 @@ class FluidEngine {
   /// Measure per-link packet traffic over the elapsed interval; returns
   /// whether any direction's load changed (rates must be recomputed).
   bool measureLinks(double dtSeconds);
-  /// Recompute every active flow's rate, rebuild the active list, and
+  /// Recompute the rate of every flow in the previous active list or the
+  /// wake list, rebuild the active list from those still sending, and
   /// publish per-link demand.
   void recomputeRates();
   void withdrawDemand();
   void initTelemetry();
 
+  /// Rate-integration cadence.
+  static constexpr sim::Duration kTick = sim::Duration::milliseconds(10);
+
   net::Context* ctx_ = nullptr;
-  sim::Duration tick_ = sim::Duration::milliseconds(10);
   std::deque<Flow> flows_;
   // Hot per-flow state, parallel to flows_ (index = id - 1).
   std::vector<double> hot_rate_;       ///< current goodput rate (bits/s)
   std::vector<double> hot_carry_;      ///< sub-byte accumulation between ticks
   std::vector<std::uint64_t> hot_target_;
   std::vector<std::uint64_t> hot_delivered_;
+  /// Invariant: a non-zero hot_rate_ implies the flow is in active_.
   std::vector<ActiveEntry> active_;
+  std::vector<ActiveEntry> prev_active_;  ///< recompute scratch, reused
+  /// Flows that may have started sending since the last recompute
+  /// (unsorted, may repeat): the only flows outside active_ a recompute
+  /// visits. Rebuilt by one scan of the flows on snapshot restore.
+  std::vector<std::uint32_t> wake_;
   std::size_t active_left_ = 0;  ///< active_.size() at the last recompute
   bool rates_dirty_ = false;     ///< a rate input changed since last recompute
   std::vector<FlowId> free_ids_;

@@ -6,6 +6,7 @@
 
 #include "../net/test_util.hpp"
 #include "net/host.hpp"
+#include "sim/codec.hpp"
 
 namespace scidmz::net {
 namespace {
@@ -190,6 +191,90 @@ TEST(Switch, FanInDefectLatchesUnderLoadAndFixRestores) {
   EXPECT_FALSE(swFixed->inDefectiveState());
   EXPECT_EQ(swFixed->interface(2).queue().stats().dropped, 0u);
   EXPECT_GT(capFixed->packets.size(), capBroken->packets.size());
+}
+
+TEST(Switch, FanInClampFollowsLatchAndVendorFixAcrossRestore) {
+  Scenario s;
+  const auto profile = SwitchProfile::scienceDmz();
+  auto& sw = s.topo.addSwitch("sw", profile);
+  FanInDefect defect;
+  defect.enabled = true;
+  defect.loadThreshold = 2_Gbps;
+  defect.defectiveBuffer = 32_KiB;
+  sw.setFanInDefect(defect);
+  auto& h1 = s.topo.addHost("h1", Address(10, 0, 0, 1));
+  auto& h2 = s.topo.addHost("h2", Address(10, 0, 0, 2));
+  auto& dst = s.topo.addHost("dst", Address(10, 0, 0, 9));
+  LinkParams fast;
+  fast.rate = 10_Gbps;
+  s.topo.connect(h1, sw, fast);
+  s.topo.connect(h2, sw, fast);
+  s.topo.connect(sw, dst, fast);
+  s.topo.computeRoutes();
+  Capture cap;
+  dst.bind(Protocol::kUdp, 7, cap);
+
+  auto allQueuesAt = [&sw](sim::DataSize capacity) {
+    for (std::size_t i = 0; i < sw.interfaceCount(); ++i) {
+      if (sw.interface(i).queue().capacity() != capacity) return false;
+    }
+    return true;
+  };
+  auto trickle = [&] {
+    h1.send(probeTo(dst.address(), 100_B));
+    s.simulator.run();
+  };
+
+  trickle();
+  ASSERT_FALSE(sw.fallbackLatched());
+  EXPECT_TRUE(allQueuesAt(profile.egressBuffer));
+
+  // Mid-run fan-in overload latches the defect and clamps every queue.
+  for (int i = 0; i < 1000; ++i) {
+    h1.send(probeTo(dst.address(), 1472_B));
+    h2.send(probeTo(dst.address(), 1472_B));
+  }
+  s.simulator.run();
+  ASSERT_TRUE(sw.inDefectiveState());
+  EXPECT_TRUE(allQueuesAt(defect.defectiveBuffer));
+  trickle();
+  EXPECT_TRUE(allQueuesAt(defect.defectiveBuffer));
+
+  // The drained, latched switch's snapshot state.
+  sim::BitWriter writer;
+  sim::Codec save{writer};
+  sw.serialize(save);
+  const std::vector<std::uint8_t> latched = writer.bytes();
+  auto restoreLatched = [&] {
+    sim::BitReader reader{latched.data(), latched.size()};
+    sim::Codec load{reader};
+    sw.serialize(load);
+    ASSERT_TRUE(load.ok());
+    ASSERT_TRUE(sw.inDefectiveState());
+  };
+
+  // The fix lands mid-run; the queues re-expand on the next packet.
+  sw.applyVendorFix();
+  EXPECT_TRUE(allQueuesAt(defect.defectiveBuffer));
+  trickle();
+  EXPECT_FALSE(sw.inDefectiveState());
+  EXPECT_TRUE(allQueuesAt(profile.egressBuffer));
+
+  // Restored latched: clamped, and the fix re-expands on the next packet
+  // even though the last clamp before the restore was already full size.
+  restoreLatched();
+  EXPECT_TRUE(allQueuesAt(defect.defectiveBuffer));
+  sw.applyVendorFix();
+  trickle();
+  EXPECT_TRUE(allQueuesAt(profile.egressBuffer));
+
+  // Restored latched again: packets keep the clamp until the fix.
+  restoreLatched();
+  trickle();
+  EXPECT_TRUE(allQueuesAt(defect.defectiveBuffer));
+  sw.applyVendorFix();
+  trickle();
+  EXPECT_TRUE(allQueuesAt(profile.egressBuffer));
 }
 
 TEST(Switch, TtlExpiryDrops) {

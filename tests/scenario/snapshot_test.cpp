@@ -35,9 +35,12 @@ using namespace scidmz::sim::literals;
 /// "failing line card" on the egress hop, one 48 MB flow (packet or fluid),
 /// telemetry on. Construction is fully deterministic, so building two Cells
 /// from the same arguments yields the identical rebuild the restore
-/// protocol requires.
+/// protocol requires. A non-zero `stagger` starts flow i at i x stagger
+/// instead of at once.
 struct Cell {
-  explicit Cell(net::FlowFidelity fidelity, int flows = 1, bool traced = false) : s(20260809) {
+  explicit Cell(net::FlowFidelity fidelity, int flows = 1, bool traced = false,
+                sim::Duration stagger = sim::Duration::zero())
+      : s(20260809) {
     s.ctx.armSnapshots();
     // Tracing must be on before flows are created so the factory arms the
     // construction-time flow spans the restore protocol replays.
@@ -73,7 +76,11 @@ struct Cell {
       net::FlowPtr flow = net::flowFactory(s.ctx).create(a, b, cfg, options);
       net::FlowHandle& ref = *flow;
       flow->onEstablished = [&ref] { ref.sendData(48_MB); };
-      flow->start();
+      if (i == 0 || stagger == sim::Duration::zero()) {
+        flow->start();
+      } else {
+        s.simulator.schedule(stagger * i, [&ref] { ref.start(); });
+      }
       flowsHeld.push_back(std::move(flow));
     }
   }
@@ -155,6 +162,31 @@ TEST(SnapshotRoundTrip, FluidFidelityContinuesByteIdentical) {
 
 TEST(SnapshotRoundTrip, MixedFidelityContinuesByteIdentical) {
   roundTrip(net::FlowFidelity::kPacket, 2);
+}
+
+TEST(SnapshotRoundTrip, FluidFlowEstablishedBetweenTicksContinuesByteIdentical) {
+  // Staggered fluid starts: the second flow establishes while the first
+  // keeps the engine's ticker armed, so it holds no rate until the next
+  // tick's recompute picks it up. A snapshot in that gap must hand it to
+  // the restored engine's next recompute too.
+  Cell original(net::FlowFidelity::kFluid, 2, /*traced=*/false, 25_ms);
+  net::FlowHandle& late = *original.flowsHeld[1];
+  while (!late.established()) original.s.simulator.runFor(100_us);
+  ASSERT_EQ(late.currentRate(), sim::DataRate::zero()) << "snapshot must precede the next tick";
+  ASSERT_GT(original.flowsHeld[0]->currentRate().bps(), 0u);
+  const SnapshotBlob blob = saveSnapshot(original.s);
+  ASSERT_TRUE(blob.ok()) << blob.error;
+  const std::string atSnapshot = signature(original);
+  original.s.simulator.runFor(700_ms);
+  const std::string uninterrupted = signature(original);
+  ASSERT_GT(late.deliveredBytes().byteCount(), 0u);
+
+  Cell rebuilt(net::FlowFidelity::kFluid, 2, /*traced=*/false, 25_ms);
+  std::string error;
+  ASSERT_TRUE(restoreSnapshot(rebuilt.s, blob.bytes, &error)) << error;
+  expectSameSignature(signature(rebuilt), atSnapshot, "state at restore point");
+  rebuilt.s.simulator.runFor(700_ms);
+  expectSameSignature(signature(rebuilt), uninterrupted, "continuation");
 }
 
 TEST(SnapshotRoundTrip, InterleavedTeardownContinuesByteIdentical) {

@@ -148,6 +148,84 @@ TEST(FluidFlow, AbortWithdrawsDemand) {
   EXPECT_EQ(engine.activeFlowCount(), 0u);
 }
 
+// --- the active set ---------------------------------------------------------
+//
+// A rate recompute visits only the flows in flight at the previous one plus
+// the flows woken since (established, or given more data). These drive the
+// engine directly so flow ids, and with them slot recycling, are visible.
+
+TEST(FluidActiveSet, DrainedFlowGivenMoreDataRunsAgainAndCompletesExactly) {
+  TcpPath path;
+  auto& engine = path.scenario.ctx.extension<FluidEngine>();
+  const auto id = engine.addFlow(*path.a, *path.b, TcpConfig::tunedDtn(), 1);
+  int completions = 0;
+  engine.callbacks(id).onEstablished = [&engine, id] { engine.queueData(id, 4_MB); };
+  engine.callbacks(id).onSendComplete = [&completions] { ++completions; };
+  engine.startFlow(id);
+  path.scenario.simulator.run();  // ends once the drained flow stops the ticker
+  ASSERT_TRUE(engine.sendComplete(id));
+  EXPECT_EQ(engine.deliveredBytes(id), 4_MB);
+  EXPECT_EQ(engine.currentRate(id), sim::DataRate::zero());
+  EXPECT_EQ(engine.activeFlowCount(), 0u);
+
+  engine.queueData(id, 6_MB);
+  EXPECT_FALSE(engine.sendComplete(id));
+  EXPECT_EQ(engine.activeFlowCount(), 1u);
+  EXPECT_GT(engine.currentRate(id).bps(), 0u);
+  path.scenario.simulator.run();
+  EXPECT_TRUE(engine.sendComplete(id));
+  EXPECT_EQ(engine.deliveredBytes(id), 10_MB);
+  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(engine.currentRate(id), sim::DataRate::zero());
+}
+
+TEST(FluidActiveSet, RecycledSlotBelowInFlightFlowsIsPickedUp) {
+  TcpPath path;
+  auto& engine = path.scenario.ctx.extension<FluidEngine>();
+  auto& simulator = path.scenario.simulator;
+  const TcpConfig cfg = TcpConfig::tunedDtn();
+  auto startBulk = [&engine](FluidEngine::FlowId id, sim::DataSize bytes) {
+    engine.callbacks(id).onEstablished = [&engine, id, bytes] { engine.queueData(id, bytes); };
+    engine.startFlow(id);
+  };
+  const auto first = engine.addFlow(*path.a, *path.b, cfg, 1);
+  const auto second = engine.addFlow(*path.a, *path.b, cfg, 1);
+  startBulk(first, 1_TB);
+  startBulk(second, 1_TB);
+  simulator.runFor(100_ms);
+  ASSERT_GT(engine.currentRate(first).bps(), 0u);
+  ASSERT_GT(engine.currentRate(second).bps(), 0u);
+
+  engine.removeFlow(first);
+  const auto recycled = engine.addFlow(*path.a, *path.b, cfg, 1);
+  ASSERT_EQ(recycled, first);  // a lower id than the flow still in flight
+  ASSERT_LT(recycled, second);
+  // The next tick passes over the removed flow's stale active entry; the
+  // new flow in that slot has not started, so it must stay idle.
+  simulator.runFor(20_ms);
+  EXPECT_EQ(engine.currentRate(recycled), sim::DataRate::zero());
+  EXPECT_EQ(engine.activeFlowCount(), 1u);
+
+  bool complete = false;
+  engine.callbacks(recycled).onSendComplete = [&complete] { complete = true; };
+  startBulk(recycled, 8_MB);
+  while (!engine.established(recycled)) simulator.runFor(1_ms);
+  simulator.runFor(20_ms);
+  EXPECT_GT(engine.currentRate(recycled).bps(), 0u);
+  EXPECT_EQ(engine.activeFlowCount(), 2u);
+  simulator.runFor(2_s);
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(engine.deliveredBytes(recycled), 8_MB);
+  EXPECT_EQ(engine.currentRate(recycled), sim::DataRate::zero());
+  EXPECT_GT(engine.currentRate(second).bps(), 0u);
+  EXPECT_EQ(engine.activeFlowCount(), 1u);
+
+  engine.removeFlow(second);
+  simulator.runFor(20_ms);
+  EXPECT_EQ(engine.currentRate(second), sim::DataRate::zero());
+  EXPECT_EQ(engine.activeFlowCount(), 0u);
+}
+
 // --- packet/fluid coupling -------------------------------------------------
 
 TEST(HybridFidelity, FluidAndPacketFlowsShareTheBottleneck) {

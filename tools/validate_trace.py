@@ -323,7 +323,7 @@ def validate_table(doc, where):
 TOPOLOGY_KINDS = {"path", "fanin", "enterprise_edge", "site", "usecase"}
 WORKLOAD_KINDS = {"steady_flow", "converging_flows", "timed_flow", "parallel_transfer",
                   "dtn_transfer", "campaign", "probe", "roce", "background"}
-SCENARIO_FAMILIES = {"figure", "arch", "usecase", "ablation", "vc"}
+SCENARIO_FAMILIES = {"figure", "arch", "usecase", "ablation", "vc", "scale"}
 
 
 FLOW_FIDELITIES = {"packet", "fluid"}
