@@ -94,12 +94,13 @@ class Context {
 
   // --- Snapshot/restore seam -----------------------------------------------
 
-  /// Arm in-flight packet tracking. Event closures are opaque to the
-  /// snapshot layer, so when armed the datapath (Interface tx-complete,
-  /// Link delivery, Switch forward-latency) records each in-flight packet
-  /// alongside its event handle. Must be armed from the start of a run that
-  /// intends to snapshot; costs nothing when disarmed (one bool load per
-  /// scheduled datapath event).
+  /// Arm in-flight packet tracking for snapshots. Event closures are opaque
+  /// to the snapshot layer. Interfaces and links keep their packets in
+  /// flight in their own records at all times; only SwitchDevice reads this
+  /// flag, and when armed copies each packet inside its forwarding latency
+  /// alongside the event handle. saveSnapshot() refuses an unarmed context,
+  /// so arm from the start of a run that intends to snapshot; disarmed, it
+  /// costs one bool load per switch hop.
   void armSnapshots() { snapshots_armed_ = true; }
   [[nodiscard]] bool snapshotsArmed() const { return snapshots_armed_; }
 

@@ -92,14 +92,17 @@ void Interface::startNextTransmission() {
   const auto txTime = link_->effectiveRate(end_).transmissionTime(next->wireSize());
   ++stats_.txPackets;
   stats_.txBytes += next->wireSize();
-  if (ctx_.snapshotsArmed()) tx_pkt_ = *next;
-  // Move the handle into the completion event; when serialization is done,
-  // hand it to the link and immediately start on the next queued packet.
-  const auto id = ctx_.sim().schedule(txTime, [this, pkt = std::move(next)]() mutable {
-    link_->transmitComplete(end_, std::move(pkt));
-    startNextTransmission();
-  });
-  if (ctx_.snapshotsArmed()) tx_event_ = id;
+  // Park the handle in the tx record; when serialization is done, hand it
+  // to the link and immediately start on the next queued packet.
+  tx_pkt_ = std::move(next);
+  tx_at_ = ctx_.now() + txTime;
+  tx_seq_ = ctx_.sim().reserveSeq();
+  ctx_.sim().restoreSchedule(tx_at_, tx_seq_, [this] { completeTransmission(); });
+}
+
+void Interface::completeTransmission() {
+  link_->transmitComplete(end_, std::move(tx_pkt_));
+  startNextTransmission();
 }
 
 std::uint64_t Interface::serialize(sim::Codec& c) {
@@ -110,39 +113,16 @@ std::uint64_t Interface::serialize(sim::Codec& c) {
   queue_.serialize(c, ctx_.pool());
   bool tx = transmitting_;
   c.b(tx);
-  if (!c.writing()) transmitting_ = tx;
+  if (!c.writing()) {
+    transmitting_ = tx;
+    tx_pkt_ = tx ? ctx_.pool().acquire() : PacketRef{};
+  }
   if (!tx) return 0;
-  if (c.writing()) {
-    // tx_event_/tx_pkt_ are only maintained while snapshots are armed; the
-    // orchestrator refuses to snapshot an unarmed context before we get here.
-    auto key = ctx_.sim().eventKey(tx_event_);
-    bool valid = key.valid;
-    sim::SimTime at = key.at;
-    std::uint64_t seq = key.seq;
-    c.b(valid);
-    sim::codecTime(c, at);
-    c.vu64(seq);
-    codecPacket(c, tx_pkt_);
-  } else {
-    bool valid = false;
-    sim::SimTime at = sim::SimTime::zero();
-    std::uint64_t seq = 0;
-    c.b(valid);
-    sim::codecTime(c, at);
-    c.vu64(seq);
-    Packet p;
-    codecPacket(c, p);
-    if (!valid) {
-      c.reader().markFailed();
-      return 0;
-    }
-    tx_pkt_ = p;
-    PacketRef ref = ctx_.pool().acquire(std::move(p));
-    tx_event_ = ctx_.sim().restoreSchedule(
-        at, seq, [this, pkt = std::move(ref)]() mutable {
-          link_->transmitComplete(end_, std::move(pkt));
-          startNextTransmission();
-        });
+  sim::codecTime(c, tx_at_);
+  c.vu64(tx_seq_);
+  codecPacket(c, *tx_pkt_);
+  if (!c.writing() && c.ok()) {
+    ctx_.sim().restoreSchedule(tx_at_, tx_seq_, [this] { completeTransmission(); });
   }
   return 1;
 }

@@ -55,13 +55,15 @@ class Interface {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Snapshot/restore: tx stats, utilization-probe accumulator, the egress
-  /// queue contents, and (when mid-serialization) the in-flight tx-complete
-  /// event re-armed under its original key. Returns the number of pending
-  /// events claimed (0 or 1).
+  /// queue contents, and (when mid-serialization) the packet on the wire,
+  /// its tx-complete event re-armed under its original key. Returns the
+  /// number of pending events claimed (0 or 1).
   std::uint64_t serialize(sim::Codec& c);
 
  private:
   void startNextTransmission();
+  /// Tx-complete event: hand the serialized packet to the link, start the next.
+  void completeTransmission();
   /// Lazily interns this port's emit point, caches its drop counter, and
   /// registers the queue-depth and link-utilization probes. Called on the
   /// first packet seen with telemetry enabled, so uninstrumented runs pay
@@ -84,10 +86,12 @@ class Interface {
   // restored run's first utilization sample must see the same baseline.
   std::uint64_t util_last_bytes_ = 0;
   std::int64_t util_last_ns_ = 0;
-  // In-flight tx-complete record, maintained only while snapshots are armed:
-  // at most one serialization completes per port, so a single slot suffices.
-  sim::EventId tx_event_{};
-  Packet tx_pkt_{};
+  // The packet being serialized and the (at, seq) key its tx-complete
+  // event was scheduled under; at most one per port. The event captures
+  // only `this`, and a snapshot reads the record straight from here.
+  PacketRef tx_pkt_;
+  sim::SimTime tx_at_;
+  std::uint64_t tx_seq_ = 0;
 };
 
 struct DeviceStats {

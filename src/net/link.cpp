@@ -5,12 +5,13 @@
 #include "net/codec.hpp"
 #include "net/device.hpp"
 #include "net/trace.hpp"
-#include "sim/domain.hpp"
 
 namespace scidmz::net {
 
 Link::Link(Context& ctx, LinkParams params, Interface& endA, Interface& endB)
     : ctx_(ctx), params_(params), endA_(endA), endB_(endB) {
+  // Deliveries are keyed at send time + delay, never in the past.
+  if (params_.delay < sim::Duration::zero()) params_.delay = sim::Duration::zero();
   endA_.attachLink(*this, 0);
   endB_.attachLink(*this, 1);
 }
@@ -38,21 +39,21 @@ void Link::initTelemetry(int dir) {
 }
 
 void Link::transmitComplete(int fromEnd, PacketRef packet) {
-  auto& dir = stats_[fromEnd & 1];
-  auto& loss = loss_[fromEnd & 1];
+  const int d = fromEnd & 1;
+  auto& dir = stats_[d];
   // Per-direction state (stats, loss, telemetry) lives with the sending
   // end's domain; sctx is ctx_ whenever the topology is unsharded.
-  Context& sctx = end(fromEnd).owner().ctx();
+  Context& sctx = end(d).owner().ctx();
   auto& tel = sctx.telemetry();
   const bool traced = tel.enabled();
-  if (traced && !tel_[fromEnd & 1].init) initTelemetry(fromEnd & 1);
-  if (loss && loss->shouldDrop(*packet)) {
+  if (traced && !tel_[d].init) initTelemetry(d);
+  if (loss_[d] && loss_[d]->shouldDrop(*packet)) {
     ++dir.lost;
     if (traced) {
-      ++*tel_[fromEnd & 1].lost;
+      ++*tel_[d].lost;
       telemetry::FlightEvent ev = makeFlightEvent(sctx.now(), *packet);
       ev.kind = telemetry::FlightEventKind::kLinkLoss;
-      ev.point = tel_[fromEnd & 1].point;
+      ev.point = tel_[d].point;
       tel.recorder().record(ev);
     }
     return;
@@ -60,39 +61,54 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
   ++dir.delivered;
   dir.bytesDelivered += packet->wireSize();
   if (traced) {
-    ++*tel_[fromEnd & 1].delivered;
+    ++*tel_[d].delivered;
     telemetry::FlightEvent ev = makeFlightEvent(sctx.now(), *packet);
     ev.kind = telemetry::FlightEventKind::kDeliver;
-    ev.point = tel_[fromEnd & 1].point;
+    ev.point = tel_[d].point;
     tel.recorder().record(ev);
   }
-  Interface& dst = peer(fromEnd);
-  if (sharded_ != nullptr) {
-    // Boundary channel: hand a by-value copy to the destination domain
-    // (this sender's pool slot recycles here); the closure runs on the
-    // destination thread and re-acquires from that domain's pool.
-    Packet p = *packet;
-    sharded_->post(channel_[fromEnd & 1], sctx.now() + params_.delay,
-                   [&dst, p = std::move(p)]() mutable {
-                     Device& owner = dst.owner();
-                     owner.receive(owner.ctx().pool().acquire(std::move(p)), dst);
-                   });
+  const sim::SimTime at = sctx.now() + params_.delay;
+  Outbox& out = outbox_[d];
+  if (out.link != nullptr) {
+    // Boundary channel: stage a by-value copy; this pool slot recycles here.
+    out.pending.push_back(Outbox::Staged{
+        at, sim::ShardedSimulator::boundarySeq(out.channel, out.sent++), *packet});
     return;
   }
-  if (ctx_.snapshotsArmed()) {
-    const int d = fromEnd & 1;
-    Packet copy = *packet;
-    const auto id = ctx_.sim().schedule(
-        params_.delay, [this, d, &dst, pkt = std::move(packet)]() mutable {
-          in_flight_[d].pop_front();
-          dst.owner().receive(std::move(pkt), dst);
-        });
-    in_flight_[d].push_back(InFlight{id, std::move(copy)});
-    return;
+  enqueueInFlight(d, at, sctx.sim().reserveSeq(), std::move(packet));
+}
+
+void Link::routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int domainB) {
+  for (int d = 0; d < 2; ++d) {
+    outbox_[d].link = this;
+    outbox_[d].dir = d;
+    outbox_[d].channel = sharded.addChannel(d == 0 ? domainB : domainA, params_.delay, outbox_[d]);
   }
-  ctx_.sim().schedule(params_.delay, [&dst, pkt = std::move(packet)]() mutable {
-    dst.owner().receive(std::move(pkt), dst);
-  });
+}
+
+void Link::Outbox::drain() {
+  Context& dctx = link->peer(dir).owner().ctx();
+  for (Staged& m : pending) {
+    link->enqueueInFlight(dir, m.at, m.seq, dctx.pool().acquire(std::move(m.packet)));
+  }
+  pending.clear();
+}
+
+void Link::enqueueInFlight(int d, sim::SimTime at, std::uint64_t seq, PacketRef packet) {
+  line_[d].push(InFlight{at, seq, std::move(packet)});
+  if (line_[d].size() == 1) armHead(d);
+}
+
+void Link::armHead(int d) {
+  const InFlight& head = line_[d].front();
+  peer(d).owner().ctx().sim().restoreSchedule(head.at, head.seq, [this, d] { deliverHead(d); });
+}
+
+void Link::deliverHead(int d) {
+  PacketRef packet = std::move(line_[d].pop().packet);
+  if (!line_[d].empty()) armHead(d);
+  Interface& dst = peer(d);
+  dst.owner().receive(std::move(packet), dst);
 }
 
 std::uint64_t Link::serialize(sim::Codec& c) {
@@ -118,48 +134,32 @@ std::uint64_t Link::serialize(sim::Codec& c) {
       loss_[d].reset();
     }
 
+    // The delay line, head first, each record with its own key.
+    std::uint64_t n = line_[d].size();
+    c.vu64(n);
     if (c.writing()) {
-      std::uint64_t n = in_flight_[d].size();
-      c.vu64(n);
-      for (auto& rec : in_flight_[d]) {
-        auto key = ctx_.sim().eventKey(rec.id);
-        sim::SimTime at = key.at;
-        std::uint64_t seq = key.seq;
-        c.b(key.valid);
-        sim::codecTime(c, at);
-        c.vu64(seq);
-        codecPacket(c, rec.packet);
-        ++claimed;
-      }
+      line_[d].forEach([&](InFlight& rec) {
+        sim::codecTime(c, rec.at);
+        c.vu64(rec.seq);
+        codecPacket(c, *rec.packet);
+      });
     } else {
-      in_flight_[d].clear();
-      std::uint64_t n = 0;
-      c.vu64(n);
-      Interface& dst = peer(d);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        bool valid = false;
-        sim::SimTime at = sim::SimTime::zero();
-        std::uint64_t seq = 0;
-        c.b(valid);
-        sim::codecTime(c, at);
-        c.vu64(seq);
-        Packet p;
-        codecPacket(c, p);
-        if (!valid) {
+      line_[d].clear();
+      for (std::uint64_t i = 0; i < n && c.ok(); ++i) {
+        InFlight rec{sim::SimTime::zero(), 0, ctx_.pool().acquire()};
+        sim::codecTime(c, rec.at);
+        c.vu64(rec.seq);
+        codecPacket(c, *rec.packet);
+        // serialize() only ever writes a line sorted by (at, seq).
+        if (!line_[d].empty() && (rec.at < line_[d].back().at || rec.seq <= line_[d].back().seq)) {
           c.reader().markFailed();
-          return claimed;
         }
-        Packet copy = p;
-        PacketRef ref = ctx_.pool().acquire(std::move(p));
-        const auto id = ctx_.sim().restoreSchedule(
-            at, seq, [this, d, &dst, pkt = std::move(ref)]() mutable {
-              in_flight_[d].pop_front();
-              dst.owner().receive(std::move(pkt), dst);
-            });
-        in_flight_[d].push_back(InFlight{id, std::move(copy)});
-        ++claimed;
+        line_[d].push(std::move(rec));
       }
+      if (!c.ok()) return claimed;
+      if (!line_[d].empty()) armHead(d);
     }
+    if (n != 0) ++claimed;
   }
   return claimed;
 }

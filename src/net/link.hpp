@@ -1,23 +1,28 @@
 // Point-to-point link: serialization rate, propagation delay, MTU and an
 // optional impairment (loss) model per direction.
+//
+// Propagation delay is fixed for the life of a link, so each direction is
+// a strict FIFO — a delay line: a ring of {at, seq, PacketRef}, the key
+// reserved at send time, with only its head armed in the event queue. One
+// queue entry per busy direction however large the bandwidth-delay
+// product, popped in the (at, seq) order one event per packet would have.
+// The ring is also the snapshot record of the packets in flight.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/context.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
+#include "net/queue.hpp"
 #include "sim/codec.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/domain.hpp"
 #include "sim/units.hpp"
-
-namespace scidmz::sim {
-class ShardedSimulator;
-}
 
 namespace scidmz::net {
 
@@ -47,30 +52,24 @@ class Link {
   void repair();
 
   /// Called by the transmitting Interface when serialization finishes;
-  /// applies loss and schedules delivery to the far end after propagation.
-  /// Takes ownership of the handle; a lost packet's slot recycles here.
+  /// applies loss and appends the packet to the direction's delay line (or,
+  /// in channel mode, stages it for the destination domain). Takes
+  /// ownership of the handle; a lost packet's slot recycles here.
   void transmitComplete(int fromEnd, PacketRef packet);
 
-  /// Sharded execution: route deliveries through per-direction boundary
-  /// channels of `sharded` instead of scheduling directly. Applied to every
-  /// cut-eligible link (delay >= the lookahead floor) at every domain
-  /// count — including links whose ends landed in the same domain — so the
-  /// event interleaving is a property of the topology, not the partition.
-  /// Incompatible with armed snapshots.
-  void setChannelMode(sim::ShardedSimulator& sharded, std::uint32_t channelAtoB,
-                      std::uint32_t channelBtoA) {
-    sharded_ = &sharded;
-    channel_[0] = channelAtoB;
-    channel_[1] = channelBtoA;
-  }
-  [[nodiscard]] bool channelMode() const { return sharded_ != nullptr; }
+  /// Sharded execution: register one boundary channel per direction
+  /// (A->B into `domainB`, then B->A into `domainA`) and route deliveries
+  /// through them. Applied to every cut-eligible link (delay >= the
+  /// lookahead floor) at every domain count, even when both ends share a
+  /// domain, so event interleaving does not depend on the partition.
+  /// Staged packets are invisible to snapshots: incompatible with them.
+  void routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int domainB);
 
   /// Aggregate analytic-flow demand traversing this direction (wire bits/s),
   /// published by tcp::FluidEngine each tick. Packet serialization in this
   /// direction runs at effectiveRate(), which is how fluid flows press on
   /// packet flows sharing the hop.
   void setFluidDemand(int fromEnd, sim::DataRate demand) { fluid_demand_[fromEnd & 1] = demand; }
-  [[nodiscard]] sim::DataRate fluidDemand(int fromEnd) const { return fluid_demand_[fromEnd & 1]; }
 
   /// Serialization rate left for packet traffic in this direction: exactly
   /// rate() when no fluid demand is published (packet-only scenarios are
@@ -109,11 +108,12 @@ class Link {
   };
   [[nodiscard]] const DirectionStats& stats(int fromEnd) const { return stats_[fromEnd & 1]; }
 
+  /// Packets propagating in the direction leaving `fromEnd`.
+  [[nodiscard]] std::size_t inFlight(int fromEnd) const { return line_[fromEnd & 1].size(); }
+
   /// Snapshot/restore of mutable link state: per-direction stats, loss-model
-  /// state, published fluid demand, and the packets currently in flight
-  /// (propagating) with their original event keys. Requires snapshots to be
-  /// armed on the owning Context from run start (Context::armSnapshots()).
-  /// Returns the number of pending delivery events this link accounts for.
+  /// state, published fluid demand, and each delay line with its keys.
+  /// Returns the pending events claimed: one per non-empty direction.
   std::uint64_t serialize(sim::Codec& c);
 
  private:
@@ -126,27 +126,48 @@ class Link {
   };
   void initTelemetry(int dir);
 
-  /// A packet propagating in one direction: the delivery event's id (to
-  /// recover its (at, seq) key at snapshot time) plus a copy of the packet.
-  /// Propagation delay is per-direction constant, so deliveries fire in
-  /// schedule order and the record is a FIFO popped on fire. Only populated
-  /// while snapshots are armed.
-  struct InFlight {
-    sim::EventId id{};
-    Packet packet;
+  /// A packet due at `at` under key `seq`: pool-backed on a delay line, a
+  /// by-value copy while it crosses a boundary channel.
+  template <typename P>
+  struct Keyed {
+    sim::SimTime at;
+    std::uint64_t seq = 0;
+    P packet;
   };
+  using InFlight = Keyed<PacketRef>;
+
+  /// One direction's boundary channel (channel mode only). drain()
+  /// re-acquires the staged copies from the destination domain's pool onto
+  /// the delay line.
+  struct Outbox final : sim::ShardedSimulator::Inbox {
+    using Staged = Keyed<Packet>;
+    void drain() override;
+    [[nodiscard]] std::size_t staged() const override { return pending.size(); }
+
+    Link* link = nullptr;
+    int dir = 0;
+    std::uint32_t channel = 0;
+    std::uint64_t sent = 0;
+    std::vector<Staged> pending;
+  };
+
+  /// Append to a delay line (`packet` from the receiving domain's pool),
+  /// arming the head if the line was empty.
+  void enqueueInFlight(int d, sim::SimTime at, std::uint64_t seq, PacketRef packet);
+  void armHead(int d);
+  /// Head event: pop the line, re-arm the next head, hand the packet over.
+  void deliverHead(int d);
 
   Context& ctx_;
   LinkParams params_;
   Interface& endA_;
   Interface& endB_;
-  sim::ShardedSimulator* sharded_ = nullptr;
-  std::uint32_t channel_[2] = {0, 0};
   std::unique_ptr<LossModel> loss_[2];
   DirectionStats stats_[2];
   DirTelemetry tel_[2];
   sim::DataRate fluid_demand_[2];
-  std::deque<InFlight> in_flight_[2];
+  detail::Ring<InFlight> line_[2];
+  Outbox outbox_[2];
 };
 
 }  // namespace scidmz::net

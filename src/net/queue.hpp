@@ -26,42 +26,44 @@ namespace scidmz::net {
 
 namespace detail {
 
-/// Minimal FIFO ring of PacketRef handles. Capacity is a power of two and
-/// doubles when full; slots are reused in place, so steady-state traffic
-/// touches the allocator only while the ring is still warming up.
-class HandleRing {
+/// Minimal FIFO ring: the egress queue's PacketRef handles and each link
+/// direction's delay line. Capacity is a power of two and doubles when
+/// full; slots are reused in place, so steady-state traffic touches the
+/// allocator only while the ring is still warming up.
+template <typename T>
+class Ring {
  public:
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  void push(PacketRef ref) {
+  void push(T value) {
     if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(ref);
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
     ++size_;
   }
 
   /// Precondition: !empty().
-  [[nodiscard]] PacketRef pop() {
-    PacketRef out = std::move(slots_[head_]);
+  [[nodiscard]] T& front() { return slots_[head_]; }
+  [[nodiscard]] const T& back() const { return slots_[(head_ + size_ - 1) & (slots_.size() - 1)]; }
+
+  /// Precondition: !empty().
+  [[nodiscard]] T pop() {
+    T out = std::move(slots_[head_]);
     head_ = (head_ + 1) & (slots_.size() - 1);
     --size_;
     return out;
   }
 
-  /// Visit queued packets head-first without consuming them (snapshots).
+  /// Visit the elements head-first without consuming them (snapshots).
   template <typename F>
-  void forEach(F&& fn) const {
-    for (std::size_t i = 0; i < size_; ++i) {
-      fn(*slots_[(head_ + i) & (slots_.size() - 1)]);
-    }
+  void forEach(F&& fn) {
+    for (std::size_t i = 0; i < size_; ++i) fn(slots_[(head_ + i) & (slots_.size() - 1)]);
   }
 
-  /// Drop every queued handle (restore resets queue contents before
-  /// re-filling from the snapshot; refs release into the live pool).
+  /// Drop every element (restore resets contents before re-filling from the
+  /// snapshot; packet handles release into the live pool).
   void clear() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      slots_[(head_ + i) & (slots_.size() - 1)] = PacketRef{};
-    }
+    for (std::size_t i = 0; i < size_; ++i) slots_[(head_ + i) & (slots_.size() - 1)] = T{};
     head_ = 0;
     size_ = 0;
   }
@@ -69,7 +71,7 @@ class HandleRing {
  private:
   void grow() {
     const std::size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
-    std::vector<PacketRef> next(cap);
+    std::vector<T> next(cap);
     for (std::size_t i = 0; i < size_; ++i) {
       next[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
     }
@@ -77,7 +79,7 @@ class HandleRing {
     head_ = 0;
   }
 
-  std::vector<PacketRef> slots_;
+  std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
@@ -160,7 +162,6 @@ class DropTailQueue {
   void setCapacity(sim::DataSize capacity) { capacity_ = capacity; }
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
-  void resetStats() { stats_ = QueueStats{}; }
 
   /// Snapshot/restore: capacity, stats, and the queued packets themselves
   /// (head-first, so a restored queue drains in the original order). On
@@ -172,10 +173,7 @@ class DropTailQueue {
     if (c.writing()) {
       std::uint64_t n = ring_.size();
       c.vu64(n);
-      ring_.forEach([&](const Packet& p) {
-        Packet copy = p;
-        codecPacket(c, copy);
-      });
+      ring_.forEach([&](PacketRef& ref) { codecPacket(c, *ref); });
     } else {
       ring_.clear();
       depth_ = sim::DataSize::zero();
@@ -193,7 +191,7 @@ class DropTailQueue {
  private:
   sim::DataSize capacity_;
   sim::DataSize depth_ = sim::DataSize::zero();
-  detail::HandleRing ring_;
+  detail::Ring<PacketRef> ring_;
   QueueStats stats_;
 };
 

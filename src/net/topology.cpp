@@ -139,9 +139,7 @@ Link& Topology::connect(Device& a, Device& b, LinkParams params, sim::DataSize b
       // Cut-eligible: channel-route both directions regardless of whether
       // the partition separated the ends (partition invariance — the
       // channel ids and delivery keys depend only on construction order).
-      const std::uint32_t chAB = shard_.sharded->addChannel(db, params.delay);
-      const std::uint32_t chBA = shard_.sharded->addChannel(da, params.delay);
-      link.setChannelMode(*shard_.sharded, chAB, chBA);
+      link.routeThroughChannels(*shard_.sharded, da, db);
     } else if (da != db) {
       throw std::runtime_error("sharded topology: cross-domain link below the lookahead floor: " +
                                a.name() + " -> " + b.name());

@@ -62,7 +62,7 @@ class Topology {
   /// Arm sharded construction: subsequent factory calls build each device
   /// into its domain's Context, and connect() routes every link with
   /// delay >= the lookahead floor through boundary channels (at *every*
-  /// domain count — see Link::setChannelMode). A cross-domain link below
+  /// domain count — see Link::routeThroughChannels). A cross-domain link below
   /// the floor is a partitioning bug and throws. Must be called on an
   /// empty topology.
   void configureShards(ShardConfig config);

@@ -115,7 +115,7 @@ SnapshotBlob saveSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
   if (!ctx.snapshotsArmed()) {
     out.error =
         "snapshot refused: Context::armSnapshots() was not called before the run, "
-        "so in-flight datapath packets were not recorded";
+        "so packets inside switch forwarding latency were not recorded";
     return out;
   }
   sim::BitWriter w;

@@ -52,9 +52,9 @@ struct SnapshotBlob {
 };
 
 /// Serialize a scenario's dynamic state. Requires Context::armSnapshots()
-/// to have been called before the run (the datapath then records in-flight
-/// packets alongside their event handles). Refuses — with error set — when
-/// any pending event is not owned by a serializable component.
+/// to have been called before the run (switches then record the packets
+/// inside their forwarding latency). Refuses — with error set — when any
+/// pending event is not owned by a serializable component.
 [[nodiscard]] SnapshotBlob saveSnapshot(sim::Simulator& sim, sim::Rng& rng,
                                         net::Context& ctx, net::Topology& topo);
 

@@ -32,7 +32,7 @@ ShardedSimulator::~ShardedSimulator() {
   for (std::thread& t : workers_) t.join();
 }
 
-std::uint32_t ShardedSimulator::addChannel(int dstDomain, Duration delay) {
+std::uint32_t ShardedSimulator::addChannel(int dstDomain, Duration delay, Inbox& inbox) {
   if (dstDomain < 0 || dstDomain >= domainCount()) {
     throw std::invalid_argument("ShardedSimulator: channel destination out of range");
   }
@@ -43,34 +43,12 @@ std::uint32_t ShardedSimulator::addChannel(int dstDomain, Duration delay) {
   if (channels_.size() >= kMaxChannels) {
     throw std::length_error("ShardedSimulator: channel id space exhausted");
   }
-  auto ch = std::make_unique<Channel>();
-  ch->dstDomain = dstDomain;
-  ch->delay = delay;
-  channels_.push_back(std::move(ch));
+  channels_.push_back(&inbox);
   return static_cast<std::uint32_t>(channels_.size() - 1);
 }
 
-void ShardedSimulator::post(std::uint32_t channel, SimTime at, std::function<void()> cb) {
-  Channel& ch = *channels_[channel];
-  std::lock_guard<std::mutex> lk(ch.mutex);
-  const std::uint64_t seq = kBoundaryBand |
-                            (static_cast<std::uint64_t>(channel) << kFifoBits) |
-                            ch.nextFifo++;
-  ch.pending.push_back(Message{at, seq, std::move(cb)});
-}
-
 void ShardedSimulator::drainChannels() {
-  for (auto& ch : channels_) {
-    std::vector<Message> batch;
-    {
-      std::lock_guard<std::mutex> lk(ch->mutex);
-      batch.swap(ch->pending);
-    }
-    Simulator& dst = *domains_[static_cast<std::size_t>(ch->dstDomain)];
-    for (Message& m : batch) {
-      dst.restoreSchedule(m.at, m.seq, std::move(m.cb));
-    }
-  }
+  for (Inbox* inbox : channels_) inbox->drain();
 }
 
 void ShardedSimulator::runEpoch(SimTime horizon) {
@@ -120,7 +98,7 @@ std::uint64_t ShardedSimulator::domainEvents(int domain) const {
 
 std::size_t ShardedSimulator::pendingChannelMessages() const {
   std::size_t n = 0;
-  for (const auto& ch : channels_) n += ch->pending.size();
+  for (const Inbox* inbox : channels_) n += inbox->staged();
   return n;
 }
 

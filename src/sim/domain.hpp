@@ -26,13 +26,15 @@
 // sender's deterministic execution order. Provided *every* cut-eligible
 // link routes through a channel at every domain count (including 1), event
 // interleaving is byte-identical at 1, 2, and 8 domains.
+//
+// Channels are typed by their owner (a link direction stages
+// {at, seq, Packet}); see Inbox.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -43,11 +45,29 @@ namespace scidmz::sim {
 
 /// Drives N per-domain Simulators (non-owning) in conservative barrier
 /// epochs. Construction spawns one worker thread per extra domain; domain 0
-/// runs on the calling thread. All public methods except post() must be
-/// called from the orchestrating thread between runs; post() is called by
+/// runs on the calling thread. All public methods must be called from the
+/// orchestrating thread between runs; only the Inboxes are written by
 /// domain threads while an epoch executes.
 class ShardedSimulator {
  public:
+  /// The staging buffer of one directed boundary channel, implemented by
+  /// the component that owns the channel's payload type (net::Link, one per
+  /// cut link direction). Its one sending domain stages messages mid-epoch,
+  /// each keyed with boundarySeq(); drain() runs on the orchestrating
+  /// thread after the barrier and must arm every staged message in the
+  /// destination domain under its key, leaving the inbox empty. The
+  /// barrier orders the producer's writes before the drain, so neither
+  /// side takes a lock.
+  class Inbox {
+   public:
+    virtual void drain() = 0;
+    /// Messages staged and not yet drained.
+    [[nodiscard]] virtual std::size_t staged() const = 0;
+
+   protected:
+    ~Inbox() = default;
+  };
+
   ShardedSimulator(std::vector<Simulator*> domains, Duration lookahead);
   ~ShardedSimulator();
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -57,17 +77,20 @@ class ShardedSimulator {
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
   /// Register a directed boundary channel into `dstDomain` with the given
-  /// propagation delay (must be >= the lookahead floor). Returns the
-  /// channel id used with post(). Channels must be registered in the same
-  /// (topology-construction) order at every domain count — the id feeds
-  /// the delivery sequence key.
-  std::uint32_t addChannel(int dstDomain, Duration delay);
+  /// propagation delay (must be >= the lookahead floor), staged in `inbox`
+  /// (which must outlive every later run). Returns the channel id that
+  /// keys its messages via boundarySeq(). Channels must be registered in
+  /// the same (topology-construction) order at every domain count.
+  std::uint32_t addChannel(int dstDomain, Duration delay, Inbox& inbox);
 
-  /// Enqueue a delivery at absolute time `at` in the channel's destination
-  /// domain. Callable from the sending domain's thread mid-epoch; the
-  /// message is injected at the next barrier. The callback runs on the
-  /// destination domain's thread and must touch only that domain's state.
-  void post(std::uint32_t channel, SimTime at, std::function<void()> cb);
+  /// The reserved sequence key of message number `fifo` (0, 1, ...) sent on
+  /// `channel`: bit 63 set, then the channel id, then the counter. Local
+  /// sequences (EventQueue::reserveSeq) stay far below 2^63, so boundary
+  /// deliveries sort after same-time local work.
+  [[nodiscard]] static constexpr std::uint64_t boundarySeq(std::uint32_t channel,
+                                                           std::uint64_t fifo) {
+    return kBoundaryBand | (static_cast<std::uint64_t>(channel) << kFifoBits) | fifo;
+  }
 
   /// Run all domains to `deadline` (events at the deadline execute, same
   /// contract as Simulator::runUntil). On return every domain's clock is
@@ -84,34 +107,17 @@ class ShardedSimulator {
   [[nodiscard]] std::size_t pendingChannelMessages() const;
 
  private:
-  struct Message {
-    SimTime at;
-    std::uint64_t seq;
-    std::function<void()> cb;
-  };
-  // unique_ptr: std::mutex pins the Channel in place while channels_ grows.
-  struct Channel {
-    int dstDomain = 0;
-    Duration delay = Duration::zero();
-    std::uint64_t nextFifo = 0;
-    std::mutex mutex;
-    std::vector<Message> pending;
-  };
-
   void workerLoop(int domain);
   void runEpoch(SimTime horizon);
   void drainChannels();
 
-  // Boundary sequence band layout: bit 63 set, then channel id, then the
-  // per-channel FIFO counter. Local sequences (EventQueue::next_seq_) stay
-  // far below 2^63, so boundary deliveries sort after same-time local work.
   static constexpr std::uint64_t kBoundaryBand = std::uint64_t{1} << 63;
   static constexpr int kFifoBits = 40;
   static constexpr std::uint64_t kMaxChannels = std::uint64_t{1} << (63 - kFifoBits);
 
   std::vector<Simulator*> domains_;
   Duration lookahead_;
-  std::vector<std::unique_ptr<Channel>> channels_;
+  std::vector<Inbox*> channels_;
 
   // Epoch barrier: the orchestrator bumps start_gen_ with the horizon set,
   // workers run their domain and count themselves into done_.

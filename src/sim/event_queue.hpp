@@ -17,6 +17,10 @@
 // provably the global minimum, so pop order — and therefore every golden
 // table — is byte-identical to a heap-only queue.
 //
+// A time-ordered FIFO of pending work (a link direction's delay line) needs
+// one entry, not one per item: each item reserves its key (reserveSeq())
+// and only the FIFO's head is armed under it (restoreSchedule()).
+//
 // Cancellation is an O(1) tombstone write through a slot/generation handle:
 // the EventId encodes (slot, generation), a fired or cancelled event bumps
 // its slot's generation, and any stale handle is rejected exactly — no
@@ -60,22 +64,24 @@ struct EventKey {
 /// Time-ordered event queue.
 class EventQueue {
  public:
-  /// Sized so the data-path closures — a `this` (or reference) plus a
-  /// 16-byte net::PacketRef handle, with room to spare — stay inline. Since
-  /// the zero-copy refactor no hot callback captures a Packet by value, so
-  /// slots shrank from 192 to 64 bytes (3x more slots per cache line).
+  /// Sized so the data-path closures — a `this` (or reference) plus at
+  /// most a 16-byte net::PacketRef handle (the switch forward latency), with
+  /// room to spare — stay inline. No hot callback captures a Packet by
+  /// value, so slots are 64 bytes rather than the 192 a by-value Packet
+  /// needed.
   using Callback = SmallCallback<64>;
 
   /// Schedule `cb` at absolute time `at`. Returns a cancellation handle.
   /// Templated so the closure is constructed directly in its slot.
   template <typename F>
   EventId schedule(SimTime at, F&& cb) {
-    const std::uint32_t slot = acquireSlot(std::forward<F>(cb));
-    const HeapEntry entry{at, ++next_seq_, slot};
-    if (!wheel_.park(entry)) heapPush(entry);
-    ++live_;
-    return EventId{pack(slot, slots_[slot].generation)};
+    return restoreSchedule(at, reserveSeq(), std::forward<F>(cb));
   }
+
+  /// Allocate the next sequence number without scheduling anything: the
+  /// key schedule() would have drawn at this moment, to arm later with
+  /// restoreSchedule(). Pop order is then as if it had been scheduled now.
+  std::uint64_t reserveSeq() { return ++next_seq_; }
 
   /// Cancel a previously scheduled event. Cancelling an already-fired,
   /// already-cancelled, or invalid handle is a harmless no-op: the slot's
@@ -158,12 +164,12 @@ class EventQueue {
     return found;
   }
 
-  /// Restore-side twin of schedule(): re-arm a callback under its original
-  /// (time, sequence) key from a snapshot. Does not advance next_seq_ — the
-  /// sequence was already allocated before the snapshot; beginRestore()
-  /// re-seeds the counter so post-restore schedules continue the original
-  /// numbering. Pop order is strictly (at, seq), so the order components
-  /// re-arm in is irrelevant.
+  /// Schedule under an already-allocated (time, sequence) key: a key from
+  /// reserveSeq(), a boundary-channel key, or one read from a snapshot.
+  /// Does not advance next_seq_; after a restore, beginRestore() re-seeds
+  /// the counter so later schedules continue the original numbering. Pop
+  /// order is strictly (at, seq), so the order keys are armed in is
+  /// irrelevant.
   template <typename F>
   EventId restoreSchedule(SimTime at, std::uint64_t seq, F&& cb) {
     const std::uint32_t slot = acquireSlot(std::forward<F>(cb));

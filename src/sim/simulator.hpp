@@ -40,6 +40,10 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Allocate the next event sequence number without scheduling; arm it
+  /// later with restoreSchedule(). See EventQueue::reserveSeq().
+  std::uint64_t reserveSeq() { return queue_.reserveSeq(); }
+
   /// Schedule a *daemon* event: background housekeeping (telemetry sampling
   /// ticks, watchdogs) that should never keep a run() alive on its own.
   /// run() returns once only daemon events remain; runFor()/runUntil()
@@ -162,7 +166,8 @@ class Simulator {
     executed_ = executed;
   }
 
-  /// Re-arm an event under its snapshotted key.
+  /// Arm an event under an already-allocated key: a snapshotted one, one
+  /// from reserveSeq(), or a boundary channel's reserved key.
   template <typename F>
   EventId restoreSchedule(SimTime at, std::uint64_t seq, F&& cb) {
     return queue_.restoreSchedule(at, seq, std::forward<F>(cb));

@@ -14,12 +14,16 @@
 #include <vector>
 
 #include "net/flow.hpp"
+#include "net/host.hpp"
 #include "net/topology.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/esnet_scale.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/observability.hpp"
 #include "scenario/partition.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/shard.hpp"
+#include "scenario/spec.hpp"
 #include "sim/sweep.hpp"
 #include "sim/units.hpp"
 #include "tcp/connection.hpp"
@@ -127,6 +131,48 @@ TEST(ShardDeterminism, TracedSpanExportByteIdenticalAt1_2_8Domains) {
   EXPECT_NE(d1.find("scidmz.spans.v1"), std::string::npos);
 }
 
+/// sdn_policy_comparison's three cells (always-firewall, IDS-then-bypass,
+/// ACL switch) shortened to 1.5 s, run at `domains`, as one comparable
+/// string: every result metric plus executed events and forwarded packets
+/// per cell. The firewall path's WAN hop is a boundary channel at every
+/// domain count, so this covers channel drains feeding a middlebox.
+std::string sdnPolicyComparisonAt(int domains) {
+  const ScenarioEntry* entry = ScenarioRegistry::builtin().find("sdn_policy_comparison");
+  EXPECT_NE(entry, nullptr);
+  if (entry == nullptr) return {};
+  std::vector<ScenarioSpec> specs = entry->specs();
+  for (ScenarioSpec& spec : specs) {
+    spec.domains = domains;
+    for (WorkloadSpec& w : spec.workloads) {
+      w.warmupS = 0.5;
+      w.windowS = 1.0;
+    }
+  }
+  sim::SweepRunner sweep{1};
+  const auto results = sweep.run<ScenarioResult>(
+      specs.size(), [&](sim::SweepCell& cell) { return runSpec(specs[cell.index], cell); },
+      "shard_test_sdn");
+  std::ostringstream out;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const sim::SweepCellStats& stats = sweep.lastRun().cells.at(i);
+    if (domains > 1) {
+      EXPECT_GT(stats.domains, 1u) << "cell " << i << " did not shard";
+    }
+    // Every policy moves data (the slowest, always-firewall, ~60 Mbps).
+    EXPECT_GT(results[i].get("w0.bps"), 1e7) << "cell " << i;
+    out << "cell " << i << " events=" << stats.eventsExecuted
+        << " packets=" << stats.packetsForwarded << '\n';
+    for (const auto& [name, value] : results[i].metrics) out << name << '=' << value << '\n';
+  }
+  return out.str();
+}
+
+TEST(ShardDeterminism, SdnPolicyComparisonByteIdenticalAt1_2_8Domains) {
+  const std::string d1 = sdnPolicyComparisonAt(1);
+  EXPECT_EQ(d1, sdnPolicyComparisonAt(2));
+  EXPECT_EQ(d1, sdnPolicyComparisonAt(8));
+}
+
 /// A five-device path a — r0 — r1 — r2 — b with 10 ms WAN hops, the flow
 /// traversing every device. Hand-written plans let the test pin exact
 /// domain assignments (3 domains vs all-in-one).
@@ -180,6 +226,58 @@ TEST(ShardDeterminism, FlowSpanningThreeDomainsMatchesSingleDomain) {
   const unsigned long long three = runThreeDomainPath(3);
   EXPECT_GT(one, 0u);
   EXPECT_EQ(one, three);
+}
+
+/// Appends "deliver" to the shared log when a probe arrives.
+class DeliveryLog : public net::PacketSink {
+ public:
+  explicit DeliveryLog(std::vector<std::string>& log) : log_(log) {}
+  void onPacket(const net::Packet&) override { log_.push_back("deliver"); }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+/// One probe a -> b over a 10 ms channel link, plus a local event in b's
+/// domain due at exactly the delivery time and scheduled only after the
+/// channel has drained. Returns the order both fired in.
+std::vector<std::string> channelTieAt(int domains) {
+  Scenario s{1};
+  ShardPlan plan;
+  plan.domains = domains;
+  plan.nodeDomain = {{"a", 0}, {"b", domains - 1}};
+  attachShards(s, plan, 1, 5_ms);
+  auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
+  auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
+  net::LinkParams p;
+  p.rate = sim::DataRate::gigabitsPerSecond(1);
+  p.delay = 10_ms;
+  s.topo.connect(a, b, p);
+  s.topo.computeRoutes();
+  std::vector<std::string> log;
+  DeliveryLog sink{log};
+  b.bind(net::Protocol::kUdp, 7, sink);
+
+  net::Packet probe;
+  probe.flow = net::FlowKey{a.address(), b.address(), 99, 7, net::Protocol::kUdp};
+  probe.body = net::ProbeHeader{};
+  probe.payload = sim::DataSize::bytes(1472);  // 1500 B on the wire: 12 us
+  a.send(std::move(probe));
+  const sim::SimTime arrival = sim::SimTime::zero() + 12_us + 10_ms;
+  sim::Simulator& bsim = b.ctx().sim();
+  bsim.scheduleAt(sim::SimTime::zero() + 9_ms, [&] {
+    bsim.scheduleAt(arrival, [&] { log.push_back("local"); });
+  });
+  s.runFor(20_ms);
+  return log;
+}
+
+TEST(ShardDeterminism, ChannelDeliverySortsAfterSameTimeLocalEventAt1And2Domains) {
+  // The drained delivery keeps its boundary-band key, so it sorts after
+  // local work due at the same instant, whenever that work was scheduled.
+  const std::vector<std::string> want{"local", "deliver"};
+  EXPECT_EQ(channelTieAt(1), want);
+  EXPECT_EQ(channelTieAt(2), want);
 }
 
 TEST(ShardEdgeCases, ZeroLookaheadIsRejected) {

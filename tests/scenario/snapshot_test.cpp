@@ -93,27 +93,29 @@ struct Cell {
 /// event accounting, per-flow transfer state, the sorted telemetry
 /// snapshot, and the full flight-recorder JSONL export (packet-level event
 /// stream — the strongest pop-order witness available).
-std::string signature(Cell& c) {
+std::string signature(Scenario& s, const std::vector<net::FlowPtr>& flows) {
   std::ostringstream out;
-  out << "now=" << c.s.simulator.now().ns()
-      << " executed=" << c.s.simulator.eventsExecuted()
-      << " scheduled=" << c.s.simulator.scheduledTotal()
-      << " pending=" << c.s.simulator.pendingEventCount()
-      << " daemons=" << c.s.simulator.pendingDaemonCount()
-      << " forwarded=" << c.s.ctx.packetsForwarded() << '\n';
-  for (const auto& flow : c.flowsHeld) {
+  out << "now=" << s.simulator.now().ns()
+      << " executed=" << s.simulator.eventsExecuted()
+      << " scheduled=" << s.simulator.scheduledTotal()
+      << " pending=" << s.simulator.pendingEventCount()
+      << " daemons=" << s.simulator.pendingDaemonCount()
+      << " forwarded=" << s.ctx.packetsForwarded() << '\n';
+  for (const auto& flow : flows) {
     out << "flow delivered=" << flow->deliveredBytes().byteCount()
         << " acked=" << flow->ackedBytes().byteCount() << " retx=" << flow->retransmits()
         << " rate=" << flow->currentRate().bps()
         << " established=" << flow->established() << " complete=" << flow->sendComplete()
         << '\n';
   }
-  out << c.s.ctx.telemetry().snapshot().toJson() << '\n';
-  c.s.ctx.telemetry().recorder().exportJsonl(out);
-  auto& tracer = c.s.ctx.extension<telemetry::Tracer>();
-  if (tracer.enabled()) tracer.exportSpansJsonl(out, c.s.simulator.now());
+  out << s.ctx.telemetry().snapshot().toJson() << '\n';
+  s.ctx.telemetry().recorder().exportJsonl(out);
+  auto& tracer = s.ctx.extension<telemetry::Tracer>();
+  if (tracer.enabled()) tracer.exportSpansJsonl(out, s.simulator.now());
   return out.str();
 }
+
+std::string signature(Cell& c) { return signature(c.s, c.flowsHeld); }
 
 void expectSameSignature(const std::string& got, const std::string& want, const char* what) {
   EXPECT_TRUE(got == want) << what << ": signatures diverge (" << got.size() << " vs "
@@ -195,6 +197,79 @@ TEST(SnapshotRoundTrip, InterleavedTeardownContinuesByteIdentical) {
   // Either way the snapshot walks the survivors in creation order.
   roundTrip(net::FlowFidelity::kPacket, 6, {4, 1});
   roundTrip(net::FlowFidelity::kPacket, 6, {4, 1, 3});
+}
+
+/// The paper's Figure 1 regime: one per-packet HTCP flow over a 10G path
+/// with 100 ms one-way delay (two 50 ms hops through a switch), buffers
+/// above the bandwidth-delay product, no loss, so slow start fills the
+/// pipe with tens of thousands of packets.
+struct HighBdpCell {
+  HighBdpCell() : s(20131117) {
+    s.ctx.armSnapshots();
+    telemetry::TelemetryConfig tel;
+    tel.sampleEvery = 10_ms;
+    tel.ringCapacity = 4096;
+    s.ctx.telemetry().enable(tel);
+    auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
+    auto& sw = s.topo.addSwitch("sw");
+    auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
+    net::LinkParams p;
+    p.rate = 10_Gbps;
+    p.delay = 50_ms;
+    p.mtu = 1500_B;
+    s.topo.connect(a, sw, p);
+    s.topo.connect(sw, b, p);
+    s.topo.computeRoutes();
+    tcp::TcpConfig cfg;
+    cfg.algorithm = tcp::CcAlgorithm::kHtcp;
+    cfg.sndBuf = 256_MB;
+    cfg.rcvBuf = 256_MB;
+    net::FlowFactory::Options options;
+    options.port = 5001;
+    options.fidelity = net::FlowFidelity::kPacket;
+    options.pinned = true;
+    flows.push_back(net::flowFactory(s.ctx).create(a, b, cfg, options));
+    net::FlowHandle& ref = *flows.back();
+    ref.onEstablished = [&ref] { ref.sendData(1_GB); };
+    ref.start();
+  }
+
+  /// Packets propagating on any link, in either direction.
+  [[nodiscard]] std::size_t inFlight() const {
+    std::size_t n = 0;
+    for (const auto& link : s.topo.links()) n += link->inFlight(0) + link->inFlight(1);
+    return n;
+  }
+
+  Scenario s;
+  std::vector<net::FlowPtr> flows;
+};
+
+TEST(SnapshotRoundTrip, HighBdpCellWithTenThousandPacketsInFlight) {
+  HighBdpCell original;
+  original.s.simulator.runFor(2500_ms);
+  const std::size_t inFlight = original.inFlight();
+  ASSERT_GT(inFlight, 10000u);
+  // The delay lines hold the packets; the event queue holds their heads.
+  EXPECT_LT(original.s.simulator.pendingEventCount(), 32u);
+  const SnapshotBlob blob = saveSnapshot(original.s);
+  ASSERT_TRUE(blob.ok()) << blob.error;
+  const std::string atSnapshot = signature(original.s, original.flows);
+  original.s.simulator.runFor(300_ms);
+  const std::string uninterrupted = signature(original.s, original.flows);
+
+  // Restore over a rebuild that ran on its own first, so its delay lines
+  // are already busy: the restore must replace them, not append to them.
+  HighBdpCell rebuilt;
+  rebuilt.s.simulator.runFor(1500_ms);
+  ASSERT_GT(rebuilt.inFlight(), 0u);
+  std::string error;
+  ASSERT_TRUE(restoreSnapshot(rebuilt.s, blob.bytes, &error)) << error;
+  // One record per packet in flight came back.
+  EXPECT_EQ(rebuilt.inFlight(), inFlight);
+  expectSameSignature(signature(rebuilt.s, rebuilt.flows), atSnapshot, "state at restore point");
+  rebuilt.s.simulator.runFor(300_ms);
+  expectSameSignature(signature(rebuilt.s, rebuilt.flows), uninterrupted, "continuation");
 }
 
 TEST(FlowRegistry, EmptyAfterDestroyingTenThousandHandlesInCreationOrder) {

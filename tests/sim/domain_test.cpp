@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,37 @@ namespace scidmz::sim {
 namespace {
 
 using namespace scidmz::sim::literals;
+
+/// A boundary channel whose payload is a closure: the smallest Inbox, a
+/// stand-in for a link direction's packet channel. post() is called from
+/// the sending domain's thread mid-epoch; drain() arms every staged closure
+/// in the destination domain under its reserved key.
+class ClosureChannel final : public ShardedSimulator::Inbox {
+ public:
+  ClosureChannel(ShardedSimulator& sh, Simulator& dst, int dstDomain, Duration delay)
+      : dst_(dst), id_(sh.addChannel(dstDomain, delay, *this)) {}
+
+  void post(SimTime at, std::function<void()> cb) {
+    staged_.push_back(Message{at, ShardedSimulator::boundarySeq(id_, sent_++), std::move(cb)});
+  }
+
+  void drain() override {
+    for (Message& m : staged_) dst_.restoreSchedule(m.at, m.seq, std::move(m.cb));
+    staged_.clear();
+  }
+  [[nodiscard]] std::size_t staged() const override { return staged_.size(); }
+
+ private:
+  struct Message {
+    SimTime at;
+    std::uint64_t seq;
+    std::function<void()> cb;
+  };
+  Simulator& dst_;
+  std::uint32_t id_;
+  std::uint64_t sent_ = 0;
+  std::vector<Message> staged_;
+};
 
 TEST(ShardedSimulator, RejectsNonPositiveLookahead) {
   Simulator a;
@@ -35,17 +67,17 @@ TEST(ShardedSimulator, RejectsChannelBelowLookaheadFloor) {
   Simulator a;
   Simulator b;
   ShardedSimulator sh({&a, &b}, 5_ms);
-  EXPECT_THROW(sh.addChannel(1, 1_ms), std::invalid_argument);
-  EXPECT_THROW(sh.addChannel(2, 10_ms), std::invalid_argument);  // dst out of range
+  EXPECT_THROW(ClosureChannel(sh, b, 1, 1_ms), std::invalid_argument);
+  EXPECT_THROW(ClosureChannel(sh, b, 2, 10_ms), std::invalid_argument);  // dst out of range
 }
 
 TEST(ShardedSimulator, CrossDomainMessageArrivesAtPostedTime) {
   Simulator a;
   Simulator b;
   ShardedSimulator sh({&a, &b}, 5_ms);
-  const std::uint32_t ch = sh.addChannel(1, 10_ms);
+  ClosureChannel ch(sh, b, 1, 10_ms);
   std::vector<std::int64_t> arrivals;
-  a.schedule(1_ms, [&] { sh.post(ch, a.now() + 10_ms, [&] { arrivals.push_back(b.now().ns()); }); });
+  a.schedule(1_ms, [&] { ch.post(a.now() + 10_ms, [&] { arrivals.push_back(b.now().ns()); }); });
   sh.runFor(20_ms);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], (SimTime::zero() + 11_ms).ns());
@@ -60,13 +92,13 @@ TEST(ShardedSimulator, ChannelPreservesFifoOrder) {
   Simulator a;
   Simulator b;
   ShardedSimulator sh({&a, &b}, 5_ms);
-  const std::uint32_t ch = sh.addChannel(1, 10_ms);
+  ClosureChannel ch(sh, b, 1, 10_ms);
   std::vector<int> order;
   // Two deliveries with the SAME arrival timestamp: the per-channel FIFO
   // counter must keep them in posting order.
   a.schedule(1_ms, [&] {
-    sh.post(ch, a.now() + 10_ms, [&] { order.push_back(1); });
-    sh.post(ch, a.now() + 10_ms, [&] { order.push_back(2); });
+    ch.post(a.now() + 10_ms, [&] { order.push_back(1); });
+    ch.post(a.now() + 10_ms, [&] { order.push_back(2); });
   });
   sh.runFor(20_ms);
   ASSERT_EQ(order.size(), 2u);
@@ -78,12 +110,12 @@ TEST(ShardedSimulator, BoundaryDeliverySortsAfterSameTimeLocalEvent) {
   Simulator a;
   Simulator b;
   ShardedSimulator sh({&a, &b}, 5_ms);
-  const std::uint32_t ch = sh.addChannel(1, 10_ms);
+  ClosureChannel ch(sh, b, 1, 10_ms);
   std::vector<std::string> order;
   // Local event in the destination domain at exactly the delivery time: the
   // reserved boundary sequence band must sort the delivery after it.
   b.schedule(11_ms, [&] { order.push_back("local"); });
-  a.schedule(1_ms, [&] { sh.post(ch, a.now() + 10_ms, [&] { order.push_back("boundary"); }); });
+  a.schedule(1_ms, [&] { ch.post(a.now() + 10_ms, [&] { order.push_back("boundary"); }); });
   sh.runFor(20_ms);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "local");
@@ -108,12 +140,12 @@ TEST(ShardedSimulator, MessageBeyondDeadlineStaysPendingAcrossRuns) {
   Simulator a;
   Simulator b;
   ShardedSimulator sh({&a, &b}, 5_ms);
-  const std::uint32_t ch = sh.addChannel(1, 29_ms);
+  ClosureChannel ch(sh, b, 1, 29_ms);
   std::vector<std::int64_t> arrivals;
   // The posting event runs in the FINAL epoch of the first runFor (19 ms +
   // 5 ms lookahead overshoots the 20 ms deadline), so the message is never
   // drained inside that run and must sit in the channel until the next.
-  a.schedule(19_ms, [&] { sh.post(ch, a.now() + 29_ms, [&] { arrivals.push_back(b.now().ns()); }); });
+  a.schedule(19_ms, [&] { ch.post(a.now() + 29_ms, [&] { arrivals.push_back(b.now().ns()); }); });
   sh.runFor(20_ms);
   EXPECT_TRUE(arrivals.empty());
   EXPECT_EQ(sh.pendingChannelMessages(), 1u);
@@ -127,10 +159,10 @@ TEST(ShardedSimulator, CancelledEventNeverPostsCrossDomain) {
   Simulator a;
   Simulator b;
   ShardedSimulator sh({&a, &b}, 5_ms);
-  const std::uint32_t ch = sh.addChannel(1, 10_ms);
+  ClosureChannel ch(sh, b, 1, 10_ms);
   int arrivals = 0;
   const EventId id =
-      a.schedule(1_ms, [&] { sh.post(ch, a.now() + 10_ms, [&] { ++arrivals; }); });
+      a.schedule(1_ms, [&] { ch.post(a.now() + 10_ms, [&] { ++arrivals; }); });
   a.cancel(id);
   sh.runFor(30_ms);
   EXPECT_EQ(arrivals, 0);
@@ -147,15 +179,15 @@ TEST(ShardedSimulator, PingPongAcrossThreeDomainsIsDeterministic) {
     Simulator b;
     Simulator c;
     ShardedSimulator sh({&a, &b, &c}, 5_ms);
-    const std::uint32_t ab = sh.addChannel(1, 10_ms);
-    const std::uint32_t bc = sh.addChannel(2, 10_ms);
-    const std::uint32_t ca = sh.addChannel(0, 10_ms);
+    ClosureChannel ab(sh, b, 1, 10_ms);
+    ClosureChannel bc(sh, c, 2, 10_ms);
+    ClosureChannel ca(sh, a, 0, 10_ms);
     std::vector<std::int64_t> hops;
-    std::function<void()> fromA = [&] { sh.post(ab, a.now() + 10_ms, [&] {
+    std::function<void()> fromA = [&] { ab.post(a.now() + 10_ms, [&] {
       hops.push_back(b.now().ns());
-      sh.post(bc, b.now() + 10_ms, [&] {
+      bc.post(b.now() + 10_ms, [&] {
         hops.push_back(c.now().ns());
-        sh.post(ca, c.now() + 10_ms, [&] {
+        ca.post(c.now() + 10_ms, [&] {
           hops.push_back(a.now().ns());
           if (hops.size() < 12) fromA();
         });
