@@ -1,6 +1,6 @@
 // Codec helpers for the net layer's value types: flow keys and whole
 // packets. These are the building blocks of both the snapshot format
-// (in-flight packets, queue contents) and the binary flight-recorder
+// (delay-line records, queue contents) and the binary flight-recorder
 // export; keeping them in one header guarantees every consumer agrees on
 // the wire layout.
 #pragma once

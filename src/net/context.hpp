@@ -40,9 +40,8 @@ class Context {
   Context& operator=(const Context&) = delete;
 
   /// The Simulator outlives the Context in every harness (declared first,
-  /// destroyed last), and pending event callbacks own PacketRefs into this
-  /// Context's pool. Destroy them now, while the pool is still alive —
-  /// otherwise teardown would release packet slots into a dead pool.
+  /// destroyed last), and pending event callbacks may own handles into this
+  /// Context's pool or arena. Destroy them now, while both are still alive.
   ~Context() { sim_.clearPendingEvents(); }
 
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
@@ -94,16 +93,6 @@ class Context {
 
   // --- Snapshot/restore seam -----------------------------------------------
 
-  /// Arm in-flight packet tracking for snapshots. Event closures are opaque
-  /// to the snapshot layer. Interfaces and links keep their packets in
-  /// flight in their own records at all times; only SwitchDevice reads this
-  /// flag, and when armed copies each packet inside its forwarding latency
-  /// alongside the event handle. saveSnapshot() refuses an unarmed context,
-  /// so arm from the start of a run that intends to snapshot; disarmed, it
-  /// costs one bool load per switch hop.
-  void armSnapshots() { snapshots_armed_ = true; }
-  [[nodiscard]] bool snapshotsArmed() const { return snapshots_armed_; }
-
   /// Plain-counter state (packet ids, stream ids, forwarded count). The id
   /// counters feed packet identity in traces, so they must continue the
   /// snapshotted numbering exactly.
@@ -153,7 +142,6 @@ class Context {
   std::uint64_t packet_id_ = 0;
   std::uint64_t packets_forwarded_ = 0;
   std::uint32_t stream_id_ = 0;
-  bool snapshots_armed_ = false;
 };
 
 }  // namespace scidmz::net

@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <string>
 
-#include "net/codec.hpp"
 #include "net/link.hpp"
 #include "net/trace.hpp"
 
 namespace scidmz::net {
 
 Interface::Interface(Context& ctx, Device& owner, int index, sim::DataSize egressBuffer)
-    : ctx_(ctx), owner_(owner), index_(index), queue_(egressBuffer) {}
+    : ctx_(ctx),
+      owner_(owner),
+      index_(index),
+      queue_(egressBuffer),
+      tx_(ctx, *this) {}
 
 void Interface::attachLink(Link& link, int end) {
   link_ = &link;
@@ -26,6 +29,13 @@ void Interface::initTelemetry() {
   const std::string base = owner_.name() + "/if" + std::to_string(index_);
   tel_point_ = tel.recorder().internPoint(base);
   tel_drops_ = &tel.metrics().counter("queue/" + base + "/drops");
+  tel_init_ = true;
+  if (!tel_probes_) addProbes();
+}
+
+void Interface::addProbes() {
+  auto& tel = ctx_.telemetry();
+  const std::string base = owner_.name() + "/if" + std::to_string(index_);
   tel.addSampler("queue/" + base + "/depth_bytes",
                  [this] { return static_cast<double>(queue_.depth().byteCount()); });
   // Utilization over the last sampling interval: bits transmitted since the
@@ -44,7 +54,7 @@ void Interface::initTelemetry() {
     if (dNs <= 0.0 || bps == 0) return 0.0;
     return dBytes * 8.0 * 1e9 / (dNs * static_cast<double>(bps));
   });
-  tel_init_ = true;
+  tel_probes_ = true;
 }
 
 void Interface::send(PacketRef packet) {
@@ -68,40 +78,28 @@ void Interface::send(PacketRef packet) {
     tel.recorder().record(ev);
   }
   if (!accepted) return;  // drop counted by queue (and telemetry when enabled)
-  if (!transmitting_) startNextTransmission();
+  if (tx_.empty()) startNextTransmission();
 }
 
 void Interface::startNextTransmission() {
   auto next = queue_.dequeue(ctx_.now());
-  if (!next) {
-    transmitting_ = false;
-    return;
-  }
+  if (!next) return;
   auto& tel = ctx_.telemetry();
   if (tel.enabled()) {
     if (!tel_init_) initTelemetry();
-    telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *next);
-    ev.kind = telemetry::FlightEventKind::kDequeue;
-    ev.point = tel_point_;
-    ev.aux2 = queue_.depth().byteCount();
-    tel.recorder().record(ev);
+    recordPacket(tel.recorder(), ctx_.now(), *next,
+                 telemetry::FlightEventKind::kDequeue, tel_point_, queue_.depth().byteCount());
   }
-  transmitting_ = true;
   // Serialization runs at the residual rate after fluid-flow demand; with
   // no fluid load this is exactly the configured link rate.
   const auto txTime = link_->effectiveRate(end_).transmissionTime(next->wireSize());
   ++stats_.txPackets;
   stats_.txBytes += next->wireSize();
-  // Park the handle in the tx record; when serialization is done, hand it
-  // to the link and immediately start on the next queued packet.
-  tx_pkt_ = std::move(next);
-  tx_at_ = ctx_.now() + txTime;
-  tx_seq_ = ctx_.sim().reserveSeq();
-  ctx_.sim().restoreSchedule(tx_at_, tx_seq_, [this] { completeTransmission(); });
+  tx_.push(ctx_.now() + txTime, std::move(next));
 }
 
-void Interface::completeTransmission() {
-  link_->transmitComplete(end_, std::move(tx_pkt_));
+void Interface::completeTransmission(PacketRef packet) {
+  link_->transmitComplete(end_, std::move(packet));
   startNextTransmission();
 }
 
@@ -111,20 +109,15 @@ std::uint64_t Interface::serialize(sim::Codec& c) {
   c.vu64(util_last_bytes_);
   c.vi64(util_last_ns_);
   queue_.serialize(c, ctx_.pool());
-  bool tx = transmitting_;
-  c.b(tx);
-  if (!c.writing()) {
-    transmitting_ = tx;
-    tx_pkt_ = tx ? ctx_.pool().acquire() : PacketRef{};
-  }
-  if (!tx) return 0;
-  sim::codecTime(c, tx_at_);
-  c.vu64(tx_seq_);
-  codecPacket(c, *tx_pkt_);
-  if (!c.writing() && c.ok()) {
-    ctx_.sim().restoreSchedule(tx_at_, tx_seq_, [this] { completeTransmission(); });
-  }
-  return 1;
+  // Probes the snapshotting run registered sample from the next tick, not
+  // from this port's next packet; the emit point still interns lazily,
+  // against the restored point table.
+  bool probes = tel_probes_;
+  c.b(probes);
+  if (probes && !tel_probes_) addProbes();
+  const std::uint64_t claimed = tx_.serialize(c);
+  if (tx_.size() > 1) c.reader().markFailed();  // a port serializes one packet at a time
+  return claimed;
 }
 
 Device::Device(Context& ctx, std::string name) : ctx_(ctx), name_(std::move(name)) {}
@@ -198,10 +191,9 @@ void Device::forward(PacketRef packet) {
     auto& tel = ctx_.telemetry();
     if (tel.enabled()) {
       ++tel.metrics().counter("device/" + name() + "/drops_ttl_expired");
-      telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *packet);
-      ev.kind = telemetry::FlightEventKind::kDrop;
-      ev.point = tel.recorder().internPoint(name() + "/ttl_expired");
-      tel.recorder().record(ev);
+      recordPacket(tel.recorder(), ctx_.now(), *packet,
+                   telemetry::FlightEventKind::kDrop,
+                   tel.recorder().internPoint(name() + "/ttl_expired"));
     }
     return;
   }
@@ -212,10 +204,9 @@ void Device::forward(PacketRef packet) {
     auto& tel = ctx_.telemetry();
     if (tel.enabled()) {
       ++tel.metrics().counter("device/" + name() + "/drops_no_route");
-      telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *packet);
-      ev.kind = telemetry::FlightEventKind::kDrop;
-      ev.point = tel.recorder().internPoint(name() + "/no_route");
-      tel.recorder().record(ev);
+      recordPacket(tel.recorder(), ctx_.now(), *packet,
+                   telemetry::FlightEventKind::kDrop,
+                   tel.recorder().internPoint(name() + "/no_route"));
     }
     ctx_.log().log(ctx_.now(), sim::LogLevel::kDebug, name(),
                    "no route to " + packet->flow.dst.toString());

@@ -12,11 +12,11 @@
 
 #include "net/address.hpp"
 #include "net/context.hpp"
+#include "net/delay_line.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/codec.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/units.hpp"
 
 namespace scidmz::net {
@@ -25,7 +25,8 @@ class Device;
 class Link;
 
 /// A device port: owns the egress drop-tail queue and the transmit state
-/// machine for its attached link direction.
+/// machine for its attached link direction. The packet being serialized
+/// waits in a one-record DelayLine until its last bit is on the wire.
 class Interface {
  public:
   Interface(Context& ctx, Device& owner, int index, sim::DataSize egressBuffer);
@@ -41,6 +42,9 @@ class Interface {
   /// Enqueue for transmission; drops (with stats) if the egress buffer is
   /// full or no link is attached. Consumes the handle either way.
   void send(PacketRef packet);
+  /// A packet arrives from the wire: hand it to the owning device (inline
+  /// below Device: each link delivery goes through it).
+  void receive(PacketRef packet);
 
   [[nodiscard]] sim::DataRate rate() const;
   [[nodiscard]] Device& owner() const { return owner_; }
@@ -55,20 +59,21 @@ class Interface {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Snapshot/restore: tx stats, utilization-probe accumulator, the egress
-  /// queue contents, and (when mid-serialization) the packet on the wire,
-  /// its tx-complete event re-armed under its original key. Returns the
-  /// number of pending events claimed (0 or 1).
+  /// queue contents, and the tx line (the packet being serialized, if any).
+  /// Returns the number of pending events claimed (0 or 1).
   std::uint64_t serialize(sim::Codec& c);
 
  private:
   void startNextTransmission();
-  /// Tx-complete event: hand the serialized packet to the link, start the next.
-  void completeTransmission();
+  /// Tx complete: hand the serialized packet to the link, start the next.
+  void completeTransmission(PacketRef packet);
   /// Lazily interns this port's emit point, caches its drop counter, and
-  /// registers the queue-depth and link-utilization probes. Called on the
-  /// first packet seen with telemetry enabled, so uninstrumented runs pay
-  /// nothing and emit points appear in deterministic (traffic) order.
+  /// registers the probes. Called on the first packet seen with telemetry
+  /// enabled, so uninstrumented runs pay nothing and emit points appear in
+  /// deterministic (traffic) order.
   void initTelemetry();
+  /// Registers the queue-depth and link-utilization probes.
+  void addProbes();
 
   Context& ctx_;
   Device& owner_;
@@ -76,9 +81,9 @@ class Interface {
   DropTailQueue queue_;
   Link* link_ = nullptr;
   int end_ = 0;
-  bool transmitting_ = false;
   Stats stats_;
   bool tel_init_ = false;
+  bool tel_probes_ = false;
   std::uint32_t tel_point_ = 0;
   std::uint64_t* tel_drops_ = nullptr;
   // Utilization-sampler accumulator (bytes/time at the previous sample).
@@ -86,12 +91,8 @@ class Interface {
   // restored run's first utilization sample must see the same baseline.
   std::uint64_t util_last_bytes_ = 0;
   std::int64_t util_last_ns_ = 0;
-  // The packet being serialized and the (at, seq) key its tx-complete
-  // event was scheduled under; at most one per port. The event captures
-  // only `this`, and a snapshot reads the record straight from here.
-  PacketRef tx_pkt_;
-  sim::SimTime tx_at_;
-  std::uint64_t tx_seq_ = 0;
+  /// Empty when idle, else the packet being serialized.
+  DelayLine<Interface, &Interface::completeTransmission> tx_;
 };
 
 struct DeviceStats {
@@ -210,5 +211,7 @@ class Device {
   std::uint64_t route_generation_ = 1;
   Tap tap_;
 };
+
+inline void Interface::receive(PacketRef packet) { owner_.receive(std::move(packet), *this); }
 
 }  // namespace scidmz::net

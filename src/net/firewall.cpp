@@ -26,9 +26,14 @@ void FirewallDevice::initTelemetry() {
   tel_drops_session_ = &tel.metrics().counter("firewall/" + name() + "/drops_session_table");
   tel_syns_rewritten_ = &tel.metrics().counter("firewall/" + name() + "/syns_rewritten");
   tel_inspected_ = &tel.metrics().counter("firewall/" + name() + "/inspected");
-  tel.addSampler("firewall/" + name() + "/input_buffered_bytes",
-                 [this] { return static_cast<double>(buffered_.byteCount()); });
   tel_init_ = true;
+  if (!tel_probe_) addProbe();
+}
+
+void FirewallDevice::addProbe() {
+  ctx_.telemetry().addSampler("firewall/" + name() + "/input_buffered_bytes",
+                              [this] { return static_cast<double>(buffered_.byteCount()); });
+  tel_probe_ = true;
 }
 
 void FirewallDevice::receive(PacketRef packet, Interface& in) {
@@ -52,10 +57,8 @@ void FirewallDevice::receive(PacketRef packet, Interface& in) {
     ++stats_.dropsAcl;
     if (traced) {
       ++*tel_drops_policy_;
-      telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *packet);
-      ev.kind = telemetry::FlightEventKind::kDrop;
-      ev.point = tel_point_;
-      tel.recorder().record(ev);
+      recordPacket(tel.recorder(), ctx_.now(), *packet,
+                   telemetry::FlightEventKind::kDrop, tel_point_);
     }
     return;
   }
@@ -70,10 +73,8 @@ void FirewallDevice::receive(PacketRef packet, Interface& in) {
         ++fw_stats_.dropsSessionTable;
         if (traced) {
           ++*tel_drops_session_;
-          telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *packet);
-          ev.kind = telemetry::FlightEventKind::kDrop;
-          ev.point = tel_point_;
-          tel.recorder().record(ev);
+          recordPacket(tel.recorder(), ctx_.now(), *packet,
+                       telemetry::FlightEventKind::kDrop, tel_point_);
         }
         return;
       }
@@ -101,11 +102,8 @@ void FirewallDevice::receive(PacketRef packet, Interface& in) {
     ++fw_stats_.dropsInputBuffer;
     if (traced) {
       ++*tel_drops_buffer_;
-      telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *packet);
-      ev.kind = telemetry::FlightEventKind::kDrop;
-      ev.point = tel_point_;
-      ev.aux2 = buffered_.byteCount();
-      tel.recorder().record(ev);
+      recordPacket(tel.recorder(), ctx_.now(), *packet,
+                   telemetry::FlightEventKind::kDrop, tel_point_, buffered_.byteCount());
     }
     return;
   }
@@ -119,15 +117,17 @@ void FirewallDevice::receive(PacketRef packet, Interface& in) {
   const auto done = start + profile_.engineRate.transmissionTime(size);
   engine.busyUntil = done;
   const auto releaseAt = done + profile_.inspectionDelay;
-  ctx_.sim().scheduleAt(releaseAt, [this, pkt = std::move(packet)]() mutable {
-    buffered_ -= pkt->wireSize();
-    ++fw_stats_.inspected;
-    if (ctx_.telemetry().enabled()) {
-      if (!tel_init_) initTelemetry();
-      ++*tel_inspected_;
-    }
-    forward(std::move(pkt));
-  });
+  engine.line.push(releaseAt, std::move(packet));
+}
+
+void FirewallDevice::release(PacketRef packet) {
+  buffered_ -= packet->wireSize();
+  ++fw_stats_.inspected;
+  if (ctx_.telemetry().enabled()) {
+    if (!tel_init_) initTelemetry();
+    ++*tel_inspected_;
+  }
+  forward(std::move(packet));
 }
 
 std::uint64_t FirewallDevice::serialize(sim::Codec& c) {
@@ -144,9 +144,12 @@ std::uint64_t FirewallDevice::serialize(sim::Codec& c) {
     c.reader().markFailed();
     return claimed;
   }
-  for (Engine& e : engines_) sim::codecTime(c, e.busyUntil);
+  for (Engine& e : engines_) {
+    sim::codecTime(c, e.busyUntil);
+    claimed += e.line.serialize(c);
+  }
   sim::codecSize(c, buffered_);
-  // Session and bypass tables: unordered maps, written in sorted key order
+  // Session and bypass tables: hash containers, written in sorted key order
   // so the snapshot bytes are independent of hash-table iteration order.
   std::uint64_t sessionCount = sessions_.size();
   c.vu64(sessionCount);
@@ -171,12 +174,10 @@ std::uint64_t FirewallDevice::serialize(sim::Codec& c) {
       sessions_.emplace(k, t);
     }
   }
-  std::uint64_t bypassCount = bypass_.map.size();
+  std::uint64_t bypassCount = bypass_.size();
   c.vu64(bypassCount);
   if (c.writing()) {
-    std::vector<FlowKey> keys;
-    keys.reserve(bypass_.map.size());
-    for (const auto& [key, unused] : bypass_.map) keys.push_back(key);
+    std::vector<FlowKey> keys(bypass_.begin(), bypass_.end());
     std::sort(keys.begin(), keys.end(), [](const FlowKey& a, const FlowKey& b) {
       return flowKeyTuple(a) < flowKeyTuple(b);
     });
@@ -186,11 +187,15 @@ std::uint64_t FirewallDevice::serialize(sim::Codec& c) {
     for (std::uint64_t i = 0; i < bypassCount && c.ok(); ++i) {
       FlowKey k;
       codecFlowKey(c, k);
-      bypass_.map.emplace(k, 0);
+      bypass_.insert(k);
     }
   }
   // Runtime policy toggle (the Penn State fix flips it mid-scenario).
   c.b(profile_.tcpSequenceChecking);
+  // A probe the snapshotting run registered samples from the next tick on.
+  bool probe = tel_probe_;
+  c.b(probe);
+  if (probe && !tel_probe_) addProbe();
   return claimed;
 }
 

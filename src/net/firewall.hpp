@@ -11,12 +11,17 @@
 // the buffer is full, arrivals drop. An optional "TCP flow sequence
 // checking" feature rewrites TCP SYN options, stripping window scaling —
 // the documented Penn State / VTTI failure (a violation of RFC 1323).
+//
+// Packets under inspection wait in their engine's DelayLine. An engine's
+// release time, max(now, busyUntil) + serialization + inspectionDelay,
+// never decreases, so each engine releases in arrival order.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
-#include <vector>
+#include <unordered_set>
 
 #include "net/acl.hpp"
 #include "net/device.hpp"
@@ -49,16 +54,6 @@ struct FirewallProfile {
     p.tcpSequenceChecking = true;
     return p;
   }
-
-  /// A 1G branch firewall (NOAA-style FTP path).
-  static FirewallProfile branch1G() {
-    FirewallProfile p;
-    p.engineCount = 4;
-    p.engineRate = sim::DataRate::megabitsPerSecond(250);
-    p.inputBuffer = sim::DataSize::kibibytes(128);
-    p.tcpSequenceChecking = true;
-    return p;
-  }
 };
 
 struct FirewallStats {
@@ -75,7 +70,7 @@ class FirewallDevice : public Device {
   FirewallDevice(Context& ctx, std::string name,
                  FirewallProfile profile = FirewallProfile::enterprise10G())
       : Device(ctx, std::move(name)), profile_(profile) {
-    engines_.resize(static_cast<std::size_t>(profile_.engineCount));
+    for (int i = 0; i < profile_.engineCount; ++i) engines_.emplace_back(ctx, *this);
   }
 
   [[nodiscard]] const FirewallProfile& profile() const { return profile_; }
@@ -94,37 +89,46 @@ class FirewallDevice : public Device {
     bypass_.insert(flow);
     bypass_.insert(flow.reversed());
   }
-  void clearBypasses() { bypass_.clear(); }
 
   void receive(PacketRef packet, Interface& in) override;
 
-  /// Snapshot/restore of the firewall's tables: engine busy horizons, the
-  /// shared input-buffer occupancy, the session table, bypass entries and
-  /// firewall stats (maps written in sorted key order for determinism).
-  /// Packets inside the inspection pipeline are NOT claimed — their release
-  /// events capture pool handles the snapshot layer cannot re-materialize
-  /// yet — so a snapshot taken while the firewall has packets in flight is
-  /// refused by the orchestrator's event accounting rather than silently
-  /// losing them. Quiesce the firewall (or snapshot between bursts) first.
+  /// Packets under inspection, over all engines.
+  [[nodiscard]] std::size_t inInspection() const {
+    std::size_t n = 0;
+    for (const Engine& e : engines_) n += e.line.size();
+    return n;
+  }
+
+  /// Snapshot/restore of the firewall's state: each engine's busy horizon
+  /// and the packets under inspection in its line, the shared input-buffer
+  /// occupancy, the session table, bypass entries and firewall stats (maps
+  /// written in sorted key order for determinism).
   std::uint64_t serialize(sim::Codec& c) override;
 
  private:
+  /// An engine is done with `packet`: free its input-buffer share, forward it.
+  void release(PacketRef packet);
+
   struct Engine {
+    Engine(Context& ctx, FirewallDevice& fw) : line(ctx, fw) {}
     sim::SimTime busyUntil = sim::SimTime::zero();
+    DelayLine<FirewallDevice, &FirewallDevice::release> line;  ///< Packets under inspection.
   };
 
   /// Lazily interns the input-stage emit point, caches drop/rewrite
   /// counters and registers the buffered-bytes probe.
   void initTelemetry();
+  void addProbe();
 
   FirewallProfile profile_;
   AclTable policy_{AclAction::kPermit};
   FirewallStats fw_stats_;
-  std::vector<Engine> engines_;
+  std::deque<Engine> engines_;  // deque: a DelayLine never moves
   sim::DataSize buffered_ = sim::DataSize::zero();
   std::unordered_map<FlowKey, sim::SimTime, FlowKeyHash> sessions_;
 
   bool tel_init_ = false;
+  bool tel_probe_ = false;
   std::uint32_t tel_point_ = 0;
   std::uint64_t* tel_drops_buffer_ = nullptr;
   std::uint64_t* tel_drops_policy_ = nullptr;
@@ -132,13 +136,7 @@ class FirewallDevice : public Device {
   std::uint64_t* tel_syns_rewritten_ = nullptr;
   std::uint64_t* tel_inspected_ = nullptr;
 
-  /// Set of flows granted engine bypass.
-  struct Bypass {
-    std::unordered_map<FlowKey, char, FlowKeyHash> map;
-    void insert(const FlowKey& k) { map.emplace(k, 0); }
-    [[nodiscard]] bool contains(const FlowKey& k) const { return map.count(k) != 0; }
-    void clear() { map.clear(); }
-  } bypass_;
+  std::unordered_set<FlowKey, FlowKeyHash> bypass_;  ///< Flows granted engine bypass.
 };
 
 }  // namespace scidmz::net

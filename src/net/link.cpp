@@ -8,8 +8,11 @@
 
 namespace scidmz::net {
 
-Link::Link(Context& ctx, LinkParams params, Interface& endA, Interface& endB)
-    : ctx_(ctx), params_(params), endA_(endA), endB_(endB) {
+Link::Link(LinkParams params, Interface& endA, Interface& endB)
+    : params_(params),
+      endA_(endA),
+      endB_(endB),
+      line_{{endB.owner().ctx(), endB}, {endA.owner().ctx(), endA}} {
   // Deliveries are keyed at send time + delay, never in the past.
   if (params_.delay < sim::Duration::zero()) params_.delay = sim::Duration::zero();
   endA_.attachLink(*this, 0);
@@ -26,8 +29,8 @@ void Link::repair() {
 }
 
 void Link::initTelemetry(int dir) {
-  // Direction state belongs to the sending end's domain: its owner's ctx is
-  // ctx_ in ordinary runs and the sender domain's ctx under sharding.
+  // Direction state belongs to the sending end's domain (the one scenario
+  // Context in ordinary runs, the sender domain's under sharding).
   auto& tel = end(dir).owner().ctx().telemetry();
   const std::string name =
       end(dir).owner().name() + "->" + peer(dir).owner().name();
@@ -42,7 +45,7 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
   const int d = fromEnd & 1;
   auto& dir = stats_[d];
   // Per-direction state (stats, loss, telemetry) lives with the sending
-  // end's domain; sctx is ctx_ whenever the topology is unsharded.
+  // end's domain; without boundary channels both ends share it.
   Context& sctx = end(d).owner().ctx();
   auto& tel = sctx.telemetry();
   const bool traced = tel.enabled();
@@ -51,10 +54,8 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
     ++dir.lost;
     if (traced) {
       ++*tel_[d].lost;
-      telemetry::FlightEvent ev = makeFlightEvent(sctx.now(), *packet);
-      ev.kind = telemetry::FlightEventKind::kLinkLoss;
-      ev.point = tel_[d].point;
-      tel.recorder().record(ev);
+      recordPacket(tel.recorder(), sctx.now(), *packet,
+                   telemetry::FlightEventKind::kLinkLoss, tel_[d].point);
     }
     return;
   }
@@ -62,10 +63,8 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
   dir.bytesDelivered += packet->wireSize();
   if (traced) {
     ++*tel_[d].delivered;
-    telemetry::FlightEvent ev = makeFlightEvent(sctx.now(), *packet);
-    ev.kind = telemetry::FlightEventKind::kDeliver;
-    ev.point = tel_[d].point;
-    tel.recorder().record(ev);
+    recordPacket(tel.recorder(), sctx.now(), *packet,
+                 telemetry::FlightEventKind::kDeliver, tel_[d].point);
   }
   const sim::SimTime at = sctx.now() + params_.delay;
   Outbox& out = outbox_[d];
@@ -75,7 +74,7 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
         at, sim::ShardedSimulator::boundarySeq(out.channel, out.sent++), *packet});
     return;
   }
-  enqueueInFlight(d, at, sctx.sim().reserveSeq(), std::move(packet));
+  line_[d].push(at, std::move(packet));
 }
 
 void Link::routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int domainB) {
@@ -89,26 +88,9 @@ void Link::routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int
 void Link::Outbox::drain() {
   Context& dctx = link->peer(dir).owner().ctx();
   for (Staged& m : pending) {
-    link->enqueueInFlight(dir, m.at, m.seq, dctx.pool().acquire(std::move(m.packet)));
+    link->line_[dir].push(m.at, m.seq, dctx.pool().acquire(std::move(m.packet)));
   }
   pending.clear();
-}
-
-void Link::enqueueInFlight(int d, sim::SimTime at, std::uint64_t seq, PacketRef packet) {
-  line_[d].push(InFlight{at, seq, std::move(packet)});
-  if (line_[d].size() == 1) armHead(d);
-}
-
-void Link::armHead(int d) {
-  const InFlight& head = line_[d].front();
-  peer(d).owner().ctx().sim().restoreSchedule(head.at, head.seq, [this, d] { deliverHead(d); });
-}
-
-void Link::deliverHead(int d) {
-  PacketRef packet = std::move(line_[d].pop().packet);
-  if (!line_[d].empty()) armHead(d);
-  Interface& dst = peer(d);
-  dst.owner().receive(std::move(packet), dst);
 }
 
 std::uint64_t Link::serialize(sim::Codec& c) {
@@ -134,32 +116,7 @@ std::uint64_t Link::serialize(sim::Codec& c) {
       loss_[d].reset();
     }
 
-    // The delay line, head first, each record with its own key.
-    std::uint64_t n = line_[d].size();
-    c.vu64(n);
-    if (c.writing()) {
-      line_[d].forEach([&](InFlight& rec) {
-        sim::codecTime(c, rec.at);
-        c.vu64(rec.seq);
-        codecPacket(c, *rec.packet);
-      });
-    } else {
-      line_[d].clear();
-      for (std::uint64_t i = 0; i < n && c.ok(); ++i) {
-        InFlight rec{sim::SimTime::zero(), 0, ctx_.pool().acquire()};
-        sim::codecTime(c, rec.at);
-        c.vu64(rec.seq);
-        codecPacket(c, *rec.packet);
-        // serialize() only ever writes a line sorted by (at, seq).
-        if (!line_[d].empty() && (rec.at < line_[d].back().at || rec.seq <= line_[d].back().seq)) {
-          c.reader().markFailed();
-        }
-        line_[d].push(std::move(rec));
-      }
-      if (!c.ok()) return claimed;
-      if (!line_[d].empty()) armHead(d);
-    }
-    if (n != 0) ++claimed;
+    claimed += line_[d].serialize(c);
   }
   return claimed;
 }

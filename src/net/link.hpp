@@ -2,11 +2,9 @@
 // optional impairment (loss) model per direction.
 //
 // Propagation delay is fixed for the life of a link, so each direction is
-// a strict FIFO — a delay line: a ring of {at, seq, PacketRef}, the key
-// reserved at send time, with only its head armed in the event queue. One
-// queue entry per busy direction however large the bandwidth-delay
-// product, popped in the (at, seq) order one event per packet would have.
-// The ring is also the snapshot record of the packets in flight.
+// a FIFO net::DelayLine keyed at send time: one queue entry per busy
+// direction however large the bandwidth-delay product, and the snapshot
+// record of the packets in flight.
 #pragma once
 
 #include <cstddef>
@@ -15,18 +13,16 @@
 #include <string>
 #include <vector>
 
-#include "net/context.hpp"
+#include "net/delay_line.hpp"
+#include "net/device.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
-#include "net/queue.hpp"
 #include "sim/codec.hpp"
 #include "sim/domain.hpp"
 #include "sim/units.hpp"
 
 namespace scidmz::net {
-
-class Interface;
 
 struct LinkParams {
   sim::DataRate rate = sim::DataRate::gigabitsPerSecond(10);
@@ -36,7 +32,8 @@ struct LinkParams {
 
 class Link {
  public:
-  Link(Context& ctx, LinkParams params, Interface& endA, Interface& endB);
+  /// Each direction's delay line arms in its receiving end's domain.
+  Link(LinkParams params, Interface& endA, Interface& endB);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -112,7 +109,7 @@ class Link {
   [[nodiscard]] std::size_t inFlight(int fromEnd) const { return line_[fromEnd & 1].size(); }
 
   /// Snapshot/restore of mutable link state: per-direction stats, loss-model
-  /// state, published fluid demand, and each delay line with its keys.
+  /// state, published fluid demand, and each delay line.
   /// Returns the pending events claimed: one per non-empty direction.
   std::uint64_t serialize(sim::Codec& c);
 
@@ -126,21 +123,15 @@ class Link {
   };
   void initTelemetry(int dir);
 
-  /// A packet due at `at` under key `seq`: pool-backed on a delay line, a
-  /// by-value copy while it crosses a boundary channel.
-  template <typename P>
-  struct Keyed {
-    sim::SimTime at;
-    std::uint64_t seq = 0;
-    P packet;
-  };
-  using InFlight = Keyed<PacketRef>;
-
-  /// One direction's boundary channel (channel mode only). drain()
-  /// re-acquires the staged copies from the destination domain's pool onto
-  /// the delay line.
+  /// One direction's boundary channel (channel mode only): by-value copies
+  /// keyed for the destination domain. drain() re-acquires them from the
+  /// destination domain's pool onto the delay line.
   struct Outbox final : sim::ShardedSimulator::Inbox {
-    using Staged = Keyed<Packet>;
+    struct Staged {
+      sim::SimTime at;
+      std::uint64_t seq = 0;
+      Packet packet;
+    };
     void drain() override;
     [[nodiscard]] std::size_t staged() const override { return pending.size(); }
 
@@ -151,14 +142,6 @@ class Link {
     std::vector<Staged> pending;
   };
 
-  /// Append to a delay line (`packet` from the receiving domain's pool),
-  /// arming the head if the line was empty.
-  void enqueueInFlight(int d, sim::SimTime at, std::uint64_t seq, PacketRef packet);
-  void armHead(int d);
-  /// Head event: pop the line, re-arm the next head, hand the packet over.
-  void deliverHead(int d);
-
-  Context& ctx_;
   LinkParams params_;
   Interface& endA_;
   Interface& endB_;
@@ -166,7 +149,9 @@ class Link {
   DirectionStats stats_[2];
   DirTelemetry tel_[2];
   sim::DataRate fluid_demand_[2];
-  detail::Ring<InFlight> line_[2];
+  /// Packets propagating away from end 0 and end 1. Each line arms in the
+  /// far end's domain and hands its packets to the far interface.
+  DelayLine<Interface, &Interface::receive> line_[2];
   Outbox outbox_[2];
 };
 

@@ -26,9 +26,9 @@ namespace scidmz::net {
 
 namespace detail {
 
-/// Minimal FIFO ring: the egress queue's PacketRef handles and each link
-/// direction's delay line. Capacity is a power of two and doubles when
-/// full; slots are reused in place, so steady-state traffic touches the
+/// Minimal FIFO ring: the egress queue's PacketRef handles and every
+/// DelayLine's records. Capacity is a power of two and doubles when full;
+/// slots are reused in place, so steady-state traffic touches the
 /// allocator only while the ring is still warming up.
 template <typename T>
 class Ring {
@@ -42,8 +42,11 @@ class Ring {
     ++size_;
   }
 
+  /// The i-th element from the front. Precondition: i < size().
+  [[nodiscard]] T& operator[](std::size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+
   /// Precondition: !empty().
-  [[nodiscard]] T& front() { return slots_[head_]; }
+  [[nodiscard]] const T& front() const { return slots_[head_]; }
   [[nodiscard]] const T& back() const { return slots_[(head_ + size_ - 1) & (slots_.size() - 1)]; }
 
   /// Precondition: !empty().
@@ -54,16 +57,10 @@ class Ring {
     return out;
   }
 
-  /// Visit the elements head-first without consuming them (snapshots).
-  template <typename F>
-  void forEach(F&& fn) {
-    for (std::size_t i = 0; i < size_; ++i) fn(slots_[(head_ + i) & (slots_.size() - 1)]);
-  }
-
   /// Drop every element (restore resets contents before re-filling from the
   /// snapshot; packet handles release into the live pool).
   void clear() {
-    for (std::size_t i = 0; i < size_; ++i) slots_[(head_ + i) & (slots_.size() - 1)] = T{};
+    for (std::size_t i = 0; i < size_; ++i) (*this)[i] = T{};
     head_ = 0;
     size_ = 0;
   }
@@ -173,7 +170,7 @@ class DropTailQueue {
     if (c.writing()) {
       std::uint64_t n = ring_.size();
       c.vu64(n);
-      ring_.forEach([&](PacketRef& ref) { codecPacket(c, *ref); });
+      for (std::size_t i = 0; i < ring_.size(); ++i) codecPacket(c, *ring_[i]);
     } else {
       ring_.clear();
       depth_ = sim::DataSize::zero();

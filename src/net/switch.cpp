@@ -1,6 +1,5 @@
 #include "net/switch.hpp"
 
-#include "net/codec.hpp"
 #include "net/trace.hpp"
 
 namespace scidmz::net {
@@ -15,10 +14,8 @@ void SwitchDevice::receive(PacketRef packet, Interface& in) {
     auto& tel = ctx_.telemetry();
     if (tel.enabled()) {
       ++tel.metrics().counter("switch/" + name() + "/drops_acl");
-      telemetry::FlightEvent ev = makeFlightEvent(ctx_.now(), *packet);
-      ev.kind = telemetry::FlightEventKind::kDrop;
-      ev.point = tel.recorder().internPoint(name() + "/acl");
-      tel.recorder().record(ev);
+      recordPacket(tel.recorder(), ctx_.now(), *packet,
+                   telemetry::FlightEventKind::kDrop, tel.recorder().internPoint(name() + "/acl"));
     }
     return;
   }
@@ -42,29 +39,7 @@ void SwitchDevice::receive(PacketRef packet, Interface& in) {
   }
 
   const auto latency = forwardingLatency(*packet, in);
-  if (ctx_.snapshotsArmed()) {
-    Packet copy = *packet;
-    const std::uint64_t token = next_fwd_token_++;
-    const auto id = ctx_.sim().schedule(
-        latency, [this, token, pkt = std::move(packet)]() mutable {
-          eraseInFlight(token);
-          forward(std::move(pkt));
-        });
-    in_flight_.push_back(InFlight{token, id, std::move(copy)});
-    return;
-  }
-  ctx_.sim().schedule(latency, [this, pkt = std::move(packet)]() mutable {
-    forward(std::move(pkt));
-  });
-}
-
-void SwitchDevice::eraseInFlight(std::uint64_t token) {
-  for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
-    if (it->token == token) {
-      in_flight_.erase(it);
-      return;
-    }
-  }
+  pipeline_.push(ctx_.now() + latency, std::move(packet));
 }
 
 std::uint64_t SwitchDevice::serialize(sim::Codec& c) {
@@ -75,50 +50,7 @@ std::uint64_t SwitchDevice::serialize(sim::Codec& c) {
   if (!c.writing()) clamp_applied_.reset();  // queue capacities were restored
   sim::codecTime(c, window_start_);
   sim::codecSize(c, window_bytes_);
-  if (c.writing()) {
-    std::uint64_t n = in_flight_.size();
-    c.vu64(n);
-    for (auto& rec : in_flight_) {
-      auto key = ctx_.sim().eventKey(rec.id);
-      bool valid = key.valid;
-      sim::SimTime at = key.at;
-      std::uint64_t seq = key.seq;
-      c.b(valid);
-      sim::codecTime(c, at);
-      c.vu64(seq);
-      codecPacket(c, rec.packet);
-      ++claimed;
-    }
-  } else {
-    in_flight_.clear();
-    std::uint64_t n = 0;
-    c.vu64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      bool valid = false;
-      sim::SimTime at = sim::SimTime::zero();
-      std::uint64_t seq = 0;
-      c.b(valid);
-      sim::codecTime(c, at);
-      c.vu64(seq);
-      Packet p;
-      codecPacket(c, p);
-      if (!valid) {
-        c.reader().markFailed();
-        return claimed;
-      }
-      Packet copy = p;
-      PacketRef ref = ctx_.pool().acquire(std::move(p));
-      const std::uint64_t token = next_fwd_token_++;
-      const auto id = ctx_.sim().restoreSchedule(
-          at, seq, [this, token, pkt = std::move(ref)]() mutable {
-            eraseInFlight(token);
-            forward(std::move(pkt));
-          });
-      in_flight_.push_back(InFlight{token, id, std::move(copy)});
-      ++claimed;
-    }
-  }
-  return claimed;
+  return claimed + pipeline_.serialize(c);
 }
 
 void SwitchDevice::trackLoad(const Packet& packet) {

@@ -7,6 +7,10 @@
 // optional fan-in defect reproduces the University of Colorado vendor bug:
 // under high offered load the device falls back from cut-through to
 // store-and-forward and, pre-fix, loses most of its usable buffer.
+//
+// Packets inside the forwarding latency wait in one DelayLine. Latency
+// depends on the frame size under store-and-forward, so a short frame can
+// overtake a long one; the line keeps (at, seq) order either way.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +59,9 @@ struct FanInDefect {
 class SwitchDevice : public Device {
  public:
   SwitchDevice(Context& ctx, std::string name, SwitchProfile profile = SwitchProfile::scienceDmz())
-      : Device(ctx, std::move(name)), profile_(profile) {}
+      : Device(ctx, std::move(name)),
+        profile_(profile),
+        pipeline_(ctx, *this) {}
 
   [[nodiscard]] const SwitchProfile& profile() const { return profile_; }
   [[nodiscard]] ForwardingMode mode() const { return mode_override_.value_or(profile_.mode); }
@@ -64,10 +70,8 @@ class SwitchDevice : public Device {
   /// Optional ingress ACL applied to all transiting packets (line rate).
   void setAcl(AclTable acl) { acl_ = std::move(acl); }
   [[nodiscard]] const std::optional<AclTable>& acl() const { return acl_; }
-  void clearAcl() { acl_.reset(); }
 
   void setFanInDefect(FanInDefect defect) { defect_ = defect; }
-  [[nodiscard]] const FanInDefect& fanInDefect() const { return defect_; }
   /// Apply the vendor firmware fix: store-and-forward keeps full buffers.
   void applyVendorFix() { defect_fixed_ = true; }
   [[nodiscard]] bool inDefectiveState() const { return defect_latched_ && !defect_fixed_; }
@@ -77,24 +81,16 @@ class SwitchDevice : public Device {
 
   void receive(PacketRef packet, Interface& in) override;
 
+  /// Packets inside the forwarding latency.
+  [[nodiscard]] std::size_t inPipeline() const { return pipeline_.size(); }
+
   /// Snapshot/restore: device state, the defect latch and its load window,
-  /// and packets sitting in the forwarding pipeline. Pipeline latency is
-  /// size-dependent, so completions are not FIFO — each record carries a
-  /// token its completion event erases on fire.
+  /// and the forwarding pipeline's line.
   std::uint64_t serialize(sim::Codec& c) override;
 
  private:
   void trackLoad(const Packet& packet);
   [[nodiscard]] sim::Duration forwardingLatency(const Packet& packet, const Interface& in) const;
-  void eraseInFlight(std::uint64_t token);
-
-  /// A packet in the forwarding pipeline (only tracked while snapshots are
-  /// armed): the completion event's id plus a copy of the packet.
-  struct InFlight {
-    std::uint64_t token = 0;
-    sim::EventId id{};
-    Packet packet;
-  };
 
   SwitchProfile profile_;
   std::optional<ForwardingMode> mode_override_;
@@ -109,8 +105,8 @@ class SwitchDevice : public Device {
   std::size_t clamp_ports_ = 0;
   sim::SimTime window_start_ = sim::SimTime::zero();
   sim::DataSize window_bytes_ = sim::DataSize::zero();
-  std::vector<InFlight> in_flight_;
-  std::uint64_t next_fwd_token_ = 0;
+  /// Packets inside the forwarding latency, forwarded when due.
+  DelayLine<Device, &SwitchDevice::forward> pipeline_;
 };
 
 /// Routers share the switch forwarding machinery; the distinct type exists

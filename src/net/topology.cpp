@@ -128,9 +128,7 @@ Link& Topology::connect(Device& a, Device& b, LinkParams params, sim::DataSize b
                         sim::DataSize bufferB) {
   auto& ifA = a.addInterface(bufferA);
   auto& ifB = b.addInterface(bufferB);
-  // a.ctx() == ctx_ when unsharded; under sharding an intra-domain link
-  // must schedule into its own domain's simulator.
-  links_.push_back(std::make_unique<Link>(a.ctx(), params, ifA, ifB));
+  links_.push_back(std::make_unique<Link>(params, ifA, ifB));
   Link& link = *links_.back();
   if (shard_.sharded != nullptr) {
     const int da = deviceDomain(a);

@@ -29,4 +29,15 @@ namespace scidmz::net {
   return ev;
 }
 
+/// Record one packet-level trace event of `kind` at emit point `point`.
+inline void recordPacket(telemetry::FlightRecorder& recorder, sim::SimTime at,
+                         const Packet& packet, telemetry::FlightEventKind kind,
+                         std::uint32_t point, std::uint64_t aux2 = 0) {
+  telemetry::FlightEvent ev = makeFlightEvent(at, packet);
+  ev.kind = kind;
+  ev.point = point;
+  ev.aux2 = aux2;
+  recorder.record(ev);
+}
+
 }  // namespace scidmz::net

@@ -112,12 +112,6 @@ std::string countMismatch(const char* what, std::uint64_t got, std::uint64_t wan
 SnapshotBlob saveSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
                           net::Topology& topo) {
   SnapshotBlob out;
-  if (!ctx.snapshotsArmed()) {
-    out.error =
-        "snapshot refused: Context::armSnapshots() was not called before the run, "
-        "so packets inside switch forwarding latency were not recorded";
-    return out;
-  }
   sim::BitWriter w;
   sim::writeMagic(w, kSnapshotMagic);
   sim::Codec c(w);
@@ -137,8 +131,8 @@ SnapshotBlob saveSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
   w.endSection(cookie);
   // The self-validation that makes unsupported scenarios refuse instead of
   // silently corrupting: every pending event must have been claimed by
-  // exactly one serializable component. Scenario-level closures, firewall
-  // inspection pipelines, DTN pumps etc. land here.
+  // exactly one serializable component. Unregistered scenario closures,
+  // DTN pumps etc. land here.
   if (claimed != clk.pending) {
     out.error = countMismatch(
         "pending events not owned by serializable components (claimed vs pending)",
@@ -162,20 +156,22 @@ bool restoreSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
   }
   sim::Codec c(r);
   if (r.enterSection("CLK ") == 0 && r.fail()) {
-    return fail("restore refused: missing CLK section");
+    return fail("restore refused: missing or corrupt CLK section");
   }
   ClockHeader clk;
   clk.serialize(c);
   if (!c.ok()) return fail("restore refused: truncated CLK section");
-  if (r.enterSection("BODY") == 0 && r.fail()) {
-    return fail("restore refused: missing BODY section");
+  const std::uint32_t bodyBytes = r.enterSection("BODY");
+  if (r.fail()) return fail("restore refused: missing or corrupt BODY section");
+  if (r.bitPos() / 8 + bodyBytes != size) {
+    return fail("restore refused: trailing bytes after the BODY section");
   }
   // Point of no return: the target scenario's pending events are dropped
   // and its clock reset. Any failure after this leaves it indeterminate.
   sim.beginRestore(clk.now, clk.executed, clk.nextSeq);
   ctx.telemetry().beginRestore();
   const std::uint64_t claimed = serializeComponents(c, rng, ctx, topo);
-  if (!c.ok()) {
+  if (!c.ok() || !r.atEnd()) {
     return fail(
         "restore refused: snapshot does not match the rebuilt scenario "
         "(malformed blob, or the rebuild diverged from the snapshotting run)");
@@ -229,7 +225,6 @@ struct DemoCell::State {
 
 DemoCell::DemoCell() : scenario_(std::make_unique<Scenario>(20260809)), state_(std::make_unique<State>()) {
   Scenario& s = *scenario_;
-  s.ctx.armSnapshots();
   telemetry::TelemetryConfig tel;
   tel.sampleEvery = sim::Duration::milliseconds(10);
   tel.ringCapacity = 4096;

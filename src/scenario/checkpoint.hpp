@@ -17,9 +17,10 @@
 // than silently dropping events it cannot re-materialize. Scenario-level
 // closures snapshot when registered by name (scenario::CallbackRegistry),
 // and span tracing rides along as the SPAN overlay. Refused today, via
-// that accounting: unregistered scenario closures, packets inside a
-// firewall's inspection pipeline, the DTN storage pump, perfSONAR probe
-// schedulers, and vc/circuit timers. See DESIGN.md "State & serialization".
+// that accounting: unregistered scenario closures, the DTN storage pump,
+// perfSONAR probe schedulers, and vc/circuit timers. Section CRCs refuse a
+// corrupted blob before anything decodes it. See DESIGN.md "State &
+// serialization".
 #pragma once
 
 #include <cstddef>
@@ -51,19 +52,19 @@ struct SnapshotBlob {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Serialize a scenario's dynamic state. Requires Context::armSnapshots()
-/// to have been called before the run (switches then record the packets
-/// inside their forwarding latency). Refuses — with error set — when any
-/// pending event is not owned by a serializable component.
+/// Serialize a scenario's dynamic state. Refuses — with error set — when
+/// any pending event is not owned by a serializable component.
 [[nodiscard]] SnapshotBlob saveSnapshot(sim::Simulator& sim, sim::Rng& rng,
                                         net::Context& ctx, net::Topology& topo);
 
 /// Overlay a snapshot onto an identically rebuilt scenario. On success the
 /// simulator's clock, event queue, rng and every component's state match
 /// the snapshotting run exactly; continuing the run reproduces its bytes.
-/// On failure (format mismatch, rebuild divergence, event accounting
-/// mismatch) returns false with *error describing the refusal; the target
-/// scenario is then in an indeterminate state and must be discarded.
+/// On failure (format or checksum mismatch, trailing bytes, rebuild
+/// divergence, event accounting mismatch) returns false with *error
+/// describing the refusal. A blob refused before its BODY is decoded
+/// leaves the target untouched; later refusals leave it in an
+/// indeterminate state, and it must be discarded.
 [[nodiscard]] bool restoreSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
                                    net::Topology& topo, const std::uint8_t* data,
                                    std::size_t size, std::string* error = nullptr);
@@ -82,7 +83,7 @@ struct SnapshotBlob {
 /// The canonical snapshot-compatible cell shared by `scidmz_run --snapshot/
 /// --restore` and bench/micro_snapshot: a 1 Gbps two-hop path with a
 /// periodic-loss egress hop, one per-packet and one fluid 48 MB flow,
-/// telemetry on, snapshots armed. Deterministic construction — building two
+/// telemetry on. Deterministic construction — building two
 /// cells yields the identical rebuild the restore protocol requires.
 class DemoCell {
  public:

@@ -1,10 +1,10 @@
 // Small-buffer-optimized move-only callable for the event hot path.
 //
 // std::function heap-allocates any capture larger than its tiny internal
-// buffer, which on the scheduler hot path means one malloc/free per packet
-// event. The data-path callbacks capture a `this` pointer plus a 16-byte
-// net::PacketRef pool handle; SmallCallback sizes its inline buffer for
-// those captures so the common schedule path never touches the allocator.
+// buffer, which on the scheduler hot path means one malloc/free per event.
+// SmallCallback sizes its inline buffer for the common captures (a `this`
+// pointer plus a few scalars or references) so the schedule path never
+// touches the allocator.
 // Oversized or throwing-move callables fall back to the heap with identical
 // semantics.
 #pragma once

@@ -10,8 +10,9 @@
 //   - varints (7-bit groups, LEB128-style) and zigzag for signed values, so
 //     counters and timestamps cost bytes proportional to magnitude;
 //   - doubles round-trip through std::bit_cast — byte-exact, never printf;
-//   - byte-aligned sections (fourcc + u32 byte length) so readers can
-//     validate structure, skip unknown sections, and external tools
+//   - byte-aligned sections (fourcc + u32 byte length + u32 CRC-32 of the
+//     body) so readers can validate structure and integrity before
+//     decoding, skip unknown sections, and external tools
 //     (tools/validate_trace.py) can walk a blob without decoding bodies.
 //
 // Codec wraps a writer or a reader behind one dual-mode interface: a class
@@ -24,6 +25,7 @@
 // callers validate once at the end (the snapshot layer refuses the blob).
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +36,23 @@
 #include "sim/units.hpp"
 
 namespace scidmz::sim {
+
+/// CRC-32 as zlib.crc32 computes it (reflected polynomial 0xEDB88320): the
+/// integrity check in every section header.
+[[nodiscard]] inline std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
+  static constexpr auto kTable = [] {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t v = i;
+      for (int k = 0; k < 8; ++k) v = (v & 1) != 0 ? 0xEDB88320u ^ (v >> 1) : v >> 1;
+      table[i] = v;
+    }
+    return table;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) crc = kTable[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  return ~crc;
+}
 
 /// Append-only bit stream (LSB-first within each byte).
 class BitWriter {
@@ -96,10 +115,12 @@ class BitWriter {
     bit_count_ += n * 8;
   }
 
-  /// Open a byte-aligned section: fourcc + u32 length placeholder. Returns
-  /// a cookie for endSection(), which patches the body's byte length.
+  /// Open a byte-aligned section: fourcc + u32 length and u32 CRC-32
+  /// placeholders. Returns a cookie for endSection(), which patches the
+  /// body's byte length and checksum.
   std::size_t beginSection(const char (&fourcc)[5]) {
     writeRaw(fourcc, 4);
+    writeU32(0);
     writeU32(0);
     return buf_.size();
   }
@@ -107,10 +128,11 @@ class BitWriter {
   void endSection(std::size_t cookie) {
     align();
     const auto length = static_cast<std::uint32_t>(buf_.size() - cookie);
-    std::memcpy(buf_.data() + cookie - 4, &length, 4);
+    const std::uint32_t crc = crc32(buf_.data() + cookie, length);
+    std::memcpy(buf_.data() + cookie - 8, &length, 4);
+    std::memcpy(buf_.data() + cookie - 4, &crc, 4);
   }
 
-  [[nodiscard]] std::size_t bitSize() const { return bit_count_; }
   [[nodiscard]] std::size_t byteSize() const { return buf_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() {
@@ -198,16 +220,20 @@ class BitReader {
     pos_ += n * 8;
   }
 
-  /// Enter a section: align, match the fourcc, return the body length in
-  /// bytes. A mismatch sets fail() and returns 0.
+  /// Enter a section: align, match the fourcc, check that the body fits in
+  /// the stream and matches its CRC-32, and return the body length in
+  /// bytes. Any mismatch sets fail() and returns 0.
   [[nodiscard]] std::uint32_t enterSection(const char (&fourcc)[5]) {
     char got[4];
     readRaw(got, 4);
-    if (fail_ || std::memcmp(got, fourcc, 4) != 0) {
+    const std::uint32_t length = readU32();
+    const std::uint32_t crc = readU32();
+    if (fail_ || std::memcmp(got, fourcc, 4) != 0 || length > (bit_size_ - pos_) / 8 ||
+        crc32(data_ + pos_ / 8, length) != crc) {
       fail_ = true;
       return 0;
     }
-    return readU32();
+    return length;
   }
 
   void skipBytes(std::size_t n) {

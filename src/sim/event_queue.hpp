@@ -17,9 +17,10 @@
 // provably the global minimum, so pop order — and therefore every golden
 // table — is byte-identical to a heap-only queue.
 //
-// A time-ordered FIFO of pending work (a link direction's delay line) needs
-// one entry, not one per item: each item reserves its key (reserveSeq())
-// and only the FIFO's head is armed under it (restoreSchedule()).
+// A time-ordered line of pending work (net::DelayLine: link directions,
+// interface tx, firewall engines, switch pipelines) needs one entry, not one
+// per item: each item reserves its key (reserveSeq()) and only the line's
+// earliest item is armed under it (restoreSchedule()).
 //
 // Cancellation is an O(1) tombstone write through a slot/generation handle:
 // the EventId encodes (slot, generation), a fired or cancelled event bumps
@@ -64,11 +65,10 @@ struct EventKey {
 /// Time-ordered event queue.
 class EventQueue {
  public:
-  /// Sized so the data-path closures — a `this` (or reference) plus at
-  /// most a 16-byte net::PacketRef handle (the switch forward latency), with
-  /// room to spare — stay inline. No hot callback captures a Packet by
-  /// value, so slots are 64 bytes rather than the 192 a by-value Packet
-  /// needed.
+  /// Sized so the common closures — a `this` (or a few references) plus a
+  /// handful of scalars — stay inline. The data path's closures capture
+  /// only their net::DelayLine, and no callback captures a Packet by value,
+  /// so slots are 64 bytes rather than the 192 a by-value Packet needed.
   using Callback = SmallCallback<64>;
 
   /// Schedule `cb` at absolute time `at`. Returns a cancellation handle.

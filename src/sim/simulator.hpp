@@ -53,12 +53,8 @@ class Simulator {
   /// simply not reschedule.
   template <typename F>
   EventId scheduleDaemon(Duration delay, F&& cb) {
-    ++daemons_;
-    return schedule(delay, [this, fn = std::forward<F>(cb)]() mutable {
-      --daemons_;
-      if (profiler_ != nullptr) profiler_->noteDaemonEvent();
-      fn();
-    });
+    const SimTime at = now_ + (delay < Duration::zero() ? Duration::zero() : delay);
+    return restoreScheduleDaemon(at, reserveSeq(), std::forward<F>(cb));
   }
 
   /// Run until the event queue drains (daemon events excluded) or stop()
@@ -77,16 +73,7 @@ class Simulator {
         now_ = deadline;
         return;
       }
-      auto ev = queue_.pop();
-      now_ = ev.at;
-      ++executed_;
-      if (profiler_ == nullptr) {
-        ev.cb();
-      } else {
-        profiler_->beginEvent();
-        ev.cb();
-        profiler_->endEvent(queue_.size(), queue_.parkedCount());
-      }
+      runNext();
     }
     if (!stopped_ && finite && now_ < deadline) now_ = deadline;
   }
@@ -103,16 +90,7 @@ class Simulator {
   void runBefore(SimTime horizon) {
     while (!queue_.empty()) {
       if (queue_.nextTime() >= horizon) return;
-      auto ev = queue_.pop();
-      now_ = ev.at;
-      ++executed_;
-      if (profiler_ == nullptr) {
-        ev.cb();
-      } else {
-        profiler_->beginEvent();
-        ev.cb();
-        profiler_->endEvent(queue_.size(), queue_.parkedCount());
-      }
+      runNext();
     }
   }
 
@@ -173,9 +151,9 @@ class Simulator {
     return queue_.restoreSchedule(at, seq, std::forward<F>(cb));
   }
 
-  /// Re-arm a daemon event under its snapshotted key: re-applies the same
-  /// accounting wrapper scheduleDaemon() installs, so run() termination and
-  /// profiler attribution behave identically after a restore.
+  /// Arm a daemon event under an allocated key (scheduleDaemon()'s, or a
+  /// snapshotted one), with the accounting wrapper that keeps run()
+  /// termination and profiler attribution identical after a restore.
   template <typename F>
   EventId restoreScheduleDaemon(SimTime at, std::uint64_t seq, F&& cb) {
     ++daemons_;
@@ -201,6 +179,21 @@ class Simulator {
   [[nodiscard]] Profiler* profiler() const { return profiler_; }
 
  private:
+  /// Pop the next event, move the clock to it and run it (under the
+  /// profiler when one is attached). Precondition: the queue is not empty.
+  void runNext() {
+    auto ev = queue_.pop();
+    now_ = ev.at;
+    ++executed_;
+    if (profiler_ == nullptr) {
+      ev.cb();
+      return;
+    }
+    profiler_->beginEvent();
+    ev.cb();
+    profiler_->endEvent(queue_.size(), queue_.parkedCount());
+  }
+
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;

@@ -267,7 +267,7 @@ bool FlightRecorder::importBinary(std::istream& in) {
     codecEvent(c, e, prevNs, interner);
     record(e);
   }
-  if (r.fail()) {
+  if (r.fail() || !r.atEnd()) {  // refuse undecoded or trailing bytes too
     clear();
     return false;
   }

@@ -106,8 +106,9 @@ class FlightRecorder {
   /// timestamps — typically an order of magnitude smaller than the JSONL.
   void exportBinary(std::ostream& out) const;
   /// Load a scidmz.frbin.v1 blob, replacing the recorder's contents (the
-  /// `scidmz_run convert` path to JSONL). False on a malformed or
-  /// truncated blob; the recorder is cleared either way.
+  /// `scidmz_run convert` path to JSONL). False on a malformed, truncated
+  /// or corrupted blob (a section CRC mismatch, trailing bytes); the
+  /// recorder is cleared either way.
   bool importBinary(std::istream& in);
 
   /// Snapshot/restore overlay: ring, head, lifetime total, and the interned

@@ -3,20 +3,24 @@
 // snapshotting run's state byte-for-byte at the restore point — counters,
 // connection state, queue/telemetry contents, flight-recorder ring — and
 // (b) continue to results byte-identical to the uninterrupted run, at
-// packet, fluid and mixed fidelity, at any SCIDMZ_SWEEP_THREADS.
+// packet, fluid and mixed fidelity, at any SCIDMZ_SWEEP_THREADS, with
+// packets held in a switch, firewall-engine or router pipeline.
 // Traced runs snapshot too: the blob carries a SPAN overlay that replaces
 // the rebuilt cell's construction-time span table. Unsupported scenarios
-// (unregistered scenario-level closures, unarmed contexts) must be
-// refused loudly, never silently corrupted.
+// (unregistered scenario-level closures) must be refused loudly, never
+// silently corrupted.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "net/firewall.hpp"
 #include "net/flow.hpp"
 #include "net/loss.hpp"
+#include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "scenario/callback_registry.hpp"
 #include "scenario/checkpoint.hpp"
@@ -31,6 +35,13 @@ namespace {
 
 using namespace scidmz::sim::literals;
 
+/// The device between the two hosts.
+enum class Middle {
+  kSwitch,    ///< cut-through science switch
+  kFirewall,  ///< enterprise10G: engines behind a shallow input buffer
+  kRouter,    ///< store-and-forward, no fixed delay: ACKs overtake data
+};
+
 /// One snapshot-compatible cell: a 1 Gbps two-hop path with a periodic-loss
 /// "failing line card" on the egress hop, one 48 MB flow (packet or fluid),
 /// telemetry on. Construction is fully deterministic, so building two Cells
@@ -39,9 +50,8 @@ using namespace scidmz::sim::literals;
 /// instead of at once.
 struct Cell {
   explicit Cell(net::FlowFidelity fidelity, int flows = 1, bool traced = false,
-                sim::Duration stagger = sim::Duration::zero())
+                sim::Duration stagger = sim::Duration::zero(), Middle middle = Middle::kSwitch)
       : s(20260809) {
-    s.ctx.armSnapshots();
     // Tracing must be on before flows are created so the factory arms the
     // construction-time flow spans the restore protocol replays.
     if (traced) s.ctx.extension<telemetry::Tracer>().enable();
@@ -51,14 +61,23 @@ struct Cell {
     s.ctx.telemetry().enable(tel);
 
     auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
-    auto& sw = s.topo.addSwitch("sw");
+    net::Device* mid = nullptr;
+    if (middle == Middle::kFirewall) {
+      mid = firewall = &s.topo.addFirewall("fw", net::FirewallProfile::enterprise10G());
+    } else if (middle == Middle::kRouter) {
+      net::SwitchProfile profile;
+      profile.processingDelay = sim::Duration::zero();
+      mid = router = &s.topo.addRouter("rt", profile);
+    } else {
+      mid = &s.topo.addSwitch("sw");
+    }
     auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
     net::LinkParams p;
     p.rate = 1_Gbps;
     p.delay = 5_ms;
     p.mtu = 9000_B;
-    s.topo.connect(a, sw, p);
-    net::Link& egress = s.topo.connect(sw, b, p);
+    s.topo.connect(a, *mid, p);
+    net::Link& egress = s.topo.connect(*mid, b, p);
     egress.setLossModel(0, std::make_unique<net::PeriodicLoss>(5000));
     s.topo.computeRoutes();
 
@@ -87,6 +106,8 @@ struct Cell {
 
   Scenario s;
   std::vector<net::FlowPtr> flowsHeld;
+  net::FirewallDevice* firewall = nullptr;  // set for Middle::kFirewall
+  net::RouterDevice* router = nullptr;      // set for Middle::kRouter
 };
 
 /// Everything observable about a cell, as one comparable string: clock and
@@ -131,27 +152,44 @@ void dropFlows(Cell& c, const std::vector<std::size_t>& drop) {
   std::erase_if(c.flowsHeld, [](const net::FlowPtr& flow) { return flow == nullptr; });
 }
 
-/// The core round trip at one fidelity: run to t1, snapshot; keep running
-/// the original to t2. Rebuild, restore, check state byte-match at t1,
-/// continue to t2, check byte-match again.
-void roundTrip(net::FlowFidelity fidelity, int flows, const std::vector<std::size_t>& drop = {}) {
-  Cell original(fidelity, flows);
-  dropFlows(original, drop);
-  original.s.simulator.runFor(300_ms);
-  const SnapshotBlob blob = saveSnapshot(original.s);
+/// The core round trip: build a cell, run to t1 = 300 ms (then on in 250 ns
+/// steps until `ready` holds, when given), snapshot; keep running the
+/// original 700 ms. Rebuild, restore, check state byte-match at t1,
+/// continue 700 ms, check byte-match again.
+void roundTrip(const std::function<std::unique_ptr<Cell>()>& build,
+               const std::function<bool(Cell&)>& ready = nullptr) {
+  const auto original = build();
+  original->s.simulator.runFor(300_ms);
+  for (int step = 0; ready && !ready(*original) && step < 400'000; ++step) {
+    original->s.simulator.runFor(250_ns);
+  }
+  if (ready) {
+    ASSERT_TRUE(ready(*original)) << "snapshot point never reached";
+  }
+  const SnapshotBlob blob = saveSnapshot(original->s);
   ASSERT_TRUE(blob.ok()) << blob.error;
   ASSERT_FALSE(blob.bytes.empty());
-  const std::string atSnapshot = signature(original);
-  original.s.simulator.runFor(700_ms);
-  const std::string uninterrupted = signature(original);
+  const std::string atSnapshot = signature(*original);
+  original->s.simulator.runFor(700_ms);
+  const std::string uninterrupted = signature(*original);
 
-  Cell rebuilt(fidelity, flows);
-  dropFlows(rebuilt, drop);
+  const auto rebuilt = build();
   std::string error;
-  ASSERT_TRUE(restoreSnapshot(rebuilt.s, blob.bytes, &error)) << error;
-  expectSameSignature(signature(rebuilt), atSnapshot, "state at restore point");
-  rebuilt.s.simulator.runFor(700_ms);
-  expectSameSignature(signature(rebuilt), uninterrupted, "continuation");
+  ASSERT_TRUE(restoreSnapshot(rebuilt->s, blob.bytes, &error)) << error;
+  if (ready) {
+    EXPECT_TRUE(ready(*rebuilt)) << "restored cell lost the snapshot point's state";
+  }
+  expectSameSignature(signature(*rebuilt), atSnapshot, "state at restore point");
+  rebuilt->s.simulator.runFor(700_ms);
+  expectSameSignature(signature(*rebuilt), uninterrupted, "continuation");
+}
+
+void roundTrip(net::FlowFidelity fidelity, int flows, const std::vector<std::size_t>& drop = {}) {
+  roundTrip([&] {
+    auto cell = std::make_unique<Cell>(fidelity, flows);
+    dropFlows(*cell, drop);
+    return cell;
+  });
 }
 
 TEST(SnapshotRoundTrip, PacketFidelityContinuesByteIdentical) {
@@ -164,6 +202,22 @@ TEST(SnapshotRoundTrip, FluidFidelityContinuesByteIdentical) {
 
 TEST(SnapshotRoundTrip, MixedFidelityContinuesByteIdentical) {
   roundTrip(net::FlowFidelity::kPacket, 2);
+}
+
+TEST(SnapshotRoundTrip, MidBurstThroughFirewallEnginesContinuesByteIdentical) {
+  // Snapshot while packets sit in the inspection engines' lines.
+  roundTrip([] { return std::make_unique<Cell>(net::FlowFidelity::kPacket, 1, false,
+                                               sim::Duration::zero(), Middle::kFirewall); },
+            [](Cell& c) { return c.firewall->inInspection() > 0; });
+}
+
+TEST(SnapshotRoundTrip, MidBurstThroughStoreAndForwardRouterContinuesByteIdentical) {
+  // A 9000 B data frame spends 72 us in the router's pipeline, an ACK well
+  // under 1 us, and data frames never overlap there: two records mean an
+  // ACK keyed after the data frame is due before it. Snapshot that line.
+  roundTrip([] { return std::make_unique<Cell>(net::FlowFidelity::kPacket, 1, false,
+                                               sim::Duration::zero(), Middle::kRouter); },
+            [](Cell& c) { return c.router->inPipeline() >= 2; });
 }
 
 TEST(SnapshotRoundTrip, FluidFlowEstablishedBetweenTicksContinuesByteIdentical) {
@@ -205,7 +259,6 @@ TEST(SnapshotRoundTrip, InterleavedTeardownContinuesByteIdentical) {
 /// pipe with tens of thousands of packets.
 struct HighBdpCell {
   HighBdpCell() : s(20131117) {
-    s.ctx.armSnapshots();
     telemetry::TelemetryConfig tel;
     tel.sampleEvery = 10_ms;
     tel.ringCapacity = 4096;
@@ -410,15 +463,6 @@ TEST(SnapshotRefusal, UnregisteredClosureArmedInBlobIsRefusedOnRestore) {
   Cell rebuilt(net::FlowFidelity::kPacket, 1);  // never registers test/orphan
   std::string error;
   EXPECT_FALSE(restoreSnapshot(rebuilt.s, blob.bytes, &error));
-}
-
-TEST(SnapshotRefusal, UnarmedContextIsRefused) {
-  Scenario s(1);
-  net::Topology& topo = s.topo;
-  (void)topo;
-  const SnapshotBlob blob = saveSnapshot(s);
-  EXPECT_FALSE(blob.ok());
-  EXPECT_NE(blob.error.find("armSnapshots"), std::string::npos) << blob.error;
 }
 
 TEST(SnapshotRefusal, ScenarioLevelClosureIsRefusedNotDropped) {

@@ -37,6 +37,7 @@ Used by the CI telemetry smoke job; handy locally after any bench run.
 import json
 import re
 import sys
+import zlib
 
 TRACE_EVENTS = {"enqueue", "dequeue", "drop", "link_loss", "retransmit", "deliver"}
 TRACE_PROTOS = {"tcp", "udp", "other"}
@@ -466,7 +467,8 @@ FRBIN_KINDS = 6  # enqueue, dequeue, drop, link_loss, retransmit, deliver
 
 class BlobReader:
     """Byte-aligned reader for the sim::Codec wire format (varints are
-    LEB128, signed values zigzag, sections are fourcc + u32le length)."""
+    LEB128, signed values zigzag, sections are fourcc + u32le length +
+    u32le CRC-32 of the body, as zlib.crc32 computes it)."""
 
     def __init__(self, data, where):
         self.data = data
@@ -507,9 +509,13 @@ class BlobReader:
         require(got == fourcc, self.where,
                 f"expected section {fourcc!r} at byte {self.pos - 4}, got {got!r}")
         length = self.u32()
+        crc = self.u32()
         require(self.pos + length <= len(self.data), self.where,
                 f"section {fourcc!r} claims {length} bytes, "
                 f"only {len(self.data) - self.pos} remain")
+        got_crc = zlib.crc32(self.data[self.pos:self.pos + length])
+        require(got_crc == crc, self.where,
+                f"section {fourcc!r} CRC-32 {got_crc:#010x} != header {crc:#010x}")
         return length
 
 
