@@ -24,23 +24,38 @@ inline void codecFlowKey(sim::Codec& c, FlowKey& k) {
   }
 }
 
+/// The flags, the window-scale option bit and the SACK count travel as one
+/// byte; each SACK block as its two offsets above ackNo. A decoded byte with
+/// its top bit set or an offset past 32 bits is refused.
 inline void codecTcpHeader(sim::Codec& c, TcpHeader& h) {
   c.vu64(h.seq);
   c.vu64(h.ackNo);
-  c.b(h.flags.syn);
-  c.b(h.flags.ack);
-  c.b(h.flags.fin);
-  c.b(h.flags.rst);
+  auto bits = static_cast<std::uint8_t>(h.syn | h.ack << 1 | h.fin << 2 | h.rst << 3 |
+                                        h.windowScalePresent << 4 | h.sackCount << 5);
+  c.u8(bits);
   c.u16(h.windowField);
   c.u8(h.windowScale);
-  c.b(h.windowScalePresent);
   c.vu64(h.tsVal);
   c.vu64(h.tsEcho);
-  c.vu64(h.sackHint);
-  c.u8(h.sackCount);
-  for (auto& block : h.sackBlocks) {
-    c.vu64(block.start);
-    c.vu64(block.end);
+  if (!c.writing()) {
+    if (bits >> 7 != 0) c.reader().markFailed();
+    h.syn = bits & 1;
+    h.ack = bits >> 1 & 1;
+    h.fin = bits >> 2 & 1;
+    h.rst = bits >> 3 & 1;
+    h.windowScalePresent = bits >> 4 & 1;
+    h.sackCount = bits >> 5 & 3;
+  }
+  for (std::size_t i = 0; i < h.sackCount; ++i) {
+    std::uint64_t start = h.sackBlocks[i].start;
+    std::uint64_t end = h.sackBlocks[i].end;
+    c.vu64(start);
+    c.vu64(end);
+    if (start > 0xFFFFFFFFu || end > 0xFFFFFFFFu) {
+      c.reader().markFailed();
+      return;
+    }
+    h.sackBlocks[i] = {static_cast<std::uint32_t>(start), static_cast<std::uint32_t>(end)};
   }
 }
 

@@ -23,6 +23,14 @@
 
 namespace scidmz::net {
 
+/// One held packet: its due time, its event key and its handle.
+struct DelayRecord {
+  sim::SimTime at;
+  std::uint64_t seq = 0;
+  PacketRef packet;
+};
+static_assert(sizeof(DelayRecord) == 24, "a held packet costs 24 bytes of line");
+
 /// Packets held until their (at, seq) key, then handed to `owner.*Fire` in
 /// key order. Arms into, and restores from the pool of, `ctx`.
 template <typename Owner, void (Owner::*Fire)(PacketRef)>
@@ -44,7 +52,7 @@ class DelayLine {
 
   /// Hold `packet` until a key reserved elsewhere (a boundary channel's).
   void push(sim::SimTime at, std::uint64_t seq, PacketRef packet) {
-    line_.push(Record{at, seq, std::move(packet)});
+    line_.push(DelayRecord{at, seq, std::move(packet)});
     std::size_t i = line_.size() - 1;
     for (; i > 0 && before(line_[i], line_[i - 1]); --i) std::swap(line_[i], line_[i - 1]);
     if (i != 0) return;
@@ -65,7 +73,7 @@ class DelayLine {
     }
     line_.clear();
     for (std::uint64_t i = 0; i < n && c.ok(); ++i) {
-      Record rec{sim::SimTime::zero(), 0, ctx_.pool().acquire()};
+      DelayRecord rec{sim::SimTime::zero(), 0, ctx_.pool().acquire()};
       codecRecord(c, rec);
       if (!line_.empty() && !before(line_.back(), rec)) c.reader().markFailed();
       line_.push(std::move(rec));
@@ -76,37 +84,35 @@ class DelayLine {
   }
 
  private:
-  struct Record {
-    sim::SimTime at;
-    std::uint64_t seq = 0;
-    PacketRef packet;
-  };
-
-  static bool before(const Record& a, const Record& b) {
+  static bool before(const DelayRecord& a, const DelayRecord& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
 
-  static void codecRecord(sim::Codec& c, Record& rec) {
+  static void codecRecord(sim::Codec& c, DelayRecord& rec) {
     sim::codecTime(c, rec.at);
     c.vu64(rec.seq);
     codecPacket(c, *rec.packet);
   }
 
   void arm() {
-    const Record& head = line_.front();
+    const DelayRecord& head = line_.front();
     head_ = ctx_.sim().restoreSchedule(head.at, head.seq, [this] { fire(); });
   }
 
-  /// Head event: pop the front, re-arm the next record, hand the packet over.
+  /// Head event: pop the front, re-arm the next record and prefetch its
+  /// packet (cold by the time it is due), hand this packet over.
   void fire() {
     PacketRef packet = std::move(line_.pop().packet);
-    if (!line_.empty()) arm();
+    if (!line_.empty()) {
+      arm();
+      __builtin_prefetch(line_.front().packet.get());
+    }
     (owner_.*Fire)(std::move(packet));
   }
 
   Context& ctx_;
   Owner& owner_;
-  detail::Ring<Record> line_;
+  detail::Ring<DelayRecord> line_;
   sim::EventId head_;
 };
 

@@ -88,7 +88,7 @@ void FirewallDevice::receive(PacketRef packet, Interface& in) {
   // window-scale option from SYNs.
   if (profile_.tcpSequenceChecking && packet->isTcp()) {
     auto& tcp = packet->tcp();
-    if (tcp.flags.syn && tcp.windowScalePresent) {
+    if (tcp.syn && tcp.windowScalePresent) {
       tcp.windowScalePresent = false;
       tcp.windowScale = 0;
       ++fw_stats_.synsRewritten;

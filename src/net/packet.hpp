@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <variant>
 
@@ -17,43 +18,53 @@ inline constexpr sim::DataSize kTcpIpHeaderBytes = sim::DataSize::bytes(40);
 /// IPv4 + UDP overhead for probe traffic.
 inline constexpr sim::DataSize kUdpIpHeaderBytes = sim::DataSize::bytes(28);
 
-/// TCP flag bits.
-struct TcpFlags {
-  bool syn = false;
-  bool ack = false;
-  bool fin = false;
-  bool rst = false;
-};
-
 /// TCP header fields the simulation models. Window advertisement follows
 /// RFC 1323 semantics: a 16-bit field plus a shift negotiated via the
 /// window-scale option carried on SYN segments. Middleboxes that perform
 /// "flow sequence checking" can strip `windowScalePresent`, capping the
 /// effective window at 65535 bytes (the Penn State failure mode).
 struct TcpHeader {
-  std::uint64_t seq = 0;        ///< First payload byte's sequence number.
-  std::uint64_t ackNo = 0;      ///< Cumulative ACK (next expected byte).
-  TcpFlags flags;
-  std::uint16_t windowField = 0;    ///< Raw 16-bit advertised window.
-  std::uint8_t windowScale = 0;     ///< Shift offered in the SYN option.
-  bool windowScalePresent = false;  ///< Option present on this SYN.
+  /// SACK option (RFC 2018): a received-but-not-yet-cumulative byte range
+  /// [ackNo + start, ackNo + end). The model's window is at most
+  /// 65535 << 14 (1 GiB), so every block a receiver can hold fits in 32-bit
+  /// offsets above the cumulative ACK.
+  struct SackBlock {
+    std::uint32_t start = 0;
+    std::uint32_t end = 0;
+  };
+
+  std::uint64_t seq = 0;    ///< First payload byte's sequence number.
+  std::uint64_t ackNo = 0;  ///< Cumulative ACK (next expected byte).
   /// RFC 7323 timestamps (modeled as raw nanosecond stamps): tsVal is the
   /// sender's clock at transmission; tsEcho returns the tsVal of the
   /// segment that triggered this ACK, giving loss-proof RTT samples.
   std::uint64_t tsVal = 0;
   std::uint64_t tsEcho = 0;
-  /// SACK-lite: right edge of the highest contiguous block above a hole,
-  /// zero when absent.
-  std::uint64_t sackHint = 0;
-  /// SACK option (RFC 2018): up to three received-but-not-yet-cumulative
-  /// byte ranges [start, end). Senders build a scoreboard from these and
+  /// Up to three SACK blocks; senders build a scoreboard from them and
   /// repair multiple holes per RTT (RFC 6675-style recovery).
-  struct SackBlock {
-    std::uint64_t start = 0;
-    std::uint64_t end = 0;
-  };
   std::array<SackBlock, 3> sackBlocks{};
-  std::uint8_t sackCount = 0;
+  std::uint16_t windowField = 0;  ///< Raw 16-bit advertised window.
+  std::uint8_t windowScale = 0;   ///< Shift offered in the SYN option.
+  // One byte: the flags, the window-scale option bit and the SACK count.
+  bool syn : 1 = false;
+  bool ack : 1 = false;
+  bool fin : 1 = false;
+  bool rst : 1 = false;
+  bool windowScalePresent : 1 = false;  ///< Option present on this SYN.
+  std::uint8_t sackCount : 2 = 0;
+
+  /// Append the absolute range [start, end). Set ackNo first. Returns false,
+  /// adding nothing, when three blocks are already held or the range is not
+  /// within 2^32 bytes above ackNo.
+  bool addSack(std::uint64_t start, std::uint64_t end) {
+    constexpr std::uint64_t kMaxOffset = 0xFFFFFFFFu;
+    if (sackCount == 3 || start < ackNo || end < start || end - ackNo > kMaxOffset) return false;
+    sackBlocks[sackCount++] = SackBlock{static_cast<std::uint32_t>(start - ackNo),
+                                        static_cast<std::uint32_t>(end - ackNo)};
+    return true;
+  }
+  [[nodiscard]] std::uint64_t sackStart(std::size_t i) const { return ackNo + sackBlocks[i].start; }
+  [[nodiscard]] std::uint64_t sackEnd(std::size_t i) const { return ackNo + sackBlocks[i].end; }
 };
 
 /// One-way active measurement header (OWAMP-style).
@@ -77,10 +88,12 @@ struct RoceHeader {
 using PacketBody = std::variant<std::monostate, TcpHeader, ProbeHeader, RoceHeader>;
 
 struct Packet {
+  // What every hop reads (flow key, size, TTL) leads, in the slot's first
+  // cache line; the trace id, read only when tracing, trails.
   FlowKey flow;
-  PacketBody body;
   sim::DataSize payload = sim::DataSize::zero();
   std::uint8_t ttl = 64;
+  PacketBody body;
   std::uint64_t id = 0;  ///< Globally unique per scenario, for tracing.
 
   [[nodiscard]] bool isTcp() const { return std::holds_alternative<TcpHeader>(body); }
@@ -99,22 +112,7 @@ struct Packet {
   }
 };
 
-/// Factory helpers keeping call sites terse.
-[[nodiscard]] inline Packet makeTcpPacket(FlowKey flow, TcpHeader header, sim::DataSize payload) {
-  Packet p;
-  p.flow = flow;
-  p.body = header;
-  p.payload = payload;
-  return p;
-}
-
-[[nodiscard]] inline Packet makeProbePacket(FlowKey flow, ProbeHeader header,
-                                            sim::DataSize payload) {
-  Packet p;
-  p.flow = flow;
-  p.body = header;
-  p.payload = payload;
-  return p;
-}
+// Every packet a run holds in flight costs a pool slot of this size.
+static_assert(sizeof(Packet) <= 112, "a pooled packet must fit 112 bytes");
 
 }  // namespace scidmz::net

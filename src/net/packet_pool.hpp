@@ -1,17 +1,25 @@
 // Slab-allocated packet pool and the move-only handle that carries a packet
 // through the data path.
 //
-// The simulated fabric used to pass `Packet` (a ~150-byte variant value) by
-// value through every hop: into the egress queue, into the serialization
-// completion event, into the propagation event, into the next device's
-// receive — four-plus full copies per hop, millions of hops per scenario.
-// The pool replaces all of that with one placement per packet lifetime: the
-// originating host moves the packet into a pool slot once, and a 16-byte
-// `PacketRef` handle moves (never copies) through `Interface::send`, the
-// `DropTailQueue` ring, `Link` transmission, `Device::forward`, the firewall
-// engines and the TCP/RoCE demux. When the last handle dies the slot returns
-// to the freelist and is recycled — steady-state forwarding performs no
-// allocation at all.
+// The originating host moves a packet into a pool slot once, and an 8-byte
+// `PacketRef` — the slot's address and nothing else — moves (never copies)
+// through `Interface::send`, the `DropTailQueue` ring, every `DelayLine`
+// (link propagation, serialization, firewall engines, switch pipeline),
+// `Device::forward` and the TCP/RoCE demux. When the last handle dies the
+// slot returns to the pool's free list and is recycled — steady-state
+// forwarding performs no allocation at all.
+//
+// Layout: a slab is 32 KiB aligned to 32 KiB. Its first 64 bytes hold the
+// owning pool's address; the rest is kSlabPackets slots of at most 112
+// bytes (a `Packet`). A handle finds its pool by masking its slot address
+// down to the slab, so it need not carry the pool. A pool's first region
+// is one slab, so a pool that holds a few packets costs one small
+// allocation to set up; later slabs are carved in order from 1 MiB
+// regions. (One aligned allocation per slab leaves an alignment gap beside
+// each, which the allocator fills with other small objects: measured, that
+// cost more resident memory than the packets saved.) A free slot holds the
+// next free slot's address, so the free list costs nothing beside the
+// slots and releasing never allocates.
 //
 // Ownership rules (see DESIGN.md §6, "packet lifecycle"):
 //  * exactly one live PacketRef owns a slot; moving the ref transfers
@@ -27,9 +35,10 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
+#include <new>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "net/packet.hpp"
 
@@ -42,17 +51,11 @@ class PacketPool;
 class PacketRef {
  public:
   PacketRef() = default;
-  PacketRef(PacketRef&& other) noexcept : p_(other.p_), pool_(other.pool_) {
-    other.p_ = nullptr;
-    other.pool_ = nullptr;
-  }
+  PacketRef(PacketRef&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
   PacketRef& operator=(PacketRef&& other) noexcept {
     if (this != &other) {
       release();
-      p_ = other.p_;
-      pool_ = other.pool_;
-      other.p_ = nullptr;
-      other.pool_ = nullptr;
+      p_ = std::exchange(other.p_, nullptr);
     }
     return *this;
   }
@@ -71,35 +74,40 @@ class PacketRef {
 
  private:
   friend class PacketPool;
-  PacketRef(Packet* p, PacketPool* pool) : p_(p), pool_(pool) {}
-  inline void release();
+  explicit PacketRef(Packet* p) : p_(p) {}
+  inline void release() noexcept;
 
   Packet* p_ = nullptr;
-  PacketPool* pool_ = nullptr;
 };
 
-/// Freelist-recycled slab allocator for packets. Slabs are never returned
+/// Free-list-recycled slab allocator for packets. Slabs are never returned
 /// to the OS during a scenario: the pool's high-water mark is the peak
-/// number of in-flight packets, typically a few thousand slots.
+/// number of in-flight packets.
 class PacketPool {
  public:
+  static constexpr std::size_t kSlabBytes = std::size_t{32} << 10;
+  static constexpr std::size_t kRegionBytes = std::size_t{1} << 20;
+  static constexpr std::size_t kHeaderBytes = 64;
+  static constexpr std::size_t kSlabPackets = (kSlabBytes - kHeaderBytes) / sizeof(Packet);
+
   PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
+  ~PacketPool() {
+    while (regions_ != nullptr) {
+      Slab* next = regions_->nextRegion;
+      ::operator delete(regions_, regions_->regionBytes, std::align_val_t{kSlabBytes});
+      regions_ = next;
+    }
+  }
 
   /// Acquire a fresh (default-initialized) packet slot.
-  [[nodiscard]] PacketRef acquire() {
-    Packet* slot = takeSlot();
-    *slot = Packet{};
-    return PacketRef{slot, this};
-  }
+  [[nodiscard]] PacketRef acquire() { return PacketRef{::new (takeSlot()) Packet{}}; }
 
   /// Move an already-built packet value into a slot — the one copy a
   /// packet pays, at its origination point.
   [[nodiscard]] PacketRef acquire(Packet&& packet) {
-    Packet* slot = takeSlot();
-    *slot = std::move(packet);
-    return PacketRef{slot, this};
+    return PacketRef{::new (takeSlot()) Packet{std::move(packet)}};
   }
 
   /// Handles currently alive.
@@ -107,51 +115,86 @@ class PacketPool {
   /// Peak simultaneous live handles over the pool's lifetime.
   [[nodiscard]] std::size_t highWater() const { return high_water_; }
   /// Slots ever allocated (slabs * slab size).
-  [[nodiscard]] std::size_t slotCount() const { return slabs_.size() * kSlabPackets; }
+  [[nodiscard]] std::size_t slotCount() const { return slab_count_ * kSlabPackets; }
 
  private:
   friend class PacketRef;
-  static constexpr std::size_t kSlabPackets = 256;
+  /// A slot on the free list.
+  struct FreeSlot {
+    FreeSlot* next;
+  };
+  struct Slab {
+    PacketPool* pool;
+    // In a region's first slab: the previous region and this one's size.
+    Slab* nextRegion;
+    std::size_t regionBytes;
+  };
+  static_assert(std::is_trivially_destructible_v<Packet>, "a released slot is reused as is");
+  static_assert(sizeof(Slab) <= kHeaderBytes && alignof(Packet) <= kHeaderBytes);
+  static_assert(kHeaderBytes + kSlabPackets * sizeof(Packet) <= kSlabBytes);
+  static_assert(kRegionBytes % kSlabBytes == 0);
 
-  Packet* takeSlot() {
-    if (free_.empty()) addSlab();
-    Packet* slot = free_.back();
-    free_.pop_back();
+  /// The pool that owns `p`: the header of the aligned slab holding it.
+  static PacketPool& owner(Packet* p) {
+    const auto slab = reinterpret_cast<std::uintptr_t>(p) & ~(std::uintptr_t{kSlabBytes} - 1);
+    return *reinterpret_cast<Slab*>(slab)->pool;
+  }
+
+  void* takeSlot() {
+    if (free_ == nullptr) addSlab();
+    FreeSlot* slot = free_;
+    free_ = slot->next;
     if (++live_ > high_water_) high_water_ = live_;
     return slot;
   }
 
-  void releaseSlot(Packet* p) {
-    free_.push_back(p);
+  void releaseSlot(Packet* p) noexcept {
+    free_ = ::new (static_cast<void*>(p)) FreeSlot{free_};
     --live_;
   }
 
   void addSlab() {
-    slabs_.push_back(std::make_unique<Packet[]>(kSlabPackets));
-    Packet* slab = slabs_.back().get();
-    free_.reserve(free_.size() + kSlabPackets);
-    // LIFO freelist: push in reverse so the earliest slots recycle first —
-    // recycling order is an implementation detail, but keeping it stable
-    // keeps heap layouts (and so perf) reproducible run to run.
-    for (std::size_t i = kSlabPackets; i > 0; --i) free_.push_back(slab + (i - 1));
+    if (carve_ == carve_end_) {
+      const std::size_t bytes = regions_ == nullptr ? kSlabBytes : kRegionBytes;
+      carve_ = static_cast<std::byte*>(::operator new(bytes, std::align_val_t{kSlabBytes}));
+      carve_end_ = carve_ + bytes;
+      regions_ = ::new (carve_) Slab{this, regions_, bytes};
+    } else {
+      ::new (carve_) Slab{this, nullptr, 0};
+    }
+    std::byte* raw = carve_;
+    carve_ += kSlabBytes;
+    ++slab_count_;
+    // LIFO free list threaded from the slab's first slot, so the earliest
+    // slots recycle first — recycling order is an implementation detail,
+    // but keeping it stable keeps heap layouts (and so perf) reproducible
+    // run to run.
+    std::byte* slots = raw + kHeaderBytes;
+    for (std::size_t i = kSlabPackets; i > 0; --i) {
+      free_ = ::new (slots + (i - 1) * sizeof(Packet)) FreeSlot{free_};
+    }
   }
 
-  std::vector<std::unique_ptr<Packet[]>> slabs_;
-  std::vector<Packet*> free_;
+  Slab* regions_ = nullptr;     ///< newest region first
+  std::byte* carve_ = nullptr;  ///< next slab of the newest region
+  std::byte* carve_end_ = nullptr;
+  FreeSlot* free_ = nullptr;
+  std::size_t slab_count_ = 0;
   std::size_t live_ = 0;
   std::size_t high_water_ = 0;
 };
 
-inline void PacketRef::release() {
+static_assert(sizeof(PacketRef) == 8, "a packet handle is one pointer");
+
+inline void PacketRef::release() noexcept {
   if (p_ != nullptr) {
-    pool_->releaseSlot(p_);
+    PacketPool::owner(p_).releaseSlot(p_);
     p_ = nullptr;
-    pool_ = nullptr;
   }
 }
 
-/// Pool-backed factory helpers mirroring the value-type helpers in
-/// packet.hpp: build the packet directly in its slot, no intermediate value.
+/// Pool-backed factory helpers: build the packet directly in its slot, no
+/// intermediate value.
 [[nodiscard]] inline PacketRef makeTcpPacket(PacketPool& pool, FlowKey flow,
                                              const TcpHeader& header, sim::DataSize payload) {
   PacketRef p = pool.acquire();

@@ -4,15 +4,17 @@
 // switches absorb TCP bursts and fan-in; cheap LAN switches and firewall
 // input stages with shallow buffers drop them.
 //
-// Storage is a power-of-two ring of 16-byte PacketRef handles (grown
-// geometrically, never shrunk), replacing the former std::deque<Packet>:
-// no per-node allocation, no ~150-byte packet copies on enqueue/dequeue,
-// and the whole queue state of a typical port fits in one cache line's
-// worth of handles.
+// Storage is a detail::Ring of 8-byte PacketRef handles in 2 KiB blocks
+// (256 handles each) taken as the queue grows and given back as it drains:
+// no per-packet allocation, no packet copies on enqueue/dequeue, and an
+// idle port holds at most one block.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -26,59 +28,113 @@ namespace scidmz::net {
 
 namespace detail {
 
-/// Minimal FIFO ring: the egress queue's PacketRef handles and every
-/// DelayLine's records. Capacity is a power of two and doubles when full;
-/// slots are reused in place, so steady-state traffic touches the
-/// allocator only while the ring is still warming up.
+/// FIFO ring: the egress queue's PacketRef handles and every DelayLine's
+/// records. Elements live in fixed-size blocks of about 2 KiB: the ring
+/// takes a block as it grows past its last one and gives the front block
+/// back once it is consumed, keeping at most one spare so a queue that
+/// hovers at a block boundary does not churn the allocator. Memory follows
+/// the live element count, not the ring's all-time peak, and growth never
+/// moves an element.
 template <typename T>
 class Ring {
  public:
+  /// Elements per block: a power of two, so indexing is shifts and masks.
+  static constexpr std::size_t kBlockElems =
+      std::bit_floor(std::max<std::size_t>(16, 2048 / sizeof(T)));
+
+  Ring() = default;
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+  ~Ring() {
+    clear();
+    deallocate(spare_);
+  }
+
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// Blocks allocated, in use or spare.
+  [[nodiscard]] std::size_t blocksHeld() const { return blocks_ + (spare_ != nullptr ? 1 : 0); }
 
   void push(T value) {
-    if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
+    if (head_ + size_ == blocks_ * kBlockElems) addBlock();
+    ::new (static_cast<void*>(&slot(size_))) T(std::move(value));
     ++size_;
   }
 
   /// The i-th element from the front. Precondition: i < size().
-  [[nodiscard]] T& operator[](std::size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+  [[nodiscard]] T& operator[](std::size_t i) { return slot(i); }
 
   /// Precondition: !empty().
-  [[nodiscard]] const T& front() const { return slots_[head_]; }
-  [[nodiscard]] const T& back() const { return slots_[(head_ + size_ - 1) & (slots_.size() - 1)]; }
+  [[nodiscard]] const T& front() const { return slot(0); }
+  [[nodiscard]] const T& back() const { return slot(size_ - 1); }
 
   /// Precondition: !empty().
   [[nodiscard]] T pop() {
-    T out = std::move(slots_[head_]);
-    head_ = (head_ + 1) & (slots_.size() - 1);
+    T& first = slot(0);
+    T out = std::move(first);
+    first.~T();
+    // Retire the front block once it is consumed or the ring is empty, so
+    // an idle ring holds one spare block at most.
     --size_;
+    if (++head_ == kBlockElems || size_ == 0) {
+      giveBack(map_[first_]);
+      first_ = (first_ + 1) & (map_.size() - 1);
+      --blocks_;
+      head_ = 0;
+    }
     return out;
   }
 
   /// Drop every element (restore resets contents before re-filling from the
   /// snapshot; packet handles release into the live pool).
   void clear() {
-    for (std::size_t i = 0; i < size_; ++i) (*this)[i] = T{};
+    for (std::size_t i = 0; i < size_; ++i) slot(i).~T();
+    for (std::size_t b = 0; b < blocks_; ++b) giveBack(map_[(first_ + b) & (map_.size() - 1)]);
+    first_ = 0;
+    blocks_ = 0;
     head_ = 0;
     size_ = 0;
   }
 
  private:
-  void grow() {
-    const std::size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
-    }
-    slots_ = std::move(next);
-    head_ = 0;
+  [[nodiscard]] T& slot(std::size_t i) const {
+    const std::size_t k = head_ + i;
+    return map_[(first_ + k / kBlockElems) & (map_.size() - 1)][k % kBlockElems];
   }
 
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
+  void addBlock() {
+    if (blocks_ == map_.size()) {
+      // The block map is itself a power-of-two ring of pointers; only the
+      // pointers move when it doubles.
+      std::vector<T*> next(map_.empty() ? 4 : map_.size() * 2);
+      for (std::size_t b = 0; b < blocks_; ++b) next[b] = map_[(first_ + b) & (map_.size() - 1)];
+      map_ = std::move(next);
+      first_ = 0;
+    }
+    T* block = spare_ != nullptr ? std::exchange(spare_, nullptr)
+                                 : static_cast<T*>(::operator new(kBlockElems * sizeof(T)));
+    map_[(first_ + blocks_) & (map_.size() - 1)] = block;
+    ++blocks_;
+  }
+
+  void giveBack(T* block) {
+    if (spare_ == nullptr) {
+      spare_ = block;
+    } else {
+      deallocate(block);
+    }
+  }
+
+  static void deallocate(T* block) {
+    if (block != nullptr) ::operator delete(block, kBlockElems * sizeof(T));
+  }
+
+  std::vector<T*> map_;      ///< block pointers, circular
+  std::size_t first_ = 0;    ///< map index of the front block
+  std::size_t blocks_ = 0;   ///< blocks in use
+  std::size_t head_ = 0;     ///< front element's index in the front block
   std::size_t size_ = 0;
+  T* spare_ = nullptr;       ///< at most one drained block kept for reuse
 };
 
 }  // namespace detail
@@ -133,6 +189,9 @@ class DropTailQueue {
   [[nodiscard]] PacketRef dequeue(sim::SimTime now) {
     if (ring_.empty()) return PacketRef{};
     PacketRef p = ring_.pop();
+    // The next head is read one serialization later; start its packet's
+    // cache line on its way now.
+    if (!ring_.empty()) __builtin_prefetch(ring_.front().get());
     depth_ -= p->wireSize();
     stats_.depthOverTime.update(now, static_cast<double>(depth_.byteCount()));
     return p;

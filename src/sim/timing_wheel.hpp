@@ -161,13 +161,16 @@ class TimingWheel {
 
   /// Remove every parked entry matching `pred`, invoking `reclaim` on each —
   /// the event queue's compact() uses this so tombstones parked in wheel
-  /// buckets are reclaimed with the same trigger as heap tombstones.
+  /// buckets are reclaimed with the same trigger as heap tombstones. Visits
+  /// only the buckets the occupancy bitmap marks, in bucket order.
   template <typename Pred, typename Reclaim>
   void removeIf(Pred&& pred, Reclaim&& reclaim) {
-    for (int level = 0; level < kLevels; ++level) {
-      for (std::size_t idx = 0; idx < kBuckets; ++idx) {
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      const int level = static_cast<int>(w / kWordsPerLevel);
+      for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t idx =
+            (w % kWordsPerLevel) * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         std::vector<Entry>& bucket = bucketAt(level, idx);
-        if (bucket.empty()) continue;
         std::size_t kept = 0;
         for (Entry& e : bucket) {
           if (pred(e)) {

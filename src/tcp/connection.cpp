@@ -227,7 +227,7 @@ std::uint16_t TcpConnection::advertisedField() const {
 
 void TcpConnection::sendSyn() {
   net::TcpHeader header;
-  header.flags.syn = true;
+  header.syn = true;
   header.windowField = static_cast<std::uint16_t>(
       std::min<std::uint64_t>(config_.rcvBuf.byteCount(), 65535));
   if (config_.windowScaling) {
@@ -239,8 +239,8 @@ void TcpConnection::sendSyn() {
 
 void TcpConnection::sendSynAck() {
   net::TcpHeader header;
-  header.flags.syn = true;
-  header.flags.ack = true;
+  header.syn = true;
+  header.ack = true;
   header.ackNo = 0;
   header.windowField = static_cast<std::uint16_t>(
       std::min<std::uint64_t>(config_.rcvBuf.byteCount(), 65535));
@@ -253,17 +253,15 @@ void TcpConnection::sendSynAck() {
 
 void TcpConnection::sendAckOnly() {
   net::TcpHeader header;
-  header.flags.ack = true;
+  header.ack = true;
   header.ackNo = rcv_nxt_;
   header.windowField = advertisedField();
   header.tsVal = static_cast<std::uint64_t>(host_.ctx().now().ns());
   header.tsEcho = ts_recent_;
-  if (!ooo_.empty()) {
-    header.sackHint = ooo_.rbegin()->second;
-    // Up to three most-recent blocks, highest first (RFC 2018 spirit).
-    for (auto it = ooo_.rbegin(); it != ooo_.rend() && header.sackCount < 3; ++it) {
-      header.sackBlocks[header.sackCount++] = net::TcpHeader::SackBlock{it->first, it->second};
-    }
+  // Up to three most-recent blocks, highest first (RFC 2018 spirit); a
+  // block beyond 32-bit offsets of ackNo is not sent.
+  for (auto it = ooo_.rbegin(); it != ooo_.rend() && header.sackCount < 3; ++it) {
+    header.addSack(it->first, it->second);
   }
   host_.send(net::makeTcpPacket(host_.ctx().pool(), flow_, header, sim::DataSize::zero()));
 }
@@ -272,8 +270,8 @@ void TcpConnection::sendSegment(std::uint64_t seq, sim::DataSize len, bool fin,
                                 bool isRetransmit) {
   net::TcpHeader header;
   header.seq = seq;
-  header.flags.ack = true;
-  header.flags.fin = fin;
+  header.ack = true;
+  header.fin = fin;
   header.ackNo = rcv_nxt_;
   header.windowField = advertisedField();
   header.tsVal = static_cast<std::uint64_t>(host_.ctx().now().ns());
@@ -378,7 +376,7 @@ void TcpConnection::onPacket(const net::Packet& packet) {
 
   // Handshake transitions.
   if (state_ == State::kSynSent) {
-    if (header.flags.syn && header.flags.ack) {
+    if (header.syn && header.ack) {
       if (header.windowScalePresent && config_.windowScaling) {
         scaling_ok_ = true;
         snd_wscale_ = header.windowScale;
@@ -396,11 +394,11 @@ void TcpConnection::onPacket(const net::Packet& packet) {
     return;
   }
   if (state_ == State::kSynReceived) {
-    if (header.flags.syn && !header.flags.ack) {
+    if (header.syn && !header.ack) {
       sendSynAck();  // our SYN-ACK was lost
       return;
     }
-    if (header.flags.ack && !header.flags.syn) {
+    if (header.ack && !header.syn) {
       cancelRto();
       becomeEstablished();
       // Fall through: this segment may carry data.
@@ -411,17 +409,17 @@ void TcpConnection::onPacket(const net::Packet& packet) {
   if (state_ == State::kIdle) return;
 
   // Duplicate SYN-ACK after establishment: our handshake ACK was lost.
-  if (header.flags.syn && header.flags.ack && state_ == State::kEstablished) {
+  if (header.syn && header.ack && state_ == State::kEstablished) {
     sendAckOnly();
     return;
   }
 
-  if (header.flags.ack) {
+  if (header.ack) {
     peer_wnd_ = static_cast<std::uint64_t>(header.windowField) << snd_wscale_;
     last_ack_at_ = now;
     handleAck(header);
   }
-  if (packet.payload > sim::DataSize::zero() || header.flags.fin) {
+  if (packet.payload > sim::DataSize::zero() || header.fin) {
     handleData(packet);
   }
 }
@@ -511,8 +509,8 @@ void TcpConnection::handleAck(const net::TcpHeader& header) {
 
 void TcpConnection::absorbSack(const net::TcpHeader& header) {
   for (std::uint8_t i = 0; i < header.sackCount; ++i) {
-    std::uint64_t start = header.sackBlocks[i].start;
-    std::uint64_t end = header.sackBlocks[i].end;
+    std::uint64_t start = header.sackStart(i);
+    std::uint64_t end = header.sackEnd(i);
     if (end <= start || end <= sndUna()) continue;
     start = std::max(start, sndUna());
     // Merge [start, end) into the scoreboard.
@@ -620,7 +618,7 @@ void TcpConnection::handleData(const net::Packet& packet) {
   // alike, so RTT samples stay honest through loss recovery.
   if (header.tsVal != 0) ts_recent_ = header.tsVal;
 
-  if (header.flags.fin) {
+  if (header.fin) {
     if (len == 0 && seq == rcv_nxt_) {
       // In-order pure FIN.
       rcv_nxt_ += 1;
@@ -967,7 +965,7 @@ void TcpListener::onPacket(const net::Packet& packet) {
   auto it = connections_.find(key);
   if (it == connections_.end()) {
     const auto& header = packet.tcp();
-    if (!(header.flags.syn && !header.flags.ack)) return;  // stray segment
+    if (!(header.syn && !header.ack)) return;  // stray segment
     auto conn = host_.ctx().arena().make<TcpConnection>(host_, packet, config_);
     auto& ref = *conn;
     ref.onEstablished = [this, &ref] {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -71,6 +72,40 @@ TEST(DelayLine, OvertakingPushFiresInAtSeqOrderWithOneEventPerPacket) {
   s.simulator.run();
   EXPECT_EQ(log, (std::vector<std::string>{"P3@10", "E@20", "P1@20", "P0@50", "P2@50"}));
   EXPECT_EQ(s.simulator.eventsExecuted(), 5u);
+}
+
+TEST(RingBlocks, DelayLineFifoAndOvertakingPushesAcrossBlockBoundaries) {
+  // Three blocks of FIFO records, then pushes that overtake across a block
+  // boundary: each lands in a fresh block and moves forward into the one
+  // before it. Firing order is (at, seq) order, one pending event at a time.
+  Scenario s;
+  std::vector<std::string> log;
+  Sink sink{s.simulator, log};
+  Line line{s.ctx, sink};
+  constexpr std::int64_t kBlock = detail::Ring<DelayRecord>::kBlockElems;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> expected;  // (due us, id)
+  std::uint64_t id = 0;
+  for (std::int64_t i = 0; i < 3 * kBlock; ++i) {
+    line.push(at(10 * (i + 1)), packet(s.ctx, id));
+    expected.emplace_back(10 * (i + 1), id++);
+  }
+  // Due between the last two records of the first block: moves back across
+  // two block boundaries into it. Then one due before everything: a new head.
+  const std::int64_t mid = 10 * (kBlock - 1) + 5;
+  line.push(at(mid), packet(s.ctx, id));
+  expected.emplace_back(mid, id++);
+  line.push(at(1), packet(s.ctx, id));
+  expected.emplace_back(1, id++);
+  EXPECT_EQ(line.size(), static_cast<std::size_t>(3 * kBlock + 2));
+  EXPECT_EQ(s.simulator.pendingEventCount(), 1u);
+  s.simulator.run();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::string> want;
+  for (auto [us, pid] : expected) want.push_back("P" + std::to_string(pid) + "@" + std::to_string(us));
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(s.simulator.eventsExecuted(), static_cast<std::uint64_t>(3 * kBlock + 2));
+  EXPECT_EQ(s.ctx.pool().liveCount(), 0u);
 }
 
 /// A serialized line: a count, then (at, seq, packet) records head-first.

@@ -42,7 +42,7 @@ Packet tcpData(Address dst, sim::DataSize payload, std::uint16_t sport = 40000) 
   Packet p;
   p.flow = FlowKey{Address{}, dst, sport, 5001, Protocol::kTcp};
   TcpHeader h;
-  h.flags.ack = true;
+  h.ack = true;
   p.body = h;
   p.payload = payload;
   return p;
@@ -50,8 +50,8 @@ Packet tcpData(Address dst, sim::DataSize payload, std::uint16_t sport = 40000) 
 
 Packet synTo(Address dst, std::uint16_t sport = 40000) {
   auto p = tcpData(dst, 0_B, sport);
-  p.tcp().flags.syn = true;
-  p.tcp().flags.ack = false;
+  p.tcp().syn = true;
+  p.tcp().ack = false;
   p.tcp().windowScalePresent = true;
   p.tcp().windowScale = 7;
   return p;

@@ -1,8 +1,12 @@
 #include "net/queue.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "net/packet_pool.hpp"
 
@@ -113,8 +117,9 @@ TEST(DropTailQueue, ShrinkBelowDepthClampsToDepth) {
 }
 
 TEST(DropTailQueue, RingWrapsAroundPreservingFifo) {
-  // Push/pop interleaved past the ring's initial 16-slot extent so head
-  // wraps several times; order and depth accounting must hold throughout.
+  // Push/pop interleaved so the back crosses into a second block while the
+  // front is still in the first; order and depth accounting must hold
+  // throughout.
   PacketPool pool;
   DropTailQueue q{1_MB};
   std::uint64_t nextId = 1;
@@ -194,11 +199,96 @@ TEST(PacketPool, GrowsByWholeSlabs) {
   std::vector<PacketRef> held;
   for (int i = 0; i < 300; ++i) held.push_back(pool.acquire());
   EXPECT_EQ(pool.liveCount(), 300u);
-  EXPECT_EQ(pool.slotCount(), 512u);  // two 256-packet slabs
+  static_assert(PacketPool::kSlabPackets >= 150 && PacketPool::kSlabPackets < 300);
+  EXPECT_EQ(pool.slotCount(), 2 * PacketPool::kSlabPackets);  // two whole slabs
   EXPECT_EQ(pool.highWater(), 300u);
   held.clear();
   EXPECT_EQ(pool.liveCount(), 0u);
-  EXPECT_EQ(pool.slotCount(), 512u);  // slabs are retained, not freed
+  EXPECT_EQ(pool.slotCount(), 2 * PacketPool::kSlabPackets);  // slabs are retained, not freed
+}
+
+TEST(PacketPool, ReleasingEverySlotOfAMultiSlabPoolAllocatesNothing) {
+  // The free list lives in the free slots, so a large run's teardown (every
+  // slot released from a noexcept ~PacketRef) never asks the allocator for
+  // memory. Measured as the main arena's allocated bytes.
+  PacketPool pool;
+  std::vector<PacketRef> held(4 * PacketPool::kSlabPackets);
+  for (auto& ref : held) ref = pool.acquire();
+  ASSERT_EQ(pool.slotCount(), 4 * PacketPool::kSlabPackets);
+  const std::size_t before = mallinfo2().uordblks;
+  for (auto& ref : held) ref.reset();
+  EXPECT_EQ(mallinfo2().uordblks, before);
+  EXPECT_EQ(pool.liveCount(), 0u);
+  // The slots recycle: re-acquiring all of them adds no slab.
+  for (auto& ref : held) ref = pool.acquire();
+  EXPECT_EQ(pool.slotCount(), 4 * PacketPool::kSlabPackets);
+}
+
+using HandleRing = detail::Ring<PacketRef>;
+
+TEST(RingBlocks, FifoAcrossBlockBoundariesAndBlocksComeBackOnDrain) {
+  PacketPool pool;
+  HandleRing ring;
+  constexpr std::size_t kBlock = HandleRing::kBlockElems;
+  EXPECT_EQ(ring.blocksHeld(), 0u);  // an unused ring holds no memory
+  std::uint64_t nextId = 0;
+  std::uint64_t expect = 0;
+  auto push = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      PacketRef p = pool.acquire();
+      p->id = nextId++;
+      ring.push(std::move(p));
+    }
+  };
+  auto pop = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      PacketRef p = ring.pop();
+      ASSERT_EQ(p->id, expect++);
+    }
+  };
+  push(5 * kBlock + 3);
+  EXPECT_EQ(ring.blocksHeld(), 6u);
+  Packet* third = ring[2].get();
+  // Growth never moves an element: handles already held stay where they are.
+  push(2 * kBlock);
+  EXPECT_EQ(ring[2].get(), third);
+  EXPECT_EQ(ring.back()->id, nextId - 1);
+  // Draining gives blocks back as it goes: what is held follows what is live
+  // (one partial block at each end plus at most one spare).
+  pop(4 * kBlock);
+  EXPECT_LE(ring.blocksHeld(), ring.size() / kBlock + 3);
+  // Interleave across further boundaries.
+  for (int round = 0; round < 8; ++round) {
+    push(kBlock / 2 + 1);
+    pop(kBlock / 2 + 3);
+  }
+  pop(ring.size());
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(expect, nextId);
+  EXPECT_EQ(ring.blocksHeld(), 1u);  // the one spare
+  EXPECT_EQ(pool.liveCount(), 0u);
+  // A ring that hovers around empty reuses its spare.
+  for (int i = 0; i < 3; ++i) {
+    push(1);
+    EXPECT_EQ(ring.blocksHeld(), 1u);
+    pop(1);
+  }
+}
+
+TEST(RingBlocks, ClearReleasesEveryHandleAndKeepsOneSpare) {
+  PacketPool pool;
+  HandleRing ring;
+  for (std::size_t i = 0; i < 3 * HandleRing::kBlockElems; ++i) ring.push(pool.acquire());
+  EXPECT_EQ(ring.blocksHeld(), 3u);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.blocksHeld(), 1u);
+  EXPECT_EQ(pool.liveCount(), 0u);
+  PacketRef p = pool.acquire();
+  p->id = 42;
+  ring.push(std::move(p));
+  EXPECT_EQ(ring.front()->id, 42u);
+  EXPECT_EQ(ring.blocksHeld(), 1u);
 }
 
 }  // namespace

@@ -42,6 +42,32 @@ enum class Middle {
   kRouter,    ///< store-and-forward, no fixed delay: ACKs overtake data
 };
 
+/// Drops nothing; records when a SACK-carrying segment last went onto its
+/// hop and folds every SACK block it sees into a digest. Its state travels
+/// in the snapshot like any loss model's.
+struct SackWatch final : net::LossModel {
+  explicit SackWatch(sim::Simulator& simulator) : sim(simulator) {}
+  bool shouldDrop(const net::Packet& p) override {
+    if (p.isTcp() && p.tcp().sackCount > 0) {
+      lastAt = sim.now();
+      const net::TcpHeader& h = p.tcp();
+      for (std::size_t i = 0; i < h.sackCount; ++i) {
+        digest = (digest ^ h.sackStart(i)) * 0x100000001b3ull;
+        digest = (digest ^ h.sackEnd(i)) * 0x100000001b3ull;
+      }
+    }
+    return false;
+  }
+  void serializeState(sim::Codec& c) override {
+    sim::codecTime(c, lastAt);
+    c.vu64(digest);
+  }
+
+  sim::Simulator& sim;
+  sim::SimTime lastAt = sim::SimTime::fromNs(-1'000'000'000);
+  std::uint64_t digest = 0;
+};
+
 /// One snapshot-compatible cell: a 1 Gbps two-hop path with a periodic-loss
 /// "failing line card" on the egress hop, one 48 MB flow (packet or fluid),
 /// telemetry on. Construction is fully deterministic, so building two Cells
@@ -108,6 +134,8 @@ struct Cell {
   std::vector<net::FlowPtr> flowsHeld;
   net::FirewallDevice* firewall = nullptr;  // set for Middle::kFirewall
   net::RouterDevice* router = nullptr;      // set for Middle::kRouter
+  SackWatch* sackSent = nullptr;       // ACKs leaving b, when a test installs it
+  SackWatch* sackForwarded = nullptr;  // the same ACKs leaving the middle device
 };
 
 /// Everything observable about a cell, as one comparable string: clock and
@@ -136,7 +164,11 @@ std::string signature(Scenario& s, const std::vector<net::FlowPtr>& flows) {
   return out.str();
 }
 
-std::string signature(Cell& c) { return signature(c.s, c.flowsHeld); }
+std::string signature(Cell& c) {
+  std::string sig = signature(c.s, c.flowsHeld);
+  if (c.sackForwarded != nullptr) sig += "sack=" + std::to_string(c.sackForwarded->digest) + '\n';
+  return sig;
+}
 
 void expectSameSignature(const std::string& got, const std::string& want, const char* what) {
   EXPECT_TRUE(got == want) << what << ": signatures diverge (" << got.size() << " vs "
@@ -218,6 +250,35 @@ TEST(SnapshotRoundTrip, MidBurstThroughStoreAndForwardRouterContinuesByteIdentic
   roundTrip([] { return std::make_unique<Cell>(net::FlowFidelity::kPacket, 1, false,
                                                sim::Duration::zero(), Middle::kRouter); },
             [](Cell& c) { return c.router->inPipeline() >= 2; });
+}
+
+TEST(SnapshotRoundTrip, MidLossRecoveryWithSackAcksInFlightContinuesByteIdentical) {
+  // A 1-in-500 loss on the data hop keeps the sender in SACK recovery for a
+  // large share of the run. Snapshot while it is, with a SACK-carrying ACK
+  // still on the receiver's 5 ms return hop: its blocks travel as offsets
+  // above its ACK in the delay-line record. Every block the middle device
+  // forwards afterwards is in the signature, so a block that came back
+  // different shows even when the sender's later ACKs would paper over it.
+  roundTrip(
+      [] {
+        auto cell = std::make_unique<Cell>(net::FlowFidelity::kPacket);
+        net::Link& ingress = *cell->s.topo.links()[0];
+        net::Link& egress = *cell->s.topo.links()[1];
+        egress.setLossModel(0, std::make_unique<net::PeriodicLoss>(500));
+        auto sent = std::make_unique<SackWatch>(cell->s.simulator);
+        auto forwarded = std::make_unique<SackWatch>(cell->s.simulator);
+        cell->sackSent = sent.get();
+        cell->sackForwarded = forwarded.get();
+        egress.setLossModel(1, std::move(sent));
+        ingress.setLossModel(1, std::move(forwarded));
+        return cell;
+      },
+      [](Cell& c) {
+        const tcp::TcpConnection* client = c.flowsHeld[0]->clientConnection(0);
+        return client != nullptr && client->debugState().inRecovery &&
+               c.s.simulator.now() - c.sackSent->lastAt < 5_ms &&
+               c.s.topo.links()[1]->inFlight(1) > 0;
+      });
 }
 
 TEST(SnapshotRoundTrip, FluidFlowEstablishedBetweenTicksContinuesByteIdentical) {

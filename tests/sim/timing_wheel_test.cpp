@@ -273,4 +273,40 @@ TEST(EventQueueWheel, CompactReclaimsCancelledParkedSchedule) {
   EXPECT_EQ(q.parkedCount(), 0u);
 }
 
+// compact() walks only the buckets the occupancy bitmap marks. Tombstones
+// parked in sparse buckets on every level must all be reclaimed by it, and
+// the survivors parked beside them must still pop in (time, seq) order.
+TEST(EventQueueWheel, CompactReclaimsSparseTombstonesOnEveryLevel) {
+  EventQueue q;
+  // Per level: (first time, stride) spreading entries one per bucket over
+  // a sparse stretch of that level's span.
+  const std::int64_t first[] = {10'000, 1'000'000, 100'000'000, 20'000'000'000};
+  const std::int64_t stride[] = {14'000, 3'500'000, 1'000'000'000, 200'000'000'000};
+  std::vector<EventId> victims;
+  std::vector<std::int64_t> survivors;
+  std::vector<std::int64_t> popped;
+  for (int level = 0; level < 4; ++level) {
+    for (int i = 0; i < 18; ++i) {
+      const std::int64_t t = first[level] + i * stride[level];
+      if (i % 9 == 4) {
+        survivors.push_back(t);
+        q.schedule(at(t), [&popped, t] { popped.push_back(t); });
+      } else {
+        victims.push_back(q.schedule(at(t), [] { ADD_FAILURE() << "cancelled event ran"; }));
+      }
+    }
+  }
+  ASSERT_EQ(q.parkedCount(), 72u);
+  // 64 victims: cancelling the 65th would push tombstones past both the
+  // 64-entry floor and the live count. Add one more victim so the last
+  // cancel is the one that triggers compact().
+  victims.push_back(q.schedule(at(30'000'000'000), [] { ADD_FAILURE() << "cancelled event ran"; }));
+  ASSERT_EQ(victims.size(), 65u);
+  for (const EventId id : victims) q.cancel(id);
+  EXPECT_EQ(q.tombstoneCount(), 0u);
+  EXPECT_EQ(q.parkedCount(), survivors.size());
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(popped, survivors);  // scheduled in time order, so pop order is the same
+}
+
 }  // namespace

@@ -2,7 +2,15 @@
 // simulated TCP throughput under random loss tracks the Mathis equation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "../tcp/tcp_test_util.hpp"
+#include "net/codec.hpp"
+#include "net/loss.hpp"
+#include "sim/codec.hpp"
 #include "tcp/mathis.hpp"
 
 namespace scidmz::tcp {
@@ -141,6 +149,77 @@ TEST(LossRecovery, HtcpBeatsRenoOnLossyHighBdpPath) {
   const double reno = run(CcAlgorithm::kReno);
   const double htcp = run(CcAlgorithm::kHtcp);
   EXPECT_GT(htcp, reno * 1.3);
+}
+
+/// Drops nothing; keeps a copy of every SACK-carrying segment it sees.
+struct SackWatch final : net::LossModel {
+  bool shouldDrop(const net::Packet& p) override {
+    if (p.isTcp() && p.tcp().sackCount > 0) seen.push_back(p);
+    return false;
+  }
+  std::vector<net::Packet> seen;
+};
+
+TEST(SackBlocks, ReceiverAtTheLargestWindowSendsExactRangesAndSkipsOnesThatDoNotFit) {
+  constexpr std::uint64_t kLargestWindow = std::uint64_t{65535} << 14;
+  constexpr std::uint64_t kSegment = 9000;
+  TcpPath path{PathConfig{}};
+  auto watch = std::make_unique<SackWatch>();
+  SackWatch& acks = *watch;
+  path.link->setLossModel(1, std::move(watch));  // ACKs leaving the receiver
+
+  TcpConfig cfg;
+  cfg.rcvBuf = sim::DataSize::bytes(kLargestWindow);
+  cfg.sndBuf = cfg.rcvBuf;
+  path.listener = std::make_unique<TcpListener>(*path.b, 5001, cfg);
+  path.client = std::make_unique<TcpConnection>(*path.a, path.b->address(), 5001, cfg);
+  TcpConnection* server = nullptr;
+  path.listener->onAccept = [&server](TcpConnection& c) { server = &c; };
+  path.client->start();
+  path.scenario.simulator.runFor(50_ms);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(path.client->established());
+  ASSERT_TRUE(server->windowScalingActive());
+
+  // Two segments beyond a hole: one ending at the far edge of the largest
+  // window, one past 32-bit offsets of the cumulative ACK.
+  const std::uint64_t ackNo = server->debugState().rcvNxt;
+  auto inject = [&](std::uint64_t seq) {
+    net::TcpHeader h;
+    h.seq = seq;
+    h.ack = true;
+    h.ackNo = path.client->debugState().rcvNxt;
+    path.a->send(net::makeTcpPacket(path.scenario.ctx.pool(), path.client->flow(), h,
+                                    sim::DataSize::bytes(kSegment)));
+  };
+  inject(ackNo + kLargestWindow - kSegment);
+  inject(ackNo + (std::uint64_t{1} << 32) + 1000);
+  path.scenario.simulator.runFor(50_ms);
+  ASSERT_FALSE(acks.seen.empty());
+
+  // The second ACK holds both blocks; the one that does not fit is not sent.
+  for (const net::Packet& ack : acks.seen) {
+    const net::TcpHeader& h = ack.tcp();
+    EXPECT_EQ(h.ackNo, ackNo);
+    ASSERT_EQ(h.sackCount, 1);
+    EXPECT_EQ(h.sackStart(0), ackNo + kLargestWindow - kSegment);
+    EXPECT_EQ(h.sackEnd(0), ackNo + kLargestWindow);
+  }
+
+  // Through the codec (snapshots, delay-line records): the same ranges.
+  net::Packet sent = acks.seen.back();
+  sim::BitWriter w;
+  sim::Codec wc{w};
+  net::codecPacket(wc, sent);
+  const std::vector<std::uint8_t> bytes = w.take();
+  sim::BitReader r{bytes.data(), bytes.size()};
+  sim::Codec rc{r};
+  net::Packet decoded;
+  net::codecPacket(rc, decoded);
+  ASSERT_TRUE(rc.ok());
+  ASSERT_EQ(decoded.tcp().sackCount, 1);
+  EXPECT_EQ(decoded.tcp().sackStart(0), ackNo + kLargestWindow - kSegment);
+  EXPECT_EQ(decoded.tcp().sackEnd(0), ackNo + kLargestWindow);
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST(WindowScaling, UnscaledFieldNeverExceeds16Bits) {
   auto* fw = dynamic_cast<net::FirewallDevice*>(s.topo.findDevice("fw"));
   ASSERT_NE(fw, nullptr);
   fw->setTap([&maxField](const net::Packet& p, const net::Interface&) {
-    if (p.isTcp() && p.tcp().flags.ack && !p.tcp().flags.syn) {
+    if (p.isTcp() && p.tcp().ack && !p.tcp().syn) {
       maxField = std::max(maxField, p.tcp().windowField);
     }
   });
