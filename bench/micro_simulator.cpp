@@ -22,7 +22,6 @@
 #include "scenario/bench_io.hpp"
 #include "scenario/harness.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
@@ -205,8 +204,7 @@ BENCHMARK(BM_RngNext);
 void BM_PacketForwarding(benchmark::State& state) {
   sim::Simulator simulator;
   sim::Rng rng{2};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
   auto& a = topo.addHost("a", net::Address(10, 0, 0, 1));
   auto& sw = topo.addSwitch("sw");
@@ -236,8 +234,7 @@ void BM_TcpSimulatedSecond(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simulator;
     sim::Rng rng{3};
-    sim::Logger logger;
-    net::Context ctx{simulator, rng, logger};
+    net::Context ctx{simulator, rng};
     net::Topology topo{ctx};
     auto& a = topo.addHost("a", net::Address(10, 0, 0, 1));
     auto& b = topo.addHost("b", net::Address(10, 0, 0, 2));

@@ -10,7 +10,6 @@
 #include "core/site_builder.hpp"
 #include "dtn/dtn_node.hpp"
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -29,8 +28,7 @@ struct Measurement {
 Measurement measureSite(bool withDmz, sim::DataSize bytes) {
   sim::Simulator simulator;
   sim::Rng rng{99};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 
   core::SiteConfig config;

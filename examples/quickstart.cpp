@@ -9,7 +9,6 @@
 #include "core/site_builder.hpp"
 #include "dtn/dtn_node.hpp"
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -17,11 +16,10 @@ using namespace scidmz;
 using namespace scidmz::sim::literals;
 
 int main() {
-  // Every scenario is one Simulator + one seeded Rng + one Logger.
+  // Every scenario is one Simulator + one seeded Rng + one Context.
   sim::Simulator simulator;
   sim::Rng rng{2013};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 
   // A 10G WAN with 20ms RTT to the collaborator, jumbo frames end to end.

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/connection.hpp"
@@ -20,8 +19,7 @@ using namespace scidmz::sim::literals;
 int main() {
   sim::Simulator simulator;
   sim::Rng rng{23};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 
   // trusted-site --10G-- firewall --10G-- dtn   (+ IDS tap + controller)

@@ -12,7 +12,6 @@
 #include "core/site_builder.hpp"
 #include "dtn/dtn_cluster.hpp"
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -22,8 +21,7 @@ using namespace scidmz::sim::literals;
 int main() {
   sim::Simulator simulator;
   sim::Rng rng{7};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 
   core::SiteConfig config;

@@ -14,7 +14,6 @@
 #include "perfsonar/mesh.hpp"
 #include "perfsonar/owamp.hpp"
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -24,8 +23,7 @@ using namespace scidmz::sim::literals;
 int main() {
   sim::Simulator simulator;
   sim::Rng rng{17};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 
   core::SiteConfig config;

@@ -9,7 +9,6 @@
 #include "core/tuning.hpp"
 #include "dtn/dtn_node.hpp"
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -19,8 +18,7 @@ using namespace scidmz::sim::literals;
 int main() {
   sim::Simulator simulator;
   sim::Rng rng{31};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 
   // A long path: 10G, 80ms RTT (transatlantic-ish), with a little residual

@@ -1,7 +1,7 @@
 // Shared per-scenario services handed to every component by reference.
 // Holding them in one struct keeps constructors short and makes it obvious
 // that a scenario is a unit of determinism: one Simulator, one master Rng,
-// one Logger, one Telemetry hub, one Arena.
+// one Telemetry hub, one packet pool, one Arena.
 #pragma once
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include "net/packet_pool.hpp"
 #include "sim/arena.hpp"
 #include "sim/codec.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -33,8 +32,8 @@ std::size_t extensionId() {
 
 class Context {
  public:
-  Context(sim::Simulator& simulator, sim::Rng& rng, sim::Logger& logger)
-      : sim_(simulator), rng_(rng), log_(logger), telemetry_(simulator, arena_) {}
+  Context(sim::Simulator& simulator, sim::Rng& rng)
+      : sim_(simulator), rng_(rng), telemetry_(simulator, arena_) {}
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
@@ -46,7 +45,6 @@ class Context {
 
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
-  [[nodiscard]] const sim::Logger& log() const { return log_; }
   /// Scenario-local instrumentation; disabled (near-zero cost) unless the
   /// scenario calls telemetry().enable() or SCIDMZ_TELEMETRY is set.
   [[nodiscard]] telemetry::Telemetry& telemetry() { return telemetry_; }
@@ -63,9 +61,10 @@ class Context {
   [[nodiscard]] const sim::Arena& arena() const { return arena_; }
 
   /// Per-Context singleton of an arbitrary default-constructible type,
-  /// created on first use. This is how higher layers attach per-scenario
-  /// state (e.g. tcp::FlowHotTable) without net:: depending on them:
-  /// the Context stores them type-erased, keyed by a process-wide type id.
+  /// created on first use and destroyed with the Context. This is how
+  /// higher layers attach per-scenario state (telemetry::Tracer,
+  /// tcp::FluidEngine) without net:: depending on them: the Context stores
+  /// them type-erased, keyed by a process-wide type id.
   template <typename T>
   [[nodiscard]] T& extension() {
     const std::size_t id = detail::extensionId<T>();
@@ -135,7 +134,6 @@ class Context {
   sim::Arena arena_;  // first: outlives everything that allocates from it
   sim::Simulator& sim_;
   sim::Rng& rng_;
-  sim::Logger& log_;
   telemetry::Telemetry telemetry_;
   PacketPool pool_;
   std::vector<Extension> extensions_;

@@ -208,8 +208,6 @@ void Device::forward(PacketRef packet) {
                    telemetry::FlightEventKind::kDrop,
                    tel.recorder().internPoint(name() + "/no_route"));
     }
-    ctx_.log().log(ctx_.now(), sim::LogLevel::kDebug, name(),
-                   "no route to " + packet->flow.dst.toString());
     return;
   }
   ctx_.countForwarded();

@@ -65,8 +65,6 @@ void SwitchDevice::trackLoad(const Packet& packet) {
   const double bps = static_cast<double>(window_bytes_.bitCount()) / seconds;
   if (!defect_latched_ && bps > static_cast<double>(defect_.loadThreshold.bps())) {
     defect_latched_ = true;  // sticky, as observed at Colorado
-    ctx_.log().log(now, sim::LogLevel::kWarn, name(),
-                   "high load: falling back to store-and-forward mode");
     auto& tel = ctx_.telemetry();
     if (tel.enabled()) ++tel.metrics().counter("switch/" + name() + "/defect_latched");
   }

@@ -1,5 +1,5 @@
 // Simulation bootstrap shared by the scenario engine and the catalog
-// renderers: one Scenario owns the simulator/rng/logger/context/topology
+// renderers: one Scenario owns the simulator/rng/context/topology
 // for a single cell, SteadyFlow measures one bulk TCP flow's steady-state
 // goodput, and finishCell() does the standard end-of-cell sweep
 // bookkeeping. (Moved here from bench/bench_util.hpp so benches, the
@@ -11,7 +11,6 @@
 
 #include "net/flow.hpp"
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -38,8 +37,7 @@ struct Scenario {
   sim::Profiler profiler;  ///< attached iff profiling was requested
   sim::Simulator simulator;
   sim::Rng rng{20130101};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   // Declared between ctx and topo so teardown runs topo (devices, links,
   // queued packets) -> extra domain contexts -> the primary context.
   std::shared_ptr<ShardRuntime> shards;

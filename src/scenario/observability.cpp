@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -23,17 +22,6 @@ namespace {
 std::string g_trace_base;    // set by --trace=<base>
 std::string g_profile_base;  // set by --profile=<base>
 bool g_profile_flag = false;
-
-/// SCIDMZ_TRACE/SCIDMZ_PROFILE double as enable switch and output base: a
-/// bare "1"/"on"/"true" enables without file output, anything else is the
-/// base path.
-std::string envBase(const char* var) {
-  const char* value = std::getenv(var);
-  if (value == nullptr) return {};
-  const std::string s = value;
-  if (s.empty() || s == "1" || s == "on" || s == "true") return {};
-  return s;
-}
 
 std::string fmtSeconds(std::int64_t ns) {
   char buf[32];
@@ -174,19 +162,11 @@ void setProfileOutput(const std::string& base) {
   g_profile_flag = true;
 }
 
-bool tracingRequested() {
-  return telemetry::processTracingEnabled() || std::getenv("SCIDMZ_TRACE") != nullptr;
-}
+bool profilingRequested() { return g_profile_flag; }
 
-bool profilingRequested() { return g_profile_flag || std::getenv("SCIDMZ_PROFILE") != nullptr; }
+std::string traceOutputBase() { return g_trace_base; }
 
-std::string traceOutputBase() {
-  return !g_trace_base.empty() ? g_trace_base : envBase("SCIDMZ_TRACE");
-}
-
-std::string profileOutputBase() {
-  return !g_profile_base.empty() ? g_profile_base : envBase("SCIDMZ_PROFILE");
-}
+std::string profileOutputBase() { return g_profile_base; }
 
 void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
   const sim::SimTime now = s.ctx.now();

@@ -2,9 +2,9 @@
 // profiles come out of a run.
 //
 // Process options (set once at startup by `scidmz_run --trace=<base>` /
-// `--profile=<base>`, or via the SCIDMZ_TRACE / SCIDMZ_PROFILE environment
-// variables whose value is the output base path) select the artifacts;
-// every sweep cell then writes its own files from finishCell():
+// `--profile=<base>`, or by calling setTraceOutput/setProfileOutput) select
+// the artifacts; every sweep cell then writes its own files from
+// finishCell():
 //   <base>.cell<N>.spans.jsonl  — scidmz.spans.v1 (tools/validate_trace.py)
 //   <base>.cell<N>.trace.json   — Chrome trace events (open in Perfetto)
 //   <base>.cell<N>.profile.json — scidmz.profile.v1 self-profile
@@ -28,15 +28,14 @@
 
 namespace scidmz::scenario {
 
-/// Select trace output and enable tracing process-wide (empty base = leave
-/// tracing to the SCIDMZ_TRACE environment variable). Call before any
-/// simulation runs.
+/// Select trace output and enable tracing process-wide (empty base = trace
+/// without writing files). Call before any simulation runs.
 void setTraceOutput(const std::string& base);
-/// Select profile output and enable profiling process-wide.
+/// Select profile output and enable profiling process-wide (empty base =
+/// profile without writing files).
 void setProfileOutput(const std::string& base);
 
-/// Tracing/profiling requested for this process (option or environment)?
-[[nodiscard]] bool tracingRequested();
+/// Profiling requested for this process?
 [[nodiscard]] bool profilingRequested();
 /// Output base path for each artifact ("" = requested without file output,
 /// or not requested at all).

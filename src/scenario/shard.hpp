@@ -1,4 +1,4 @@
-// Sharded scenario runtime: per-domain simulator/rng/logger/context
+// Sharded scenario runtime: per-domain simulator/rng/context
 // bundles plus the conservative ShardedSimulator that stitches them at WAN
 // links. attachShards() arms a Scenario before topology construction; the
 // scenario code itself is unchanged — it builds devices through the same
@@ -21,7 +21,6 @@
 #include "net/context.hpp"
 #include "scenario/partition.hpp"
 #include "sim/domain.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
@@ -38,8 +37,7 @@ struct DomainRuntime {
 
   sim::Simulator simulator;
   sim::Rng rng;
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
 };
 
 struct ShardRuntime {

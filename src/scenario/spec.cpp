@@ -492,7 +492,7 @@ Json workloadToJson(const WorkloadSpec& w) {
   return j;
 }
 
-WorkloadSpec workloadFromJson(const Json& doc, const std::string& path, bool allowV2) {
+WorkloadSpec workloadFromJson(const Json& doc, const std::string& path) {
   ObjectReader r(doc, path);
   WorkloadSpec w;
   w.kind = parseEnum<WorkloadKind>(
@@ -564,14 +564,13 @@ WorkloadSpec workloadFromJson(const Json& doc, const std::string& path, bool all
       w.rngFork = r.getUint("rng_fork");
       break;
   }
-  // v2 extension fields. Under a v1 schema these keys stay unconsumed and
-  // r.done() rejects them by name — v1 documents cannot smuggle v2 fields.
-  if (allowV2 && workloadHasFidelity(w.kind) && r.has("fidelity")) {
+  // Optional fields, written only when non-default.
+  if (workloadHasFidelity(w.kind) && r.has("fidelity")) {
     w.fidelity = parseEnum<net::FlowFidelity>(r.getString("fidelity"), path + ".fidelity",
                                               {{"packet", net::FlowFidelity::kPacket},
                                                {"fluid", net::FlowFidelity::kFluid}});
   }
-  if (allowV2 && w.kind == WorkloadKind::kConvergingFlows && r.has("fluid_flows")) {
+  if (w.kind == WorkloadKind::kConvergingFlows && r.has("fluid_flows")) {
     w.fluidFlows = r.getInt("fluid_flows");
   }
   r.done();
@@ -584,7 +583,7 @@ WorkloadSpec workloadFromJson(const Json& doc, const std::string& path, bool all
 
 Json ScenarioSpec::toJson() const {
   Json j = Json::object();
-  j.set("schema", kScenarioSchemaV2);
+  j.set("schema", kScenarioSchema);
   j.set("name", name);
   j.set("seed", seed);
   j.set("telemetry", telemetry);
@@ -602,26 +601,24 @@ Json ScenarioSpec::toJson() const {
 ScenarioSpec ScenarioSpec::fromJson(const Json& doc) {
   ObjectReader r(doc, "scenario");
   const std::string schema = r.getString("schema");
-  if (schema != kScenarioSchema && schema != kScenarioSchemaV2) {
+  if (schema != kScenarioSchema) {
     throw SpecError("unknown value \"" + schema + "\" for \"scenario.schema\" (expected \"" +
-                    kScenarioSchema + "\" or \"" + kScenarioSchemaV2 + "\")");
+                    kScenarioSchema + "\")");
   }
-  const bool allowV2 = schema == kScenarioSchemaV2;
   ScenarioSpec spec;
   spec.name = r.getString("name");
   spec.seed = r.getUint("seed");
   spec.telemetry = r.getBool("telemetry");
-  if (allowV2 && r.has("domains")) {
+  if (r.has("domains")) {
     spec.domains = r.getInt("domains");
     if (spec.domains < 0) throw SpecError("\"scenario.domains\" must be non-negative");
   }
-  if (allowV2 && r.has("lookahead_us")) spec.lookaheadUs = r.getUint("lookahead_us");
+  if (r.has("lookahead_us")) spec.lookaheadUs = r.getUint("lookahead_us");
   spec.topology = topologyFromJson(r.getObject("topology"), "topology");
   spec.analysis = analysisFromJson(r.getObject("analysis"), "analysis");
   const Json& w = r.getArray("workloads");
   for (std::size_t i = 0; i < w.size(); ++i) {
-    spec.workloads.push_back(
-        workloadFromJson(w.at(i), "workloads[" + std::to_string(i) + "]", allowV2));
+    spec.workloads.push_back(workloadFromJson(w.at(i), "workloads[" + std::to_string(i) + "]"));
   }
   if (spec.topology.kind == TopologyKind::kUsecase && !spec.workloads.empty()) {
     throw SpecError("\"workloads\" must be empty for a usecase topology (\"" + spec.name +

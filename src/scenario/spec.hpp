@@ -4,15 +4,14 @@
 // 6 use case), optional analytic passes (validator, path assessment), and
 // an ordered list of workloads to run over it.
 //
-// Specs serialize to `scidmz.scenario.v2` JSON documents. Optional keys
-// (per-flow model fidelity, converging-flow fluid counts, sharding knobs)
-// appear only when non-default; every other field always appears, in a
-// fixed order, so parse -> serialize -> parse is byte-identical and a
-// dumped spec is the fixed point of its own round trip. Parsing also
-// accepts `scidmz.scenario.v1`, which has none of the optional keys.
-// Unknown keys and unrecognized enum values are hard errors that name the
-// offending key — a typo in a hand-written scenario file fails loudly, not
-// silently (v1 documents reject the v2 keys, too).
+// Specs serialize to `scidmz.scenario.v2` JSON documents, the only schema
+// parsing accepts. Optional keys (per-flow model fidelity, converging-flow
+// fluid counts, sharding knobs) appear only when non-default; every other
+// field always appears, in a fixed order, so parse -> serialize -> parse is
+// byte-identical and a dumped spec is the fixed point of its own round
+// trip. Unknown keys and unrecognized enum values are hard errors that name
+// the offending key — a typo in a hand-written scenario file fails loudly,
+// not silently.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +31,7 @@ class SpecError : public JsonError {
   explicit SpecError(const std::string& message) : JsonError(message) {}
 };
 
-/// Read only: the original schema, without the optional v2 keys.
-inline constexpr const char* kScenarioSchema = "scidmz.scenario.v1";
-/// Written by toJson() and read.
-inline constexpr const char* kScenarioSchemaV2 = "scidmz.scenario.v2";
+inline constexpr const char* kScenarioSchema = "scidmz.scenario.v2";
 inline constexpr const char* kCatalogSchema = "scidmz.scenario.catalog.v1";
 
 // --- shared fragments ------------------------------------------------------
@@ -204,9 +200,9 @@ struct WorkloadSpec {
   double flowsPerSecond = 50.0;     ///< background
   std::uint64_t rngFork = 3;        ///< background: scenario-rng fork index
   std::uint64_t rateGbps = 40;      ///< roce line rate
-  // -- v2 fields (serialized only when non-default) --
+  // -- optional fields (serialized only when non-default) --
   /// Flow model fidelity for TCP-flow workloads (steady/converging/timed/
-  /// parallel/probe/background). Default packet keeps v1 semantics.
+  /// parallel/probe/background).
   net::FlowFidelity fidelity = net::FlowFidelity::kPacket;
   /// converging_flows: the first `fluidFlows` senders run at fluid fidelity
   /// regardless of `fidelity` — the mixed-fidelity bottleneck-sharing knob.

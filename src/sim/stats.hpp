@@ -1,12 +1,11 @@
-// Lightweight statistics primitives used by links, queues, TCP and the
-// perfSONAR measurement archive.
+// Lightweight statistics primitives used by the queues and by perfSONAR's
+// OWAMP sessions and measurement archive.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "sim/codec.hpp"
 #include "sim/units.hpp"
@@ -93,84 +92,6 @@ class TimeWeightedMean {
   double area_ = 0.0;
   double span_ = 0.0;
   SimTime last_t_ = SimTime::zero();
-};
-
-/// Fixed-boundary histogram with under/overflow buckets.
-class Histogram {
- public:
-  /// `bounds` must be strictly increasing; bucket i holds values in
-  /// [bounds[i-1], bounds[i]) with bucket 0 = (-inf, bounds[0]).
-  explicit Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-    counts_.assign(bounds_.size() + 1, 0);
-  }
-
-  void add(double x) {
-    const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), x);
-    ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-    ++total_;
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const { return counts_; }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-
-  /// Approximate quantile (0..1) using bucket upper bounds.
-  [[nodiscard]] double quantile(double q) const {
-    if (total_ == 0) return 0.0;
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      seen += counts_[i];
-      if (seen > target) {
-        if (i >= bounds_.size()) return bounds_.empty() ? 0.0 : bounds_.back();
-        return bounds_[i];
-      }
-    }
-    return bounds_.empty() ? 0.0 : bounds_.back();
-  }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Counter of bytes observed over time; reports average throughput and can
-/// be sampled into fixed intervals for utilization plots (Figure 8 style).
-class ThroughputMeter {
- public:
-  void add(SimTime now, DataSize bytes) {
-    if (!started_) {
-      start_ = now;
-      started_ = true;
-    }
-    last_ = now;
-    total_ += bytes;
-  }
-
-  [[nodiscard]] DataSize totalBytes() const { return total_; }
-
-  /// Average rate between `from` and `to`.
-  [[nodiscard]] DataRate averageRate(SimTime from, SimTime to) const {
-    const double secs = (to - from).toSeconds();
-    if (secs <= 0) return DataRate::zero();
-    return DataRate::bitsPerSecond(
-        static_cast<std::uint64_t>(static_cast<double>(total_.bitCount()) / secs));
-  }
-
-  /// Average rate over the observed span.
-  [[nodiscard]] DataRate averageRate() const {
-    if (!started_) return DataRate::zero();
-    return averageRate(start_, last_);
-  }
-
-  void reset() { *this = ThroughputMeter{}; }
-
- private:
-  bool started_ = false;
-  SimTime start_ = SimTime::zero();
-  SimTime last_ = SimTime::zero();
-  DataSize total_ = DataSize::zero();
 };
 
 }  // namespace scidmz::sim

@@ -57,8 +57,6 @@ TcpConnection::TcpConnection(net::Host& host, net::Address remote, std::uint16_t
                              TcpConfig config)
     : host_(host),
       config_(config),
-      hot_(host.ctx().extension<FlowHotTable>()),
-      hot_row_(hot_.acquire()),
       rto_(config.initialRto) {
   client_side_ = true;
   flow_ = net::FlowKey{host_.address(), remote, host_.allocatePort(), remotePort,
@@ -66,24 +64,22 @@ TcpConnection::TcpConnection(net::Host& host, net::Address remote, std::uint16_t
   host_.bind(net::Protocol::kTcp, flow_.srcPort, *this);
   bound_port_ = true;
   cc_ = makeCongestionControl(config_.algorithm);
-  mss_ = host_.mss();
-  hot_.cwnd(hot_row_) = static_cast<double>(mss_.byteCount()) * config_.initialWindowSegments;
-  hot_.ssthresh(hot_row_) = 1e18;
+  cc_state_.mss = host_.mss();
+  cc_state_.cwnd = static_cast<double>(cc_state_.mss.byteCount()) * config_.initialWindowSegments;
+  cc_state_.ssthresh = 1e18;
   rcv_wscale_ = config_.windowScaling ? scaleFor(config_.rcvBuf) : 0;
 }
 
 TcpConnection::TcpConnection(net::Host& host, const net::Packet& syn, TcpConfig config)
     : host_(host),
       config_(config),
-      hot_(host.ctx().extension<FlowHotTable>()),
-      hot_row_(hot_.acquire()),
       rto_(config.initialRto) {
   client_side_ = false;
   flow_ = syn.flow.reversed();
   cc_ = makeCongestionControl(config_.algorithm);
-  mss_ = host_.mss();
-  hot_.cwnd(hot_row_) = static_cast<double>(mss_.byteCount()) * config_.initialWindowSegments;
-  hot_.ssthresh(hot_row_) = 1e18;
+  cc_state_.mss = host_.mss();
+  cc_state_.cwnd = static_cast<double>(cc_state_.mss.byteCount()) * config_.initialWindowSegments;
+  cc_state_.ssthresh = 1e18;
 
   const auto& header = syn.tcp();
   if (header.windowScalePresent && config_.windowScaling) {
@@ -104,13 +100,11 @@ TcpConnection::TcpConnection(net::Host& host, const net::Packet& syn, TcpConfig 
 TcpConnection::TcpConnection(net::Host& host, net::FlowKey flow, TcpConfig config, RestoreTag)
     : host_(host),
       config_(config),
-      hot_(host.ctx().extension<FlowHotTable>()),
-      hot_row_(hot_.acquire()),
       rto_(config.initialRto) {
   client_side_ = false;
   flow_ = flow;
   cc_ = makeCongestionControl(config_.algorithm);
-  mss_ = host_.mss();
+  cc_state_.mss = host_.mss();
 }
 
 TcpConnection::~TcpConnection() {
@@ -129,7 +123,6 @@ TcpConnection::~TcpConnection() {
     for (const auto id : tel_samplers_) tel.removeSampler(id);
   }
   if (bound_port_) host_.unbind(net::Protocol::kTcp, flow_.srcPort);
-  hot_.release(hot_row_);
 }
 
 void TcpConnection::start() {
@@ -170,14 +163,14 @@ TcpConnection::TracePhase TcpConnection::steadyPhase() const {
   // valley (on a chronically lossy path cwnd never gets back and the
   // entire stretch is attributed to loss recovery — the paper's point).
   if (trace_phase_ == TracePhase::kLossRecovery &&
-      (in_recovery_ || hot_.cwnd(hot_row_) < loss_cwnd_ref_)) {
+      (in_recovery_ || cc_state_.cwnd < loss_cwnd_ref_)) {
     return TracePhase::kLossRecovery;
   }
   // Eq. 2: the window is min(cwnd, peer rwnd, sndbuf); the binding term
   // names the phase.
-  const auto cwnd = static_cast<std::uint64_t>(std::max(hot_.cwnd(hot_row_), 0.0));
+  const auto cwnd = static_cast<std::uint64_t>(std::max(cc_state_.cwnd, 0.0));
   if (peer_wnd_ < std::min(cwnd, config_.sndBuf.byteCount())) return TracePhase::kRwndLimited;
-  if (hot_.cwnd(hot_row_) < hot_.ssthresh(hot_row_)) return TracePhase::kSlowStart;
+  if (cc_state_.cwnd < cc_state_.ssthresh) return TracePhase::kSlowStart;
   return TracePhase::kCwndLimited;
 }
 
@@ -304,23 +297,23 @@ void TcpConnection::sendSegment(std::uint64_t seq, sim::DataSize len, bool fin,
 // Sending
 
 std::uint64_t TcpConnection::effectiveWindow() const {
-  const auto cwnd = static_cast<std::uint64_t>(std::max(hot_.cwnd(hot_row_), 0.0));
+  const auto cwnd = static_cast<std::uint64_t>(std::max(cc_state_.cwnd, 0.0));
   return std::min({cwnd, peer_wnd_, config_.sndBuf.byteCount()});
 }
 
 bool TcpConnection::sendOneSegment() {
   const std::uint64_t limit = sendLimit();
   const std::uint64_t window = effectiveWindow();
-  const std::uint64_t mss = mss_.byteCount();
-  if (sndNxt() >= limit || sndNxt() - sndUna() >= window) return false;
-  if (sndNxt() == send_target_) {
+  const std::uint64_t mss = cc_state_.mss.byteCount();
+  if (snd_nxt_ >= limit || snd_nxt_ - snd_una_ >= window) return false;
+  if (snd_nxt_ == send_target_) {
     // All data queued so far is out; emit the FIN (occupies one seq).
-    sendSegment(sndNxt(), sim::DataSize::zero(), /*fin=*/true, /*isRetransmit=*/false);
-    sndNxt() += 1;
+    sendSegment(snd_nxt_, sim::DataSize::zero(), /*fin=*/true, /*isRetransmit=*/false);
+    snd_nxt_ += 1;
   } else {
-    const std::uint64_t len = std::min(mss, send_target_ - sndNxt());
-    sendSegment(sndNxt(), sim::DataSize::bytes(len), /*fin=*/false, /*isRetransmit=*/false);
-    sndNxt() += len;
+    const std::uint64_t len = std::min(mss, send_target_ - snd_nxt_);
+    sendSegment(snd_nxt_, sim::DataSize::bytes(len), /*fin=*/false, /*isRetransmit=*/false);
+    snd_nxt_ += len;
   }
   return true;
 }
@@ -333,23 +326,23 @@ void TcpConnection::trySend() {
   }
   while (sendOneSegment()) {
   }
-  if (sndNxt() > sndUna() && !rto_timer_.valid()) armRto();
+  if (snd_nxt_ > snd_una_ && !rto_timer_.valid()) armRto();
 }
 
 void TcpConnection::pacedSend() {
   if (pace_timer_.valid()) return;  // the next emission is already scheduled
   if (!sendOneSegment()) {
-    if (sndNxt() > sndUna() && !rto_timer_.valid()) armRto();
+    if (snd_nxt_ > snd_una_ && !rto_timer_.valid()) armRto();
     return;
   }
-  if (sndNxt() > sndUna() && !rto_timer_.valid()) armRto();
+  if (snd_nxt_ > snd_una_ && !rto_timer_.valid()) armRto();
   // Inter-segment gap: spread cwnd over the smoothed RTT, sped up by the
   // pacing gain so the window can still grow.
   const double rateBps =
-      std::max(config_.pacingGain * hot_.cwnd(hot_row_) * 8.0 / std::max(srtt().toSeconds(), 1e-6),
+      std::max(config_.pacingGain * cc_state_.cwnd * 8.0 / std::max(srtt_.toSeconds(), 1e-6),
                8.0 * 1460.0);
   const double gapSecs =
-      static_cast<double>(mss_.byteCount()) * 8.0 / rateBps;
+      static_cast<double>(cc_state_.mss.byteCount()) * 8.0 / rateBps;
   pace_timer_ = host_.ctx().sim().schedule(sim::Duration::fromSeconds(gapSecs), [this] {
     pace_timer_ = sim::EventId{};
     if (state_ == State::kEstablished) pacedSend();
@@ -357,7 +350,7 @@ void TcpConnection::pacedSend() {
 }
 
 void TcpConnection::retransmitFrom(std::uint64_t seq) {
-  const std::uint64_t mss = mss_.byteCount();
+  const std::uint64_t mss = cc_state_.mss.byteCount();
   if (fin_pending_ && seq == send_target_) {
     sendSegment(seq, sim::DataSize::zero(), /*fin=*/true, /*isRetransmit=*/true);
     return;
@@ -438,19 +431,18 @@ void TcpConnection::initTelemetry() {
   tel_point_ = tel.recorder().internPoint("tcp:" + flow_.toString());
   tel_retransmits_ = &tel.metrics().counter(base + "/retransmits");
   tel_rtos_ = &tel.metrics().counter(base + "/rtos");
-  tel_samplers_[0] = tel.addSampler(base + "/cwnd_bytes", [this] { return hot_.cwnd(hot_row_); });
+  tel_samplers_[0] = tel.addSampler(base + "/cwnd_bytes", [this] { return cc_state_.cwnd; });
   tel_samplers_[1] =
-      tel.addSampler(base + "/ssthresh_bytes", [this] { return hot_.ssthresh(hot_row_); });
-  tel_samplers_[2] = tel.addSampler(base + "/srtt_ms", [this] { return srtt().toMillis(); });
+      tel.addSampler(base + "/ssthresh_bytes", [this] { return cc_state_.ssthresh; });
+  tel_samplers_[2] = tel.addSampler(base + "/srtt_ms", [this] { return srtt_.toMillis(); });
   tel_samplers_[3] = tel.addSampler(base + "/inflight_bytes", [this] {
-    return sndNxt() >= sndUna() ? static_cast<double>(sndNxt() - sndUna()) : 0.0;
+    return snd_nxt_ >= snd_una_ ? static_cast<double>(snd_nxt_ - snd_una_) : 0.0;
   });
   tel_init_ = true;
 }
 
 void TcpConnection::handleAck(const net::TcpHeader& header) {
   const auto now = host_.ctx().now();
-  const std::uint64_t mss = mss_.byteCount();
 
   // Timestamp-echo RTT sample (valid on new and duplicate ACKs alike).
   if (header.tsEcho != 0) {
@@ -460,13 +452,13 @@ void TcpConnection::handleAck(const net::TcpHeader& header) {
 
   absorbSack(header);
 
-  if (header.ackNo > sndUna()) {
-    const std::uint64_t acked = header.ackNo - sndUna();
-    sndUna() = header.ackNo;
+  if (header.ackNo > snd_una_) {
+    const std::uint64_t acked = header.ackNo - snd_una_;
+    snd_una_ = header.ackNo;
     // After a go-back-N RTO reset, ACKs for the original flight can race
     // past the rewound snd_nxt; never let the send point fall behind the
     // cumulative ACK or the unsigned in-flight arithmetic underflows.
-    if (sndNxt() < sndUna()) sndNxt() = sndUna();
+    if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
     stats_.bytesAcked += sim::DataSize::bytes(acked);
 
 
@@ -476,21 +468,18 @@ void TcpConnection::handleAck(const net::TcpHeader& header) {
         in_recovery_ = false;
         dup_acks_ = 0;
         high_rxt_ = 0;
-        hot_.cwnd(hot_row_) = hot_.ssthresh(hot_row_);
+        cc_state_.cwnd = cc_state_.ssthresh;
       } else {
         // Partial ACK: keep repairing holes, SACK-guided, pipe-limited.
         sackRetransmit();
       }
     } else {
       dup_acks_ = 0;
-      CcState st = ccLoad();
-      cc_->onAckedBytes(st, acked, srtt(), now);
-      ccStore(st);
+      cc_->onAckedBytes(cc_state_, acked, srtt_, now);
     }
-    (void)mss;
 
     cancelRto();
-    if (sndNxt() > sndUna()) armRto();
+    if (snd_nxt_ > snd_una_) armRto();
     trySend();
     checkSendComplete();
     if (tracer_ != nullptr) traceOnAck(now);
@@ -498,7 +487,7 @@ void TcpConnection::handleAck(const net::TcpHeader& header) {
   }
 
   // Duplicate ACK (only meaningful while data is outstanding).
-  if (sndNxt() > sndUna() && header.ackNo == sndUna()) {
+  if (snd_nxt_ > snd_una_ && header.ackNo == snd_una_) {
     if (in_recovery_) {
       sackRetransmit();
     } else if (++dup_acks_ == 3) {
@@ -511,8 +500,8 @@ void TcpConnection::absorbSack(const net::TcpHeader& header) {
   for (std::uint8_t i = 0; i < header.sackCount; ++i) {
     std::uint64_t start = header.sackStart(i);
     std::uint64_t end = header.sackEnd(i);
-    if (end <= start || end <= sndUna()) continue;
-    start = std::max(start, sndUna());
+    if (end <= start || end <= snd_una_) continue;
+    start = std::max(start, snd_una_);
     // Merge [start, end) into the scoreboard.
     auto it = sacked_.lower_bound(start);
     if (it != sacked_.begin()) {
@@ -530,19 +519,19 @@ void TcpConnection::absorbSack(const net::TcpHeader& header) {
     sacked_.emplace(start, end);
   }
   // Drop ranges the cumulative ACK has passed.
-  while (!sacked_.empty() && sacked_.begin()->second <= sndUna()) {
+  while (!sacked_.empty() && sacked_.begin()->second <= snd_una_) {
     sacked_.erase(sacked_.begin());
   }
-  if (!sacked_.empty() && sacked_.begin()->first < sndUna()) {
+  if (!sacked_.empty() && sacked_.begin()->first < snd_una_) {
     auto node = sacked_.extract(sacked_.begin());
-    if (node.mapped() > sndUna()) sacked_.emplace(sndUna(), node.mapped());
+    if (node.mapped() > snd_una_) sacked_.emplace(snd_una_, node.mapped());
   }
 }
 
 std::uint64_t TcpConnection::sackedBytesInFlight() const {
   std::uint64_t total = 0;
   for (const auto& [start, end] : sacked_) {
-    const auto hi = std::min(end, sndNxt());
+    const auto hi = std::min(end, snd_nxt_);
     if (hi > start) total += hi - start;
   }
   return total;
@@ -557,19 +546,19 @@ std::uint64_t TcpConnection::nextHole(std::uint64_t point) const {
 }
 
 void TcpConnection::sackRetransmit() {
-  const std::uint64_t mss = mss_.byteCount();
-  const auto cwnd = static_cast<std::uint64_t>(std::max(hot_.cwnd(hot_row_), 0.0));
-  const std::uint64_t highestSack = sacked_.empty() ? sndUna() : sacked_.rbegin()->second;
+  const std::uint64_t mss = cc_state_.mss.byteCount();
+  const auto cwnd = static_cast<std::uint64_t>(std::max(cc_state_.cwnd, 0.0));
+  const std::uint64_t highestSack = sacked_.empty() ? snd_una_ : sacked_.rbegin()->second;
   // Conservative pipe estimate: outstanding minus what SACK confirms
   // arrived. (Lost-but-unretransmitted bytes still count, which only makes
   // us less aggressive.)
-  std::uint64_t outstanding = sndNxt() - sndUna();
+  std::uint64_t outstanding = snd_nxt_ - snd_una_;
   std::uint64_t pipe = outstanding - std::min(outstanding, sackedBytesInFlight());
 
   int budget = 64;  // hard bound on work per ACK
   while (pipe + mss <= cwnd && budget-- > 0) {
-    std::uint64_t point = nextHole(std::max(sndUna(), high_rxt_));
-    if (point < highestSack && point < sndNxt()) {
+    std::uint64_t point = nextHole(std::max(snd_una_, high_rxt_));
+    if (point < highestSack && point < snd_nxt_) {
       retransmitFrom(point);
       high_rxt_ = point + mss;
       pipe += mss;
@@ -579,31 +568,29 @@ void TcpConnection::sackRetransmit() {
     if (!sendOneSegment()) break;
     pipe += mss;
   }
-  if (sndNxt() > sndUna() && !rto_timer_.valid()) armRto();
+  if (snd_nxt_ > snd_una_ && !rto_timer_.valid()) armRto();
 }
 
 void TcpConnection::enterRecovery() {
   const auto now = host_.ctx().now();
   if (tracer_ != nullptr) {
     // Pre-loss cwnd, captured before the CC reaction halves it.
-    if (trace_phase_ != TracePhase::kLossRecovery) loss_cwnd_ref_ = hot_.cwnd(hot_row_);
+    if (trace_phase_ != TracePhase::kLossRecovery) loss_cwnd_ref_ = cc_state_.cwnd;
     traceSetPhase(TracePhase::kLossRecovery, now);
     if (!episode_span_.valid()) {
       episode_span_ = tracer_->begin(now, "fast_retransmit", "tcp.recovery", trace_parent_);
       tracer_->annotate(episode_span_, "stream", static_cast<std::uint64_t>(trace_stream_));
-      tracer_->annotate(episode_span_, "cwnd_at_loss", hot_.cwnd(hot_row_));
+      tracer_->annotate(episode_span_, "cwnd_at_loss", cc_state_.cwnd);
     }
   }
-  recover_ = sndNxt();
-  CcState st = ccLoad();
-  cc_->onPacketLoss(st, now);
-  ccStore(st);
-  hot_.cwnd(hot_row_) = hot_.ssthresh(hot_row_);
+  recover_ = snd_nxt_;
+  cc_->onPacketLoss(cc_state_, now);
+  cc_state_.cwnd = cc_state_.ssthresh;
   in_recovery_ = true;
   high_rxt_ = 0;
   ++stats_.fastRetransmits;
-  retransmitFrom(sndUna());
-  high_rxt_ = sndUna() + mss_.byteCount();
+  retransmitFrom(snd_una_);
+  high_rxt_ = snd_una_ + cc_state_.mss.byteCount();
   sackRetransmit();
 }
 
@@ -696,7 +683,7 @@ void TcpConnection::handleData(const net::Packet& packet) {
 }
 
 void TcpConnection::checkSendComplete() {
-  if (send_target_ > 0 && sndUna() >= send_target_ && !send_complete_notified_) {
+  if (send_target_ > 0 && snd_una_ >= send_target_ && !send_complete_notified_) {
     send_complete_notified_ = true;
     if (onSendComplete) onSendComplete();
   }
@@ -707,21 +694,21 @@ void TcpConnection::checkSendComplete() {
 
 void TcpConnection::sampleRtt(sim::Duration sample) {
   if (!have_rtt_) {
-    setSrtt(sample);
+    srtt_ = sample;
     rttvar_ = sim::Duration::nanoseconds(sample.ns() / 2);
     have_rtt_ = true;
   } else {
     const double s = sample.toSeconds();
-    const double smoothed = srtt().toSeconds();
+    const double smoothed = srtt_.toSeconds();
     const double var = rttvar_.toSeconds();
     const double newVar = 0.75 * var + 0.25 * std::abs(smoothed - s);
     const double newSrtt = 0.875 * smoothed + 0.125 * s;
-    setSrtt(sim::Duration::fromSeconds(newSrtt));
+    srtt_ = sim::Duration::fromSeconds(newSrtt);
     rttvar_ = sim::Duration::fromSeconds(newVar);
   }
   cc_->onRttSample(sample);
   const auto candidate =
-      sim::Duration::fromSeconds(srtt().toSeconds() + std::max(4.0 * rttvar_.toSeconds(), 1e-3));
+      sim::Duration::fromSeconds(srtt_.toSeconds() + std::max(4.0 * rttvar_.toSeconds(), 1e-3));
   rto_ = std::clamp(candidate, config_.minRto, config_.maxRto);
 }
 
@@ -753,7 +740,7 @@ void TcpConnection::onRtoFire() {
     armRto();
     return;
   }
-  if (sndNxt() <= sndUna()) return;  // nothing outstanding
+  if (snd_nxt_ <= snd_una_) return;  // nothing outstanding
 
   ++stats_.rtos;
   {
@@ -765,7 +752,7 @@ void TcpConnection::onRtoFire() {
   }
   if (tracer_ != nullptr) {
     const auto now = host_.ctx().now();
-    if (trace_phase_ != TracePhase::kLossRecovery) loss_cwnd_ref_ = hot_.cwnd(hot_row_);
+    if (trace_phase_ != TracePhase::kLossRecovery) loss_cwnd_ref_ = cc_state_.cwnd;
     traceSetPhase(TracePhase::kLossRecovery, now);
     if (!episode_span_.valid()) {
       episode_span_ = tracer_->begin(now, "rto", "tcp.recovery", trace_parent_);
@@ -774,16 +761,12 @@ void TcpConnection::onRtoFire() {
       tracer_->bump(episode_span_, "rtos", 1);
     }
   }
-  {
-    CcState st = ccLoad();
-    cc_->onRto(st, host_.ctx().now());
-    ccStore(st);
-  }
+  cc_->onRto(cc_state_, host_.ctx().now());
   in_recovery_ = false;
   dup_acks_ = 0;
   sacked_.clear();
   high_rxt_ = 0;
-  sndNxt() = sndUna();  // go-back-N from the last cumulative ACK
+  snd_nxt_ = snd_una_;  // go-back-N from the last cumulative ACK
   trySend();
   if (!rto_timer_.valid()) armRto();
 }
@@ -798,12 +781,12 @@ void TcpConnection::restoreTelemetry(std::uint32_t point) {
   tel_point_ = point;
   tel_retransmits_ = &tel.metrics().counter(base + "/retransmits");
   tel_rtos_ = &tel.metrics().counter(base + "/rtos");
-  tel_samplers_[0] = tel.addSampler(base + "/cwnd_bytes", [this] { return hot_.cwnd(hot_row_); });
+  tel_samplers_[0] = tel.addSampler(base + "/cwnd_bytes", [this] { return cc_state_.cwnd; });
   tel_samplers_[1] =
-      tel.addSampler(base + "/ssthresh_bytes", [this] { return hot_.ssthresh(hot_row_); });
-  tel_samplers_[2] = tel.addSampler(base + "/srtt_ms", [this] { return srtt().toMillis(); });
+      tel.addSampler(base + "/ssthresh_bytes", [this] { return cc_state_.ssthresh; });
+  tel_samplers_[2] = tel.addSampler(base + "/srtt_ms", [this] { return srtt_.toMillis(); });
   tel_samplers_[3] = tel.addSampler(base + "/inflight_bytes", [this] {
-    return sndNxt() >= sndUna() ? static_cast<double>(sndNxt() - sndUna()) : 0.0;
+    return snd_nxt_ >= snd_una_ ? static_cast<double>(snd_nxt_ - snd_una_) : 0.0;
   });
   tel_init_ = true;
 }
@@ -817,12 +800,14 @@ std::uint64_t TcpConnection::serialize(sim::Codec& c) {
   c.u8(snd_wscale_);
   c.u8(rcv_wscale_);
 
-  // Hot-table row (this connection's SoA cells).
-  c.f64(hot_.cwnd(hot_row_));
-  c.f64(hot_.ssthresh(hot_row_));
-  c.vint(hot_.srttNs(hot_row_));
-  c.vu64(hot_.sndUna(hot_row_));
-  c.vu64(hot_.sndNxt(hot_row_));
+  // Window and per-ACK sequence state.
+  c.f64(cc_state_.cwnd);
+  c.f64(cc_state_.ssthresh);
+  std::int64_t srtt_ns = srtt_.ns();
+  c.vint(srtt_ns);
+  if (!c.writing()) srtt_ = sim::Duration::nanoseconds(srtt_ns);
+  c.vu64(snd_una_);
+  c.vu64(snd_nxt_);
 
   // Sender state.
   c.vu64(send_target_);

@@ -20,7 +20,6 @@
 #include "net/host.hpp"
 #include "sim/arena.hpp"
 #include "tcp/congestion.hpp"
-#include "tcp/hot_table.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -126,10 +125,8 @@ class TcpConnection : public net::PacketSink {
   [[nodiscard]] bool closed() const { return state_ == State::kClosed; }
   [[nodiscard]] const net::FlowKey& flow() const { return flow_; }
   [[nodiscard]] const TcpStats& stats() const { return stats_; }
-  [[nodiscard]] double cwndBytes() const { return hot_.cwnd(hot_row_); }
-  [[nodiscard]] sim::Duration srtt() const {
-    return sim::Duration::nanoseconds(hot_.srttNs(hot_row_));
-  }
+  [[nodiscard]] double cwndBytes() const { return cc_state_.cwnd; }
+  [[nodiscard]] sim::Duration srtt() const { return srtt_; }
   [[nodiscard]] bool windowScalingActive() const { return scaling_ok_; }
   [[nodiscard]] std::uint64_t peerWindowBytes() const { return peer_wnd_; }
   [[nodiscard]] std::string_view ccName() const { return cc_->name(); }
@@ -146,7 +143,7 @@ class TcpConnection : public net::PacketSink {
     sim::Duration rto = sim::Duration::zero();
   };
   [[nodiscard]] DebugState debugState() const {
-    return DebugState{hot_.sndUna(hot_row_), hot_.sndNxt(hot_row_), send_target_, rcv_nxt_,
+    return DebugState{snd_una_, snd_nxt_, send_target_, rcv_nxt_,
                       in_recovery_, dup_acks_, rto_timer_.valid(), rto_};
   }
 
@@ -161,7 +158,7 @@ class TcpConnection : public net::PacketSink {
   void onPacket(const net::Packet& packet) override;
 
   /// Snapshot/restore of the full connection state: handshake results, the
-  /// hot-table row, sender/receiver sequence state, SACK scoreboard, RTO
+  /// window, sender/receiver sequence state, SACK scoreboard, RTO
   /// machinery, stats, CC-internal state, telemetry registration, the
   /// span-trace phase and open span ids (the spans themselves travel in the
   /// snapshot's SPAN overlay), and the pending RTO/pacing timers (re-armed
@@ -232,27 +229,6 @@ class TcpConnection : public net::PacketSink {
     return send_target_ + (fin_pending_ ? 1 : 0);
   }
 
-  // Hot-row shorthands: the five per-ACK fields live in the per-Context
-  // FlowHotTable (tcp/hot_table.hpp), this connection owning row hot_row_.
-  [[nodiscard]] std::uint64_t sndUna() const { return hot_.sndUna(hot_row_); }
-  [[nodiscard]] std::uint64_t& sndUna() { return hot_.sndUna(hot_row_); }
-  [[nodiscard]] std::uint64_t sndNxt() const { return hot_.sndNxt(hot_row_); }
-  [[nodiscard]] std::uint64_t& sndNxt() { return hot_.sndNxt(hot_row_); }
-  void setSrtt(sim::Duration d) { hot_.srttNs(hot_row_) = d.ns(); }
-  /// Copy the row (plus mss) into the by-reference shape the
-  /// CongestionControl hooks expect; pair with ccStore() after the call.
-  [[nodiscard]] CcState ccLoad() const {
-    CcState st;
-    st.cwnd = hot_.cwnd(hot_row_);
-    st.ssthresh = hot_.ssthresh(hot_row_);
-    st.mss = mss_;
-    return st;
-  }
-  void ccStore(const CcState& st) {
-    hot_.cwnd(hot_row_) = st.cwnd;
-    hot_.ssthresh(hot_row_) = st.ssthresh;
-  }
-
   net::Host& host_;
   TcpConfig config_;
   net::FlowKey flow_;  ///< Local perspective: src = this host.
@@ -260,14 +236,14 @@ class TcpConnection : public net::PacketSink {
   bool client_side_ = false;
   bool bound_port_ = false;
 
-  // Congestion control. The window state itself lives in the hot table;
-  // only the algorithm object and the (immutable) mss stay here.
-  sim::DataSize mss_ = sim::DataSize::bytes(1460);
+  // Congestion control: the algorithm and the window state its hooks adjust
+  // in place (cwnd, ssthresh and the connection's only copy of mss).
   std::unique_ptr<CongestionControl> cc_;
-  FlowHotTable& hot_;
-  std::uint32_t hot_row_ = 0;
+  CcState cc_state_;
 
   // Sender state (byte sequence space; data starts at 0, FIN at target).
+  std::uint64_t snd_una_ = 0;
+  std::uint64_t snd_nxt_ = 0;
   std::uint64_t send_target_ = 0;
   bool fin_pending_ = false;
   bool send_complete_notified_ = false;
@@ -288,8 +264,8 @@ class TcpConnection : public net::PacketSink {
   std::uint8_t snd_wscale_ = 0;  ///< Peer's receive-window shift.
   std::uint8_t rcv_wscale_ = 0;  ///< Our receive-window shift.
 
-  // RTO machinery (RFC 6298). srtt lives in the hot table (sampled by
-  // telemetry and read per paced send); rttvar is only touched per sample.
+  // RTO machinery (RFC 6298).
+  sim::Duration srtt_ = sim::Duration::zero();
   sim::Duration rttvar_ = sim::Duration::zero();
   bool have_rtt_ = false;
   sim::Duration rto_;

@@ -41,11 +41,7 @@ std::string jsonNumber(double v) {
 
 void setProcessTracingEnabled(bool enabled) { g_process_tracing = enabled; }
 
-bool processTracingEnabled() { return g_process_tracing; }
-
-Tracer::Tracer() {
-  enabled_ = g_process_tracing || std::getenv("SCIDMZ_TRACE") != nullptr;
-}
+Tracer::Tracer() : enabled_(g_process_tracing) {}
 
 SpanId Tracer::begin(sim::SimTime at, std::string name, std::string category, SpanId parent) {
   Span span;

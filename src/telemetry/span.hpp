@@ -49,9 +49,7 @@ struct SpanId {
 class Tracer {
  public:
   /// A new tracer starts enabled iff the process-wide flag is set (see
-  /// setProcessTracingEnabled below, flipped by `scidmz_run --trace`) or
-  /// SCIDMZ_TRACE is in the environment — the same pattern the telemetry
-  /// hub uses for SCIDMZ_TELEMETRY, so any binary can be traced unchanged.
+  /// setProcessTracingEnabled below, flipped by `scidmz_run --trace`).
   Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -154,6 +152,5 @@ class Tracer {
 /// before any simulation runs; sweep workers read it without
 /// synchronization, so never flip it mid-run.
 void setProcessTracingEnabled(bool enabled);
-[[nodiscard]] bool processTracingEnabled();
 
 }  // namespace scidmz::telemetry

@@ -8,45 +8,17 @@ namespace scidmz::telemetry {
 
 namespace {
 
-bool envTruthy(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
+bool envTruthy(const char* value) {
+  if (value == nullptr || *value == '\0') return false;
+  const std::string s(value);
   return s != "0" && s != "off" && s != "false" && s != "no";
-}
-
-long long envLong(const char* name, long long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return (end != v && parsed > 0) ? parsed : fallback;
 }
 
 }  // namespace
 
 Telemetry::Telemetry(sim::Simulator& simulator, sim::Arena& arena)
     : sim_(simulator), arena_(arena) {
-  enableFromEnv();
-}
-
-Telemetry::Telemetry(sim::Simulator& simulator)
-    : sim_(simulator),
-      owned_arena_(std::make_unique<sim::Arena>()),
-      arena_(*owned_arena_) {
-  enableFromEnv();
-}
-
-void Telemetry::enableFromEnv() {
-  if (envTruthy("SCIDMZ_TELEMETRY")) {
-    TelemetryConfig cfg;
-    cfg.sampleEvery = sim::Duration::microseconds(
-        envLong("SCIDMZ_TELEMETRY_CADENCE_US", cfg.sampleEvery.ns() / 1000));
-    cfg.ringCapacity =
-        static_cast<std::size_t>(envLong("SCIDMZ_TELEMETRY_RING",
-                                         static_cast<long long>(cfg.ringCapacity)));
-    enable(cfg);
-  }
+  if (envTruthy(std::getenv("SCIDMZ_TELEMETRY"))) enable();
 }
 
 void Telemetry::enable(TelemetryConfig config) {

@@ -7,9 +7,8 @@
 // enabled() (a single bool load) and the sampling tick is never scheduled,
 // so an uninstrumented run pays one predictable branch per emit site.
 //
-// Enable programmatically with enable(), or for any existing binary by
-// setting SCIDMZ_TELEMETRY=1 in the environment (cadence and ring size via
-// SCIDMZ_TELEMETRY_CADENCE_US / SCIDMZ_TELEMETRY_RING).
+// Enable programmatically with enable(config), or for any existing binary
+// by setting SCIDMZ_TELEMETRY=1 in the environment (default config).
 //
 // Sampling rides the simulator's daemon events (sim::Simulator::
 // scheduleDaemon): probes fire on the configured cadence for as long as the
@@ -20,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,12 +49,11 @@ struct SamplerId {
 class Telemetry {
  public:
   /// Reads SCIDMZ_TELEMETRY from the environment; a value of 1/on/true
-  /// enables instrumentation with env-tunable defaults so any bench or
-  /// example can be instrumented without code changes. Series nodes
-  /// allocate from `arena` (net::Context passes its scenario arena); the
-  /// single-argument form owns a private arena for standalone use.
+  /// enables instrumentation with the default TelemetryConfig so any bench
+  /// or example can be instrumented without code changes. Series nodes
+  /// allocate from `arena` (net::Context passes its scenario arena), which
+  /// must outlive the hub.
   Telemetry(sim::Simulator& simulator, sim::Arena& arena);
-  explicit Telemetry(sim::Simulator& simulator);
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
@@ -111,14 +108,10 @@ class Telemetry {
   bool writeTrace(const std::string& path) const;
 
  private:
-  void enableFromEnv();
   void tick();
   void armTick();
 
   sim::Simulator& sim_;
-  /// Present only for the standalone (arena-less) constructor; declared
-  /// before series_ so arena-backed nodes die first.
-  std::unique_ptr<sim::Arena> owned_arena_;
   sim::Arena& arena_;
   bool enabled_ = false;
   bool tick_armed_ = false;

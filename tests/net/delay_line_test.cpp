@@ -160,8 +160,7 @@ TEST(DelayLine, DestroyingTopologyMidRunReleasesEveryPoolSlot) {
   // live) pool, with no event closure holding one back.
   sim::Simulator simulator;
   sim::Rng rng{7};
-  sim::Logger logger;
-  Context ctx{simulator, rng, logger};
+  Context ctx{simulator, rng};
   {
     Topology topo{ctx};
     auto& a = topo.addHost("a", Address(10, 0, 0, 1));

@@ -268,8 +268,7 @@ TEST(Link, DestroyingTopologyMidRunReleasesInFlightPackets) {
   // return every slot to the (still live) pool.
   sim::Simulator simulator;
   sim::Rng rng{7};
-  sim::Logger logger;
-  Context ctx{simulator, rng, logger};
+  Context ctx{simulator, rng};
   {
     Topology topo{ctx};
     auto& a = topo.addHost("a", Address(10, 0, 0, 1));

@@ -1,9 +1,8 @@
 // Shared scaffolding for net/tcp tests: one deterministic scenario
-// (simulator + rng + logger + topology) per test.
+// (simulator + rng + topology) per test.
 #pragma once
 
 #include "net/topology.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -12,8 +11,7 @@ namespace scidmz::testutil {
 struct Scenario {
   sim::Simulator simulator;
   sim::Rng rng{12345};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 };
 

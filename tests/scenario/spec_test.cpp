@@ -95,9 +95,9 @@ TEST(ScenarioSpec, WrongSchemaIsRejected) {
 }
 
 TEST(ScenarioSpec, MissingKeyErrorNamesTheKey) {
-  EXPECT_THROW(ScenarioSpec::parse("{\"schema\":\"scidmz.scenario.v1\"}"), SpecError);
+  EXPECT_THROW(ScenarioSpec::parse("{\"schema\":\"scidmz.scenario.v2\"}"), SpecError);
   try {
-    ScenarioSpec::parse("{\"schema\":\"scidmz.scenario.v1\"}");
+    ScenarioSpec::parse("{\"schema\":\"scidmz.scenario.v2\"}");
   } catch (const SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("missing key \"name\""), std::string::npos) << e.what();
   }
@@ -108,15 +108,41 @@ TEST(ScenarioSpec, MissingKeyErrorNamesTheKey) {
 TEST(ScenarioSpec, DefaultSpecWritesV2AndStillReadsV1) {
   ScenarioSpec spec;
   spec.name = "defaults";
-  WorkloadSpec w;
-  spec.workloads.push_back(w);
+  spec.workloads.push_back(WorkloadSpec{});
   Json doc = spec.toJson();
   EXPECT_EQ(doc["schema"].asString(), "scidmz.scenario.v2");
   const std::string once = doc.dump();
-  // The same document under the v1 schema (it has no optional keys) reads
-  // back to the same spec.
+  EXPECT_EQ(ScenarioSpec::parse(once).toJson().dump(), once);
+  // v1 is no longer read: the same document under the v1 schema is refused,
+  // even though it carries none of the optional keys, and the error names
+  // the schema.
   doc.set("schema", "scidmz.scenario.v1");
-  EXPECT_EQ(ScenarioSpec::fromJson(doc).toJson().dump(), once);
+  try {
+    ScenarioSpec::fromJson(doc);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"scidmz.scenario.v1\""), std::string::npos) << what;
+    EXPECT_NE(what.find("scenario.schema"), std::string::npos) << what;
+  }
+}
+
+TEST(ScenarioSpec, V1DocumentRejectsFidelityKey) {
+  ScenarioSpec spec;
+  spec.name = "v1";
+  WorkloadSpec w;
+  w.fidelity = net::FlowFidelity::kFluid;
+  spec.workloads.push_back(w);
+  Json doc = spec.toJson();
+  doc.set("schema", "scidmz.scenario.v1");  // claim v1 but keep the v2 key
+  try {
+    ScenarioSpec::fromJson(doc);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    // Refused at the schema, before any workload key is read.
+    EXPECT_NE(std::string(e.what()).find("\"scidmz.scenario.v1\""), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScenarioSpec, FidelityRoundTripsAsSchemaV2) {
@@ -148,22 +174,6 @@ TEST(ScenarioSpec, FluidFlowsRoundTripsAsSchemaV2) {
   const auto reparsed = ScenarioSpec::parse(once);
   EXPECT_EQ(reparsed.workloads.at(0).fluidFlows, 8);
   EXPECT_EQ(reparsed.toJson().dump(), once);
-}
-
-TEST(ScenarioSpec, V1DocumentRejectsFidelityKey) {
-  ScenarioSpec spec;
-  spec.name = "v1";
-  WorkloadSpec w;
-  w.fidelity = net::FlowFidelity::kFluid;
-  spec.workloads.push_back(w);
-  Json doc = spec.toJson();
-  doc.set("schema", "scidmz.scenario.v1");  // claim v1 but keep the v2 key
-  try {
-    ScenarioSpec::fromJson(doc);
-    FAIL() << "expected SpecError";
-  } catch (const SpecError& e) {
-    EXPECT_NE(std::string(e.what()).find("fidelity"), std::string::npos) << e.what();
-  }
 }
 
 TEST(ScenarioSpec, BadFidelityValueIsRejected) {

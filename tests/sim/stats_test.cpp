@@ -106,37 +106,5 @@ TEST(TimeWeightedMean, MeanAtLastUpdateTimeFallsBackToCurrent) {
   EXPECT_DOUBLE_EQ(m.mean(t0), 7.0);  // zero span: current value, not 0/0
 }
 
-TEST(Histogram, BucketsAndQuantiles) {
-  Histogram h{{10.0, 20.0, 30.0}};
-  for (double x : {5.0, 15.0, 15.0, 25.0, 35.0}) h.add(x);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 1u);  // < 10
-  EXPECT_EQ(h.counts()[1], 2u);  // [10, 20)
-  EXPECT_EQ(h.counts()[2], 1u);  // [20, 30)
-  EXPECT_EQ(h.counts()[3], 1u);  // >= 30
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 20.0);
-}
-
-TEST(ThroughputMeter, AverageRate) {
-  ThroughputMeter m;
-  const SimTime t0 = SimTime::zero();
-  m.add(t0, 0_B);
-  m.add(t0 + 1_s, 125_MB);  // 125 MB over 1 s = 1 Gbps
-  EXPECT_EQ(m.averageRate().bps(), (1_Gbps).bps());
-  EXPECT_EQ(m.totalBytes(), 125_MB);
-}
-
-TEST(ThroughputMeter, ExplicitWindow) {
-  ThroughputMeter m;
-  const SimTime t0 = SimTime::zero();
-  m.add(t0 + 500_ms, 250_MB);
-  EXPECT_EQ(m.averageRate(t0, t0 + 2_s).bps(), (1_Gbps).bps());
-}
-
-TEST(ThroughputMeter, EmptyIsZero) {
-  ThroughputMeter m;
-  EXPECT_EQ(m.averageRate(), DataRate::zero());
-}
-
 }  // namespace
 }  // namespace scidmz::sim

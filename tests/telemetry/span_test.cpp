@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,8 +24,11 @@ struct TestTracer : Tracer {
 };
 
 TEST(Tracer, DisabledByDefaultWithoutEnvOrProcessFlag) {
-  // The test binary runs without SCIDMZ_TRACE; the process flag is off.
+  // Only the process flag (`--trace`) enables tracing; the retired
+  // SCIDMZ_TRACE environment variable is not read.
+  ::setenv("SCIDMZ_TRACE", "1", 1);
   Tracer t;
+  ::unsetenv("SCIDMZ_TRACE");
   EXPECT_FALSE(t.enabled());
 }
 

@@ -24,8 +24,7 @@ using namespace scidmz::sim::literals;
 struct Scenario {
   sim::Simulator simulator;
   sim::Rng rng{20130101};
-  sim::Logger logger;
-  net::Context ctx{simulator, rng, logger};
+  net::Context ctx{simulator, rng};
   net::Topology topo{ctx};
 };
 
@@ -112,7 +111,8 @@ TEST(FlightRecorder, JsonlLineFormat) {
 
 TEST(Telemetry, DisabledByDefaultAndFirstEnableWins) {
   sim::Simulator sim;
-  Telemetry tel{sim};
+  sim::Arena arena;
+  Telemetry tel{sim, arena};
   EXPECT_FALSE(tel.enabled());
 
   TelemetryConfig first;
@@ -128,7 +128,8 @@ TEST(Telemetry, DisabledByDefaultAndFirstEnableWins) {
 
 TEST(Telemetry, SamplersFireOnCadenceThroughRunFor) {
   sim::Simulator sim;
-  Telemetry tel{sim};
+  sim::Arena arena;
+  Telemetry tel{sim, arena};
   TelemetryConfig config;
   config.sampleEvery = 10_ms;
   tel.enable(config);
@@ -152,7 +153,8 @@ TEST(Telemetry, SamplersFireOnCadenceThroughRunFor) {
 
 TEST(Telemetry, SamplingDaemonDoesNotKeepRunAlive) {
   sim::Simulator sim;
-  Telemetry tel{sim};
+  sim::Arena arena;
+  Telemetry tel{sim, arena};
   tel.enable();
   (void)tel.addSampler("probe/idle", [] { return 0.0; });
   int fired = 0;
@@ -164,7 +166,8 @@ TEST(Telemetry, SamplingDaemonDoesNotKeepRunAlive) {
 
 TEST(Telemetry, SnapshotSortsByNameAndRoundTripsValues) {
   sim::Simulator sim;
-  Telemetry tel{sim};
+  sim::Arena arena;
+  Telemetry tel{sim, arena};
   tel.enable();
   tel.metrics().counter("zeta/drops") = 4;
   tel.metrics().counter("alpha/lost") = 9;
@@ -182,7 +185,8 @@ TEST(Telemetry, SnapshotSortsByNameAndRoundTripsValues) {
 
 TEST(Diagnosis, LocalizeLossRanksByCountThenName) {
   sim::Simulator sim;
-  Telemetry tel{sim};
+  sim::Arena arena;
+  Telemetry tel{sim, arena};
   tel.enable();
   tel.metrics().counter("link/r->b/lost") = 21;
   tel.metrics().counter("queue/sw/if0/drops") = 21;
@@ -203,7 +207,8 @@ TEST(Diagnosis, LocalizeLossRanksByCountThenName) {
 
 TEST(Diagnosis, CleanSnapshotHasNoCulprit) {
   sim::Simulator sim;
-  Telemetry tel{sim};
+  sim::Arena arena;
+  Telemetry tel{sim, arena};
   const auto diagnosis = localizeLoss(tel.snapshot());
   EXPECT_TRUE(diagnosis.clean());
   EXPECT_EQ(diagnosis.culprit(), nullptr);

@@ -16,8 +16,7 @@ Dispatch is by content:
   {"schema": "scidmz.profile.v1"}      -> self-profiler export
                                           (scidmz_run --profile)
   {"schema": "scidmz.bench.table.v1"}  -> bench table
-  {"schema": "scidmz.scenario.v1"}     -> declarative scenario spec
-  {"schema": "scidmz.scenario.v2"}     -> spec with per-flow fidelity fields
+  {"schema": "scidmz.scenario.v2"}     -> declarative scenario spec
   {"schema": "scidmz.scenario.catalog.v1"} -> scidmz_run --dump catalog
                                           (embedded specs validated too)
   {"benchmark": ..., "runs": [...]}    -> BENCH_sim.json sweep report
@@ -332,8 +331,7 @@ FLOW_FIDELITIES = {"packet", "fluid"}
 
 def validate_scenario_spec(doc, where):
     schema = doc.get("schema")
-    require(schema in ("scidmz.scenario.v1", "scidmz.scenario.v2"), where, "wrong schema")
-    v2 = schema == "scidmz.scenario.v2"
+    require(schema == "scidmz.scenario.v2", where, "wrong schema")
     check_str(doc, "name", where)
     check_uint(doc, "seed", where)
     require(isinstance(doc.get("telemetry"), bool), where, "'telemetry' must be a boolean")
@@ -351,15 +349,12 @@ def validate_scenario_spec(doc, where):
         wkind = check_str(workload, "kind", where)
         require(wkind in WORKLOAD_KINDS, where,
                 f"workload {i}: unknown kind {wkind!r}")
-        # v2-only fields: per-flow model fidelity, mixed-fidelity fan-in.
+        # Optional fields: per-flow model fidelity, mixed-fidelity fan-in.
         if "fidelity" in workload:
-            require(v2, where, f"workload {i}: 'fidelity' requires schema scidmz.scenario.v2")
             fidelity = check_str(workload, "fidelity", where)
             require(fidelity in FLOW_FIDELITIES, where,
                     f"workload {i}: unknown fidelity {fidelity!r}")
         if "fluid_flows" in workload:
-            require(v2, where,
-                    f"workload {i}: 'fluid_flows' requires schema scidmz.scenario.v2")
             require(wkind == "converging_flows", where,
                     f"workload {i}: 'fluid_flows' only applies to converging_flows")
             check_uint(workload, "fluid_flows", where)
@@ -623,7 +618,7 @@ def validate_file(path):
         return validate_profile(doc, path)
     if schema == "scidmz.bench.table.v1":
         return validate_table(doc, path)
-    if schema in ("scidmz.scenario.v1", "scidmz.scenario.v2"):
+    if schema == "scidmz.scenario.v2":
         return validate_scenario_spec(doc, path)
     if schema == "scidmz.scenario.catalog.v1":
         return validate_scenario_catalog(doc, path)
