@@ -54,6 +54,4 @@ sim::DataRate ParallelTransfer::aggregateGoodput() const {
       static_cast<std::uint64_t>(static_cast<double>(acked.bitCount()) / span.toSeconds()));
 }
 
-std::uint64_t ParallelTransfer::totalRetransmits() const { return flow_->retransmits(); }
-
 }  // namespace scidmz::apps

@@ -39,7 +39,6 @@ class ParallelTransfer {
   /// Aggregate goodput: total bytes over wall time from start to last
   /// stream completion.
   [[nodiscard]] sim::DataRate aggregateGoodput() const;
-  [[nodiscard]] std::uint64_t totalRetransmits() const;
   [[nodiscard]] sim::DataSize totalBytes() const { return total_; }
 
  private:

@@ -47,11 +47,7 @@ FlowPath traceFlowPath(Host& src, Host& dst) {
     survival *= 1.0 - link->lossRate(end);
     device = &link->peer(end).owner();
   }
-  path.hops.clear();
-  path.oneWayDelay = sim::Duration::zero();
-  path.bottleneck = sim::DataRate::zero();
-  path.lossRate = 0.0;
-  return path;
+  return FlowPath{};
 }
 
 namespace {

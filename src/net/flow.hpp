@@ -62,9 +62,6 @@ struct FlowPath {
   sim::DataRate bottleneck = sim::DataRate::zero();
   /// Combined probability a data packet is dropped by the hop loss models.
   double lossRate = 0.0;
-
-  [[nodiscard]] bool complete() const { return !hops.empty(); }
-  [[nodiscard]] sim::Duration rtt() const { return oneWayDelay * 2; }
 };
 
 /// Walk the routed path between two hosts. Returns an incomplete path
@@ -171,7 +168,7 @@ class FlowHandle {
   /// This handle's slot in the registry, so deregistration is O(1). 32 bits
   /// on purpose: a derived class's first 4-byte member packs into the tail
   /// padding behind it, which keeps fluid handles in the arena's 256-byte
-  /// class (see the static_assert in src/tcp/flow_factory.cpp).
+  /// class (see the static_assert in src/tcp/fluid.hpp).
   std::uint32_t registry_slot_ = 0;
 };
 
@@ -220,7 +217,6 @@ class FlowFactory {
   /// Process-wide overrides (e.g. `scidmz_run --fidelity=fluid`) land here
   /// per cell; they replace the fidelity of every flow not pinned.
   void setOverride(std::optional<FlowFidelity> fidelity) { override_ = fidelity; }
-  [[nodiscard]] std::optional<FlowFidelity> overrideFidelity() const { return override_; }
 
   /// Create one flow. Defined in the tcp library (src/tcp/flow_factory.cpp)
   /// — the only production construction site of tcp::TcpConnection.

@@ -63,7 +63,6 @@ class OwampStream {
 
   /// Raw counters (no timeout accounting).
   [[nodiscard]] std::uint64_t probesSent() const { return sent_times_.size(); }
-  [[nodiscard]] std::uint64_t probesReceived() const { return receiver_.received_count_; }
 
  private:
   class Receiver : public net::PacketSink {
@@ -73,7 +72,6 @@ class OwampStream {
     net::Host& host_;
     std::uint32_t stream_id_ = 0;
     std::vector<bool> got_;
-    std::uint64_t received_count_ = 0;
     sim::RunningStats delaySeconds_;
   };
 

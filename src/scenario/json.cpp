@@ -23,6 +23,7 @@ class Parser {
   }
 
  private:
+  template <typename Error = JsonError>
   [[noreturn]] void fail(const std::string& message) const {
     std::size_t line = 1;
     std::size_t column = 1;
@@ -34,8 +35,8 @@ class Parser {
         ++column;
       }
     }
-    throw JsonError("JSON parse error at line " + std::to_string(line) + ", column " +
-                    std::to_string(column) + ": " + message);
+    throw Error("JSON parse error at line " + std::to_string(line) + ", column " +
+                std::to_string(column) + ": " + message);
   }
 
   [[nodiscard]] bool atEnd() const { return pos_ >= text_.size(); }
@@ -71,9 +72,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parseObject();
-      case '[':
-        return parseArray();
+      case '[': {
+        if (++depth_ > Json::kMaxDepth) {
+          fail<SpecError>("nested deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        }
+        Json nested = c == '{' ? parseObject() : parseArray();
+        --depth_;
+        return nested;
+      }
       case '"':
         return Json(parseString());
       case 't':
@@ -250,6 +256,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

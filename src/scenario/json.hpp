@@ -23,6 +23,14 @@ class JsonError : public std::runtime_error {
   explicit JsonError(const std::string& message) : std::runtime_error(message) {}
 };
 
+/// Error raised when a scidmz.scenario document is not a valid spec
+/// (unknown key, bad enum, wrong type) or nests deeper than Json::parse
+/// accepts.
+class SpecError : public JsonError {
+ public:
+  explicit SpecError(const std::string& message) : JsonError(message) {}
+};
+
 /// A parsed JSON value. Objects preserve key insertion order (both when
 /// parsed and when built programmatically) so dumps are deterministic.
 class Json {
@@ -54,7 +62,6 @@ class Json {
   }
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool isNull() const { return kind_ == Kind::kNull; }
   [[nodiscard]] bool isBool() const { return kind_ == Kind::kBool; }
   [[nodiscard]] bool isNumber() const { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool isString() const { return kind_ == Kind::kString; }
@@ -97,6 +104,11 @@ class Json {
   }
   /// Mutable lookup; inserts a null member when absent.
   Json& operator[](std::string_view key);
+
+  /// Deepest array/object nesting parse() accepts: the parser recurses once
+  /// per level, so deeper input is refused (SpecError), not left to
+  /// overflow the stack.
+  static constexpr int kMaxDepth = 256;
 
   /// Parse a complete JSON document; trailing garbage is an error.
   static Json parse(std::string_view text);

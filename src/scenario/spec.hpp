@@ -24,13 +24,6 @@
 
 namespace scidmz::scenario {
 
-/// Error raised when a scidmz.scenario document is structurally valid
-/// JSON but not a valid spec (unknown key, bad enum, wrong type).
-class SpecError : public JsonError {
- public:
-  explicit SpecError(const std::string& message) : JsonError(message) {}
-};
-
 inline constexpr const char* kScenarioSchema = "scidmz.scenario.v2";
 inline constexpr const char* kCatalogSchema = "scidmz.scenario.catalog.v1";
 

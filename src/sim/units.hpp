@@ -110,7 +110,6 @@ class DataRate {
  public:
   constexpr DataRate() = default;
   static constexpr DataRate bitsPerSecond(std::uint64_t bps) { return DataRate{bps}; }
-  static constexpr DataRate kilobitsPerSecond(std::uint64_t k) { return DataRate{k * 1'000}; }
   static constexpr DataRate megabitsPerSecond(std::uint64_t m) { return DataRate{m * 1'000'000}; }
   static constexpr DataRate gigabitsPerSecond(std::uint64_t g) { return DataRate{g * 1'000'000'000}; }
   static constexpr DataRate zero() { return DataRate{0}; }
@@ -161,7 +160,6 @@ constexpr DataSize operator""_TB(unsigned long long v) { return DataSize::teraby
 constexpr DataSize operator""_KiB(unsigned long long v) { return DataSize::kibibytes(v); }
 constexpr DataSize operator""_MiB(unsigned long long v) { return DataSize::mebibytes(v); }
 constexpr DataRate operator""_bps(unsigned long long v) { return DataRate::bitsPerSecond(v); }
-constexpr DataRate operator""_Kbps(unsigned long long v) { return DataRate::kilobitsPerSecond(v); }
 constexpr DataRate operator""_Mbps(unsigned long long v) { return DataRate::megabitsPerSecond(v); }
 constexpr DataRate operator""_Gbps(unsigned long long v) { return DataRate::gigabitsPerSecond(v); }
 }  // namespace literals

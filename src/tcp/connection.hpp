@@ -129,7 +129,6 @@ class TcpConnection : public net::PacketSink {
   [[nodiscard]] sim::Duration srtt() const { return srtt_; }
   [[nodiscard]] bool windowScalingActive() const { return scaling_ok_; }
   [[nodiscard]] std::uint64_t peerWindowBytes() const { return peer_wnd_; }
-  [[nodiscard]] std::string_view ccName() const { return cc_->name(); }
 
   /// Snapshot of internal transfer state, for diagnosis tooling and tests.
   struct DebugState {

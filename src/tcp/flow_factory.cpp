@@ -1,4 +1,5 @@
-// net::FlowFactory::create and the two FlowHandle implementations.
+// net::FlowFactory::create and the two FlowHandle implementations (the
+// fluid one is declared in tcp/fluid.hpp, beside the engine that calls it).
 //
 // This file is the one production construction site of tcp::TcpConnection /
 // tcp::TcpListener (tests may still build them directly). It lives in the
@@ -10,6 +11,7 @@
 // draws the ephemeral port) — so pre-factory scenarios stay byte-identical.
 #include "net/flow.hpp"
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -81,20 +83,12 @@ class PacketFlowHandle final : public net::FlowHandle {
   }
 
   ~PacketFlowHandle() override {
-    deregisterPath();
+    deregisterRoute();
     endRootSpan();
   }
 
   void start() override {
-    // Register with the fluid engine so capacity entitlement on shared
-    // links counts this flow; pure bookkeeping, no events or RNG draws.
-    if (!registered_) {
-      path_ = net::traceFlowPath(src_, dst_);
-      if (path_.complete()) {
-        ctx_.extension<FluidEngine>().registerPacketPath(path_);
-        registered_ = true;
-      }
-    }
+    if (!registered_) registerRoute();
     for (auto& client : clients_) client->start();
   }
 
@@ -115,7 +109,7 @@ class PacketFlowHandle final : public net::FlowHandle {
   }
 
   void abort() override {
-    deregisterPath();
+    deregisterRoute();
     for (auto& client : clients_) client.reset();
     listener_.reset();
     for (auto& server : servers_) server = nullptr;
@@ -252,14 +246,8 @@ class PacketFlowHandle final : public net::FlowHandle {
       // Re-register with the fluid engine (pure bookkeeping; the FLU
       // section overlays the authoritative per-link counts afterwards, but
       // the registration keeps link_dirs_'s first-touch set complete).
-      deregisterPath();
-      if (registered) {
-        path_ = net::traceFlowPath(src_, dst_);
-        if (path_.complete()) {
-          ctx_.extension<FluidEngine>().registerPacketPath(path_);
-          registered_ = true;
-        }
-      }
+      deregisterRoute();
+      if (registered) registerRoute();
     }
     return claimed;
   }
@@ -299,14 +287,25 @@ class PacketFlowHandle final : public net::FlowHandle {
     --pending_count_;
     if (onStreamSendComplete) onStreamSendComplete(stream);
     if (pending_count_ == 0) {
-      deregisterPath();  // the flow no longer competes for capacity
+      deregisterRoute();  // the flow no longer competes for capacity
       if (onSendComplete) onSendComplete();
     }
   }
 
-  void deregisterPath() noexcept {
+  /// Register with the fluid engine so capacity entitlement on shared
+  /// links counts this flow; pure bookkeeping, no events or RNG draws.
+  void registerRoute() {
+    FluidEngine& engine = ctx_.extension<FluidEngine>();
+    route_ = engine.routeTo(src_, dst_);
+    if (engine.routable(route_)) {
+      engine.registerPacketRoute(route_);
+      registered_ = true;
+    }
+  }
+
+  void deregisterRoute() noexcept {
     if (registered_) {
-      ctx_.extension<FluidEngine>().deregisterPacketPath(path_);
+      ctx_.extension<FluidEngine>().deregisterPacketRoute(route_);
       registered_ = false;
     }
   }
@@ -331,155 +330,20 @@ class PacketFlowHandle final : public net::FlowHandle {
   int established_count_ = 0;
   int next_stream_ = 0;
   bool queued_any_ = false;
-  net::FlowPath path_;
   bool registered_ = false;
+  std::uint32_t route_ = 0;  ///< FluidEngine route id, valid while registered_
 };
-
-class FluidFlowHandle final : public net::FlowHandle {
- public:
-  FluidFlowHandle(net::Context& ctx, net::Host& src, net::Host& dst, const TcpConfig& config,
-                  const net::FlowFactory::Options& options)
-      : ctx_(ctx), engine_(ctx.extension<FluidEngine>()) {
-    engine_.attach(ctx);
-    streams_ = options.streams < 1 ? 1 : options.streams;
-    id_ = engine_.addFlow(src, dst, config, streams_);
-    const auto [tracer, root] =
-        beginFlowSpan(ctx, src, dst, net::FlowFidelity::kFluid, streams_, options);
-    tracer_ = tracer;
-    root_ = root;
-    auto& cb = engine_.callbacks(id_);
-    cb.onEstablished = [this] {
-      if (tracer_ != nullptr && !phase_.valid()) {
-        if (handshake_.valid()) tracer_->end(handshake_, ctx_.now());
-        // The analytic model has no per-ACK window dynamics: its whole
-        // established lifetime reads as one cwnd-limited phase.
-        phase_ = tracer_->begin(ctx_.now(), "cwnd_limited", "tcp.phase", root_);
-        tracer_->annotate(phase_, "model", "fluid");
-      }
-      for (int i = 0; i < streams_; ++i) {
-        if (onAccepted) onAccepted(i);
-        if (onStreamEstablished) onStreamEstablished(i);
-      }
-      if (onEstablished) onEstablished();
-      // The user callback above was the last natural point to assign
-      // onDelivered; re-sync so the engine knows whether to notify.
-      syncDeliveryCallback();
-    };
-    cb.onSendComplete = [this] {
-      if (onStreamSendComplete) {
-        for (int i = 0; i < streams_; ++i) onStreamSendComplete(i);
-      }
-      if (onSendComplete) onSendComplete();
-    };
-  }
-
-  ~FluidFlowHandle() override {
-    engine_.removeFlow(id_);
-    endSpans();
-  }
-
-  void start() override {
-    if (tracer_ != nullptr && root_.valid() && !handshake_.valid()) {
-      handshake_ = tracer_->begin(ctx_.now(), "handshake", "tcp.phase", root_);
-    }
-    syncDeliveryCallback();
-    engine_.startFlow(id_);
-  }
-  void sendData(sim::DataSize bytes) override { engine_.queueData(id_, bytes); }
-  void sendOnStream(int, sim::DataSize bytes) override { engine_.queueData(id_, bytes); }
-  void abort() override {
-    engine_.removeFlow(id_);
-    id_ = 0;
-    endSpans();
-  }
-
-  [[nodiscard]] net::FlowFidelity fidelity() const override { return net::FlowFidelity::kFluid; }
-  [[nodiscard]] int streamCount() const override { return streams_; }
-  [[nodiscard]] bool established() const override { return engine_.established(id_); }
-  [[nodiscard]] bool sendComplete() const override { return engine_.sendComplete(id_); }
-  [[nodiscard]] sim::DataSize deliveredBytes() const override {
-    return engine_.deliveredBytes(id_);
-  }
-  /// Fluid flows have no retransmission queue: delivered == acked.
-  [[nodiscard]] sim::DataSize ackedBytes() const override { return engine_.deliveredBytes(id_); }
-  [[nodiscard]] sim::DataRate goodput() const override { return engine_.goodput(id_); }
-  [[nodiscard]] std::uint64_t retransmits() const override {
-    return engine_.retransmitEstimate(id_);
-  }
-  [[nodiscard]] sim::DataRate currentRate() const override { return engine_.currentRate(id_); }
-
-  [[nodiscard]] TcpConnection* clientConnection(int) override { return nullptr; }
-  [[nodiscard]] TcpConnection* serverConnection(int) override { return nullptr; }
-
-  std::uint64_t serializeState(sim::Codec& c) override {
-    // The engine-side flow record is carried wholesale by the FLU section;
-    // the handle only overlays its id (0 after an abort) and re-registers
-    // its delivery callback, which cannot cross the wire.
-    std::uint32_t id = id_;
-    c.vu32(id);
-    if (!c.writing()) {
-      if (id == 0 && id_ != 0) {
-        engine_.removeFlow(id_);  // aborted before the snapshot (FLU re-overlays)
-        id_ = 0;
-      } else if (id != id_) {
-        c.reader().markFailed();
-        return 0;
-      }
-    }
-    bool notify = id_ != 0 && static_cast<bool>(engine_.callbacks(id_).onDelivered);
-    c.b(notify);
-    if (!c.writing() && notify) syncDeliveryCallback();
-    return 0;
-  }
-
- protected:
-  void destroySelf() noexcept override {
-    sim::Arena& arena = ctx_.arena();
-    this->~FluidFlowHandle();
-    arena.deallocate(this, sizeof(FluidFlowHandle), alignof(FluidFlowHandle));
-  }
-
- private:
-  /// Per-delivery notification costs one indirect call per flow per engine
-  /// tick, so it is only registered when someone actually listens. Checked
-  /// at start() and again after onEstablished; assigning onDelivered later
-  /// than that is not supported at fluid fidelity (see net::FlowHandle).
-  void syncDeliveryCallback() {
-    if (!onDelivered || id_ == 0) return;
-    auto& cb = engine_.callbacks(id_);
-    if (!cb.onDelivered) {
-      cb.onDelivered = [this](sim::DataSize bytes) {
-        if (onDelivered) onDelivered(bytes);
-      };
-    }
-  }
-
-  void endSpans() {
-    if (tracer_ == nullptr) return;
-    const auto now = ctx_.now();
-    if (handshake_.valid() && tracer_->isOpen(handshake_)) tracer_->end(handshake_, now);
-    if (phase_.valid()) tracer_->end(phase_, now);
-    if (root_.valid()) tracer_->end(root_, now);
-    root_ = phase_ = handshake_ = telemetry::SpanId{};
-  }
-
-  // Ordered for size: id_ packs into FlowHandle's tail padding, and the
-  // 4-byte members follow the pointers.
-  FluidEngine::FlowId id_ = 0;
-  net::Context& ctx_;
-  FluidEngine& engine_;
-  telemetry::Tracer* tracer_ = nullptr;
-  int streams_ = 1;
-  telemetry::SpanId root_{};
-  telemetry::SpanId handshake_{};
-  telemetry::SpanId phase_{};
-};
-
-// Fluid crowds hold tens of thousands of handles; one byte past the arena's
-// 256-byte size class would double their footprint.
-static_assert(sizeof(FluidFlowHandle) <= 256, "fluid handles must stay in a 256-byte block");
 
 }  // namespace
+
+FluidFlowHandle::FluidFlowHandle(net::Context& ctx, net::Host& src, net::Host& dst,
+                                 const TcpConfig& config, const net::FlowFactory::Options& options)
+    : ctx_(ctx), engine_(ctx.extension<FluidEngine>()) {
+  streams_ = options.streams < 1 ? 1 : options.streams;
+  id_ = engine_.addFlow(src, dst, config, streams_, this);
+  std::tie(tracer_, root_) =
+      beginFlowSpan(ctx, src, dst, net::FlowFidelity::kFluid, streams_, options);
+}
 
 }  // namespace scidmz::tcp
 

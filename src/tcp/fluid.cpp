@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "net/device.hpp"
 #include "net/host.hpp"
@@ -47,8 +49,8 @@ double ccResponseBps(CcAlgorithm algorithm, double mssBits, double rttSeconds, d
 }
 
 FluidEngine::FlowId FluidEngine::addFlow(net::Host& src, net::Host& dst, const TcpConfig& config,
-                                         int streams) {
-  attach(src.ctx());
+                                         int streams, FluidFlowHandle* owner) {
+  if (ctx_ == nullptr) ctx_ = &src.ctx();
   FlowId id;
   if (!free_ids_.empty()) {
     id = free_ids_.back();
@@ -66,28 +68,25 @@ FluidEngine::FlowId FluidEngine::addFlow(net::Host& src, net::Host& dst, const T
   f = Flow{};
   f.epoch = epoch;
   f.inUse = true;
+  f.owner = owner;
   hot_rate_[id - 1] = 0.0;
   hot_carry_[id - 1] = 0.0;
   hot_target_[id - 1] = 0;
   hot_delivered_[id - 1] = 0;
   rates_dirty_ = true;
   f.weight = streams < 1 ? 1 : streams;
-  f.path = net::traceFlowPath(src, dst);
-  f.hopIdx.clear();
-  f.hopIdx.reserve(f.path.hops.size());
-  for (const auto& [link, end] : f.path.hops) {
-    f.hopIdx.push_back(linkDirIndex(link, end));
-  }
+  f.route = routeTo(src, dst);
+  const Route& route = routes_[f.route];
   const double mssBytes = static_cast<double>(src.mss().byteCount());
   f.mssBytes = mssBytes;
   f.wireFactor =
       (mssBytes + static_cast<double>(net::kTcpIpHeaderBytes.byteCount())) / mssBytes;
-  const double rttSeconds = f.path.rtt().toSeconds();
+  const double rttSeconds = (route.oneWayDelay * 2).toSeconds();
   std::uint64_t window = std::min(config.sndBuf.byteCount(), config.rcvBuf.byteCount());
   if (!config.windowScaling) window = std::min(window, kUnscaledWindowBytes);
   if (rttSeconds > 0.0) {
     f.responseBps = static_cast<double>(f.weight) *
-                    ccResponseBps(config.algorithm, mssBytes * 8.0, rttSeconds, f.path.lossRate);
+                    ccResponseBps(config.algorithm, mssBytes * 8.0, rttSeconds, route.lossRate);
     f.windowBps =
         static_cast<double>(f.weight) * static_cast<double>(window) * 8.0 / rttSeconds;
   } else {
@@ -95,7 +94,7 @@ FluidEngine::FlowId FluidEngine::addFlow(net::Host& src, net::Host& dst, const T
     f.windowBps = kUnboundedBps;
   }
   f.bottleneckGoodputBps =
-      static_cast<double>(f.path.bottleneck.bps()) / f.wireFactor;
+      static_cast<double>(route.bottleneck.bps()) / f.wireFactor;
   if (f.bottleneckGoodputBps <= 0.0) f.bottleneckGoodputBps = kUnboundedBps;
   return id;
 }
@@ -105,7 +104,7 @@ void FluidEngine::removeFlow(FlowId id) {
   if (f == nullptr) return;
   ++f->epoch;  // invalidates any pending establishment event
   f->inUse = false;
-  f->cb = FlowCallbacks{};
+  f->owner = nullptr;
   hot_rate_[id - 1] = 0.0;  // a stale active_ entry now skips this slot
   hot_carry_[id - 1] = 0.0;
   hot_target_[id - 1] = 0;
@@ -116,24 +115,18 @@ void FluidEngine::removeFlow(FlowId id) {
   // not armed, this flow was not contributing demand in the first place.
 }
 
-FluidEngine::FlowCallbacks& FluidEngine::callbacks(FlowId id) {
-  Flow* f = flowFor(id);
-  static FlowCallbacks dummy;
-  return f != nullptr ? f->cb : dummy;
-}
-
 void FluidEngine::startFlow(FlowId id) {
   Flow* f = flowFor(id);
   if (f == nullptr || f->started) return;
   f->started = true;
-  if (!f->path.complete()) return;  // black-holed SYN: never establishes
+  if (!routable(f->route)) return;  // black-holed SYN: never establishes
   if (ctx_->telemetry().enabled() && !tel_init_) initTelemetry();
   // One path RTT of handshake (SYN out, SYN|ACK back), like the client side
   // of the packet model.
   const auto epoch = f->epoch;
   f->establishEpoch = epoch;
-  f->establishEvent =
-      ctx_->sim().schedule(f->path.rtt(), [this, id, epoch] { establishmentFire(id, epoch); });
+  f->establishEvent = ctx_->sim().schedule(routes_[f->route].oneWayDelay * 2,
+                                           [this, id, epoch] { establishmentFire(id, epoch); });
 }
 
 void FluidEngine::establishmentFire(FlowId id, std::uint32_t epoch) {
@@ -143,7 +136,7 @@ void FluidEngine::establishmentFire(FlowId id, std::uint32_t epoch) {
   flow->establishedAt = ctx_->sim().now();
   flow->lastDeliveryAt = flow->establishedAt;
   rates_dirty_ = true;
-  if (flow->cb.onEstablished) flow->cb.onEstablished();
+  if (flow->owner != nullptr) flow->owner->engineEstablished();
   wake(id - 1);
 }
 
@@ -197,23 +190,44 @@ sim::DataRate FluidEngine::currentRate(FlowId id) const {
 std::uint64_t FluidEngine::retransmitEstimate(FlowId id) const {
   const Flow* f = flowFor(id);
   if (f == nullptr) return 0;
-  const double p = f->path.lossRate;
+  const double p = routes_[f->route].lossRate;
   if (p <= 0.0 || p >= 1.0 || f->mssBytes <= 0.0) return 0;
   const double segments = static_cast<double>(hot_delivered_[id - 1]) / f->mssBytes;
   return static_cast<std::uint64_t>(std::llround(segments * p / (1.0 - p)));
 }
 
-void FluidEngine::registerPacketPath(const net::FlowPath& path) {
-  for (const auto& [link, end] : path.hops) {
-    ++link_dirs_[linkDirIndex(link, end)].packetFlows;
+std::uint32_t FluidEngine::routeTo(net::Host& src, net::Host& dst) {
+  const net::FlowPath path = net::traceFlowPath(src, dst);
+  // Interned by content, as bytes: the hops' link_dirs_ indices (touched in
+  // path order, as every trace always has), delay, bottleneck and loss.
+  const struct { std::int64_t ns; std::uint64_t bps; double loss; } tail{
+      path.oneWayDelay.ns(), path.bottleneck.bps(), path.lossRate};
+  const std::size_t hopBytes = path.hops.size() * sizeof(std::uint32_t);
+  route_key_.resize(hopBytes + sizeof tail);
+  char* key = route_key_.data();
+  for (std::size_t h = 0; h < path.hops.size(); ++h) {
+    const std::uint32_t idx = linkDirIndex(path.hops[h].first, path.hops[h].second);
+    std::memcpy(key + h * sizeof idx, &idx, sizeof idx);
   }
+  std::memcpy(key + hopBytes, &tail, sizeof tail);
+  const auto [it, inserted] =
+      route_ids_.try_emplace(route_key_, static_cast<std::uint32_t>(routes_.size()));
+  if (inserted) {
+    Route& route = routes_.emplace_back(
+        Route{{}, path.oneWayDelay, path.bottleneck, path.lossRate});
+    for (const auto& [link, end] : path.hops) route.hops.push_back(linkDirIndex(link, end));
+  }
+  return it->second;
+}
+
+void FluidEngine::registerPacketRoute(std::uint32_t route) {
+  for (const auto idx : routes_[route].hops) ++link_dirs_[idx].packetFlows;
   rates_dirty_ = true;
 }
 
-void FluidEngine::deregisterPacketPath(const net::FlowPath& path) {
-  for (const auto& [link, end] : path.hops) {
-    LinkDir& dir = link_dirs_[linkDirIndex(link, end)];
-    if (dir.packetFlows > 0) --dir.packetFlows;
+void FluidEngine::deregisterPacketRoute(std::uint32_t route) {
+  for (const auto idx : routes_[route].hops) {
+    if (link_dirs_[idx].packetFlows > 0) --link_dirs_[idx].packetFlows;
   }
   rates_dirty_ = true;
 }
@@ -233,9 +247,7 @@ const FluidEngine::Flow* FluidEngine::flowFor(FlowId id) const {
 }
 
 FluidEngine::Flow* FluidEngine::flowFor(FlowId id) {
-  if (id == 0 || id > flows_.size()) return nullptr;
-  Flow& f = flows_[id - 1];
-  return f.inUse ? &f : nullptr;
+  return const_cast<Flow*>(std::as_const(*this).flowFor(id));
 }
 
 std::uint32_t FluidEngine::linkDirIndex(net::Link* link, int end) {
@@ -334,7 +346,9 @@ void FluidEngine::integrate(double dtSeconds) {
     telBytes += delta;
     if (delta > 0 && e.notify) {
       Flow& f = flows_[i];
-      if (f.cb.onDelivered) f.cb.onDelivered(sim::DataSize::bytes(delta));
+      if (f.owner != nullptr && f.owner->onDelivered) {
+        f.owner->onDelivered(sim::DataSize::bytes(delta));
+      }
     }
     // Completion re-reads the hot state: an onDelivered callback may have
     // queued more data, in which case the flow is no longer drained.
@@ -345,7 +359,7 @@ void FluidEngine::integrate(double dtSeconds) {
         f.completeNotified = true;
         ++flows_completed_;
         if (tel_completed_ != nullptr) ++*tel_completed_;
-        if (f.cb.onSendComplete) f.cb.onSendComplete();
+        if (f.owner != nullptr) f.owner->engineSendComplete();
       }
     }
   }
@@ -396,8 +410,8 @@ void FluidEngine::recomputeRates() {
       continue;
     }
     hot_rate_[i] = std::min({f.responseBps, f.windowBps, f.bottleneckGoodputBps});
-    active_.push_back({static_cast<std::uint32_t>(i), static_cast<bool>(f.cb.onDelivered)});
-    for (const auto idx : f.hopIdx) {
+    active_.push_back({static_cast<std::uint32_t>(i), f.notify});
+    for (const auto idx : routes_[f.route].hops) {
       link_dirs_[idx].fluidWeight += static_cast<double>(f.weight);
     }
   }
@@ -422,7 +436,7 @@ void FluidEngine::recomputeRates() {
   // Pass 3 (flows, id order): aggregate unconstrained wire demand per link.
   for (const ActiveEntry& e : active_) {
     const Flow& f = flows_[e.idx];
-    for (const auto idx : f.hopIdx) {
+    for (const auto idx : routes_[f.route].hops) {
       link_dirs_[idx].wireDemandBps += hot_rate_[e.idx] * f.wireFactor;
     }
   }
@@ -431,7 +445,7 @@ void FluidEngine::recomputeRates() {
   for (const ActiveEntry& e : active_) {
     const Flow& f = flows_[e.idx];
     double scale = 1.0;
-    for (const auto idx : f.hopIdx) {
+    for (const auto idx : routes_[f.route].hops) {
       const LinkDir& dir = link_dirs_[idx];
       if (dir.wireDemandBps > dir.availWireBps && dir.wireDemandBps > 0.0) {
         scale = std::min(scale, dir.availWireBps / dir.wireDemandBps);
@@ -444,7 +458,7 @@ void FluidEngine::recomputeRates() {
   // Link::effectiveRate — this is where packet flows feel the fluid load.
   for (const ActiveEntry& e : active_) {
     const Flow& f = flows_[e.idx];
-    for (const auto idx : f.hopIdx) {
+    for (const auto idx : routes_[f.route].hops) {
       link_dirs_[idx].publishBps += hot_rate_[e.idx] * f.wireFactor;
     }
   }
@@ -485,7 +499,7 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
   if (!bound) return claimed;
 
   // Per-flow dynamic state, id order. The rebuild created the same flows in
-  // the same slots, so everything derived from the path or config (hopIdx,
+  // the same slots, so everything derived from the path or config (route,
   // response/window/bottleneck rates, weight) is already correct.
   std::uint64_t flowCount = flows_.size();
   c.vu64(flowCount);
@@ -516,19 +530,14 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
   // Free-list, so slot recycling continues identically.
   std::uint64_t freeCount = free_ids_.size();
   c.vu64(freeCount);
-  if (c.writing()) {
-    for (const FlowId id : free_ids_) {
-      std::uint32_t v = id;
-      c.vu32(v);
-    }
-  } else {
-    free_ids_.clear();
-    free_ids_.reserve(static_cast<std::size_t>(freeCount));
-    for (std::uint64_t k = 0; k < freeCount; ++k) {
-      std::uint32_t v = 0;
-      c.vu32(v);
-      free_ids_.push_back(v);
-    }
+  if (!c.writing() && freeCount > flows_.size()) {
+    c.reader().markFailed();
+    return claimed;
+  }
+  free_ids_.resize(static_cast<std::size_t>(freeCount));
+  for (FlowId& id : free_ids_) {
+    c.vu32(id);
+    if (!c.writing() && (id == 0 || id > flows_.size())) c.reader().markFailed();
   }
 
   // Per-link-direction aggregates, matched by endpoint-name key rather than
@@ -549,45 +558,29 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
   };
   std::uint64_t dirCount = link_dirs_.size();
   c.vu64(dirCount);
-  if (c.writing()) {
-    const auto keys = dirKeys();
-    for (std::size_t i = 0; i < link_dirs_.size(); ++i) {
-      LinkDir& dir = link_dirs_[i];
-      std::string key = keys[i];
-      c.str(key);
-      c.vint(dir.packetFlows);
-      c.vu64(dir.baselineBytes);
-      c.f64(dir.measuredWireBps);
-      c.f64(dir.fluidWeight);
-      c.f64(dir.availWireBps);
-      c.f64(dir.wireDemandBps);
-      c.f64(dir.publishBps);
-    }
-  } else {
-    if (dirCount != link_dirs_.size()) {
+  if (!c.writing() && dirCount != link_dirs_.size()) {
+    c.reader().markFailed();
+    return claimed;
+  }
+  const auto keys = dirKeys();
+  std::unordered_map<std::string, std::uint32_t> byKey;
+  for (std::uint32_t i = 0; i < keys.size() && !c.writing(); ++i) byKey.emplace(keys[i], i);
+  for (std::uint32_t k = 0; k < link_dirs_.size(); ++k) {
+    std::string key = c.writing() ? keys[k] : std::string();
+    c.str(key);
+    const auto it = byKey.find(key);
+    if (!c.writing() && it == byKey.end()) {
       c.reader().markFailed();
       return claimed;
     }
-    const auto keys = dirKeys();
-    std::unordered_map<std::string, std::uint32_t> byKey;
-    for (std::uint32_t i = 0; i < keys.size(); ++i) byKey.emplace(keys[i], i);
-    for (std::uint64_t k = 0; k < dirCount; ++k) {
-      std::string key;
-      c.str(key);
-      const auto it = byKey.find(key);
-      if (it == byKey.end()) {
-        c.reader().markFailed();
-        return claimed;
-      }
-      LinkDir& dir = link_dirs_[it->second];
-      c.vint(dir.packetFlows);
-      c.vu64(dir.baselineBytes);
-      c.f64(dir.measuredWireBps);
-      c.f64(dir.fluidWeight);
-      c.f64(dir.availWireBps);
-      c.f64(dir.wireDemandBps);
-      c.f64(dir.publishBps);
-    }
+    LinkDir& dir = link_dirs_[c.writing() ? k : it->second];
+    c.vint(dir.packetFlows);
+    c.vu64(dir.baselineBytes);
+    c.f64(dir.measuredWireBps);
+    c.f64(dir.fluidWeight);
+    c.f64(dir.availWireBps);
+    c.f64(dir.wireDemandBps);
+    c.f64(dir.publishBps);
   }
 
   // Active list and tick scheduling state.

@@ -45,7 +45,6 @@ class MetricRegistry {
   }
 
   [[nodiscard]] std::size_t counterCount() const { return counters_.size(); }
-  [[nodiscard]] std::size_t gaugeCount() const { return gauges_.size(); }
 
   /// Iterate counters in registration order (deterministic per scenario).
   template <typename F>

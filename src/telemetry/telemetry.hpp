@@ -72,11 +72,6 @@ class Telemetry {
   [[nodiscard]] const TimeSeries* findSeries(const std::string& name) const;
   [[nodiscard]] std::size_t seriesCount() const { return series_.size(); }
 
-  template <typename F>
-  void forEachSeries(F&& fn) const {
-    for (const auto& s : series_) fn(*s);
-  }
-
   /// Register a probe: `fn` is invoked on every sampling tick and its value
   /// appended to `seriesName`. Samplers run in registration order. The
   /// first registration arms the sampling tick.

@@ -341,6 +341,31 @@ TEST(Json, ErrorsCarryLineAndColumn) {
   }
 }
 
+TEST(Json, NestingPastTheBoundIsRefusedWithoutACrash) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  // 200,000 open brackets used to recurse until the stack overflowed.
+  try {
+    Json::parse(std::string(200000, '['));
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1, column " + std::to_string(Json::kMaxDepth + 1)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), SpecError);
+  EXPECT_THROW(Json::parse("{\"a\":\n" + nested(Json::kMaxDepth) + "}"), SpecError);
+  // At the bound, arrays and objects alike still parse.
+  Json deepest = Json::parse(nested(Json::kMaxDepth));
+  EXPECT_EQ(deepest.dump(), nested(Json::kMaxDepth));
+  std::string objects;
+  for (int i = 0; i < Json::kMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(Json::kMaxDepth), '}');
+  EXPECT_EQ(Json::parse(objects).dump(), objects);
+}
+
 TEST(Json, DumpIsDeterministicAndOrdered) {
   Json obj = Json::object();
   obj.set("z", 1);

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "../tcp/tcp_test_util.hpp"
 #include "net/flow.hpp"
+#include "net/loss.hpp"
 #include "tcp/mathis.hpp"
 
 namespace scidmz::tcp {
@@ -151,16 +154,22 @@ TEST(FluidFlow, AbortWithdrawsDemand) {
 // --- the active set ---------------------------------------------------------
 //
 // A rate recompute visits only the flows in flight at the previous one plus
-// the flows woken since (established, or given more data). These drive the
-// engine directly so flow ids, and with them slot recycling, are visible.
+// the flows woken since (established, or given more data). These read each
+// handle's engine id and drive the engine directly, so flow ids, and with
+// them slot recycling, are visible; the engine calls the owning handle.
+
+FluidEngine::FlowId engineId(const net::FlowPtr& flow) {
+  return static_cast<FluidFlowHandle&>(*flow).id();
+}
 
 TEST(FluidActiveSet, DrainedFlowGivenMoreDataRunsAgainAndCompletesExactly) {
   TcpPath path;
   auto& engine = path.scenario.ctx.extension<FluidEngine>();
-  const auto id = engine.addFlow(*path.a, *path.b, TcpConfig::tunedDtn(), 1);
+  auto flow = makeFluidFlow(path, TcpConfig::tunedDtn(), 5001);
+  const auto id = engineId(flow);
   int completions = 0;
-  engine.callbacks(id).onEstablished = [&engine, id] { engine.queueData(id, 4_MB); };
-  engine.callbacks(id).onSendComplete = [&completions] { ++completions; };
+  flow->onEstablished = [&engine, id] { engine.queueData(id, 4_MB); };
+  flow->onSendComplete = [&completions] { ++completions; };
   engine.startFlow(id);
   path.scenario.simulator.run();  // ends once the drained flow stops the ticker
   ASSERT_TRUE(engine.sendComplete(id));
@@ -184,20 +193,24 @@ TEST(FluidActiveSet, RecycledSlotBelowInFlightFlowsIsPickedUp) {
   auto& engine = path.scenario.ctx.extension<FluidEngine>();
   auto& simulator = path.scenario.simulator;
   const TcpConfig cfg = TcpConfig::tunedDtn();
-  auto startBulk = [&engine](FluidEngine::FlowId id, sim::DataSize bytes) {
-    engine.callbacks(id).onEstablished = [&engine, id, bytes] { engine.queueData(id, bytes); };
+  auto startBulk = [&engine](net::FlowHandle& flow, FluidEngine::FlowId id,
+                             sim::DataSize bytes) {
+    flow.onEstablished = [&engine, id, bytes] { engine.queueData(id, bytes); };
     engine.startFlow(id);
   };
-  const auto first = engine.addFlow(*path.a, *path.b, cfg, 1);
-  const auto second = engine.addFlow(*path.a, *path.b, cfg, 1);
-  startBulk(first, 1_TB);
-  startBulk(second, 1_TB);
+  auto firstFlow = makeFluidFlow(path, cfg, 5001);
+  auto secondFlow = makeFluidFlow(path, cfg, 5002);
+  const auto first = engineId(firstFlow);
+  const auto second = engineId(secondFlow);
+  startBulk(*firstFlow, first, 1_TB);
+  startBulk(*secondFlow, second, 1_TB);
   simulator.runFor(100_ms);
   ASSERT_GT(engine.currentRate(first).bps(), 0u);
   ASSERT_GT(engine.currentRate(second).bps(), 0u);
 
-  engine.removeFlow(first);
-  const auto recycled = engine.addFlow(*path.a, *path.b, cfg, 1);
+  firstFlow->abort();  // removes the engine flow
+  auto recycledFlow = makeFluidFlow(path, cfg, 5003);
+  const auto recycled = engineId(recycledFlow);
   ASSERT_EQ(recycled, first);  // a lower id than the flow still in flight
   ASSERT_LT(recycled, second);
   // The next tick passes over the removed flow's stale active entry; the
@@ -207,8 +220,8 @@ TEST(FluidActiveSet, RecycledSlotBelowInFlightFlowsIsPickedUp) {
   EXPECT_EQ(engine.activeFlowCount(), 1u);
 
   bool complete = false;
-  engine.callbacks(recycled).onSendComplete = [&complete] { complete = true; };
-  startBulk(recycled, 8_MB);
+  recycledFlow->onSendComplete = [&complete] { complete = true; };
+  startBulk(*recycledFlow, recycled, 8_MB);
   while (!engine.established(recycled)) simulator.runFor(1_ms);
   simulator.runFor(20_ms);
   EXPECT_GT(engine.currentRate(recycled).bps(), 0u);
@@ -220,10 +233,113 @@ TEST(FluidActiveSet, RecycledSlotBelowInFlightFlowsIsPickedUp) {
   EXPECT_GT(engine.currentRate(second).bps(), 0u);
   EXPECT_EQ(engine.activeFlowCount(), 1u);
 
-  engine.removeFlow(second);
+  secondFlow->abort();
   simulator.runFor(20_ms);
   EXPECT_EQ(engine.currentRate(second), sim::DataRate::zero());
   EXPECT_EQ(engine.activeFlowCount(), 0u);
+}
+
+// --- the route table --------------------------------------------------------
+//
+// A flow's traced path is interned by content: flows on one path share one
+// route, and a route change between creations gives later flows the new one.
+
+TEST(FluidRoutes, FlowsOnOnePathShareOneRoute) {
+  testutil::Scenario s;
+  auto& agg = s.topo.addSwitch("agg");
+  auto& sink = s.topo.addHost("sink", net::Address(10, 0, 0, 99));
+  net::LinkParams params;
+  s.topo.connect(agg, sink, params);
+  std::vector<net::Host*> senders;
+  for (int i = 0; i < 4; ++i) {
+    auto& h = s.topo.addHost("h" + std::to_string(i),
+                             net::Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)));
+    s.topo.connect(h, agg, params);
+    senders.push_back(&h);
+  }
+  s.topo.computeRoutes();
+  auto& engine = s.ctx.extension<FluidEngine>();
+  const TcpConfig cfg = TcpConfig::tunedDtn();
+  std::vector<net::FlowPtr> flows;
+  for (int k = 0; k < 100; ++k) {
+    net::FlowFactory::Options options;
+    options.port = static_cast<std::uint16_t>(1024 + k);
+    options.fidelity = net::FlowFidelity::kFluid;
+    flows.push_back(net::flowFactory(s.ctx).create(*senders[static_cast<std::size_t>(k % 4)],
+                                                   sink, cfg, options));
+  }
+  EXPECT_EQ(engine.routeCount(), 4u);
+  // A packet flow on one of those paths registers the same route.
+  net::FlowFactory::Options packetOptions;
+  packetOptions.port = 5001;
+  auto packet = net::flowFactory(s.ctx).create(*senders[2], sink, cfg, packetOptions);
+  packet->start();
+  EXPECT_EQ(engine.routeCount(), 4u);
+  // Flows on a shared route still establish and run independently.
+  for (auto& f : flows) f->start();
+  s.simulator.runFor(100_ms);
+  for (const auto& f : flows) EXPECT_TRUE(f->established());
+}
+
+TEST(FluidRoutes, RerouteBetweenCreationsGivesLaterFlowsTheNewPath) {
+  testutil::Scenario s;
+  net::LinkParams edge;
+  edge.delay = 1_ms;
+  auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
+  auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
+  auto& r1 = s.topo.addRouter("r1");
+  auto& r2 = s.topo.addRouter("r2");
+  s.topo.connect(a, r1, edge);
+  net::LinkParams fastParams = edge;
+  fastParams.delay = 2_ms;
+  net::Link& fast = s.topo.connect(r1, r2, fastParams);
+  net::LinkParams slowParams = edge;
+  slowParams.delay = 20_ms;
+  net::Link& slow = s.topo.connect(r1, r2, slowParams);
+  slow.setLossModel(0, std::make_unique<net::RandomLoss>(1e-3, s.rng.fork(77)));
+  s.topo.connect(r2, b, edge);
+  s.topo.computeRoutes();
+  auto routeVia = [&](net::Link& link) {
+    r1.clearRoutes();
+    r1.addRoute(net::Prefix(b.address(), 32), link.end(0).index());
+  };
+
+  TcpConfig cfg = TcpConfig::tunedDtn();
+  cfg.algorithm = CcAlgorithm::kReno;
+  net::FlowFactory::Options options;
+  options.fidelity = net::FlowFidelity::kFluid;
+  routeVia(fast);
+  options.port = 5001;
+  auto before = net::flowFactory(s.ctx).create(a, b, cfg, options);
+  routeVia(slow);
+  options.port = 5002;
+  auto after = net::flowFactory(s.ctx).create(a, b, cfg, options);
+  EXPECT_EQ(s.ctx.extension<FluidEngine>().routeCount(), 2u);
+
+  // Establishment takes one traced RTT: 2 x (1 + 2 + 1) ms on the fast
+  // path, 2 x (1 + 20 + 1) ms on the slow one.
+  sim::SimTime beforeUp;
+  sim::SimTime afterUp;
+  auto* beforeRaw = before.get();
+  auto* afterRaw = after.get();
+  before->onEstablished = [&] {
+    beforeUp = s.simulator.now();
+    beforeRaw->sendData(4_MB);
+  };
+  after->onEstablished = [&] {
+    afterUp = s.simulator.now();
+    afterRaw->sendData(4_MB);
+  };
+  before->start();
+  after->start();
+  s.simulator.runFor(5_s);
+  EXPECT_EQ(beforeUp - sim::SimTime::zero(), 8_ms);
+  EXPECT_EQ(afterUp - sim::SimTime::zero(), 44_ms);
+  // Only the later flow carries the lossy path's drop rate.
+  ASSERT_TRUE(before->sendComplete());
+  ASSERT_TRUE(after->sendComplete());
+  EXPECT_EQ(before->retransmits(), 0u);
+  EXPECT_GT(after->retransmits(), 0u);
 }
 
 // --- packet/fluid coupling -------------------------------------------------
