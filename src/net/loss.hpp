@@ -25,8 +25,8 @@ class LossModel {
   /// response function sees when analytic flows traverse this link.
   [[nodiscard]] virtual double dropRate() const { return 0.0; }
 
-  /// Snapshot/restore of mutable decision state (Rng position, burst
-  /// state, periodic counters). Parameters (rates, intervals) are rebuilt
+  /// Snapshot/restore of mutable decision state (Rng position, periodic
+  /// counters). Parameters (rates, intervals) are rebuilt
   /// by scenario reconstruction, not serialized. Stateless models inherit
   /// the no-op.
   virtual void serializeState(sim::Codec&) {}
@@ -72,39 +72,6 @@ class PeriodicLoss final : public LossModel {
  private:
   std::uint64_t interval_;
   std::uint64_t count_ = 0;
-};
-
-/// Two-state Gilbert-Elliott burst loss: good state is loss-free, bad state
-/// drops with `lossInBad`. Transition probabilities are evaluated per packet.
-class GilbertElliottLoss final : public LossModel {
- public:
-  GilbertElliottLoss(double pGoodToBad, double pBadToGood, double lossInBad, sim::Rng rng)
-      : p_gb_(pGoodToBad), p_bg_(pBadToGood), loss_bad_(lossInBad), rng_(rng) {}
-
-  bool shouldDrop(const Packet&) override {
-    if (bad_) {
-      if (rng_.chance(p_bg_)) bad_ = false;
-    } else {
-      if (rng_.chance(p_gb_)) bad_ = true;
-    }
-    return bad_ && rng_.chance(loss_bad_);
-  }
-  [[nodiscard]] double dropRate() const override {
-    // Steady-state fraction of time in the bad state, times its loss rate.
-    const double denom = p_gb_ + p_bg_;
-    return denom <= 0.0 ? 0.0 : (p_gb_ / denom) * loss_bad_;
-  }
-  void serializeState(sim::Codec& c) override {
-    rng_.serialize(c);
-    c.b(bad_);
-  }
-
- private:
-  double p_gb_;
-  double p_bg_;
-  double loss_bad_;
-  sim::Rng rng_;
-  bool bad_ = false;
 };
 
 }  // namespace scidmz::net

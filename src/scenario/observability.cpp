@@ -1,11 +1,13 @@
 #include "scenario/observability.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,16 +42,6 @@ std::string fmtPercent(double fraction) {
 constexpr const char* kPhases[] = {"handshake",    "slow_start",    "cwnd_limited", "rwnd_limited",
                                    "queue_limited", "loss_recovery", "storage"};
 
-struct ReportSpan {
-  std::uint64_t id = 0;
-  std::uint64_t parent = 0;
-  std::string name;
-  std::string cat;
-  std::int64_t t0 = 0;
-  std::int64_t t1 = 0;
-  std::int64_t stream = -1;  ///< "stream" arg when present.
-};
-
 struct RootReport {
   std::string file;
   std::string name;
@@ -68,83 +60,98 @@ struct RootReport {
   }
 };
 
-bool loadSpansFile(const std::string& path, std::vector<RootReport>& roots, std::ostream& err) {
-  std::ifstream in(path);
+/// Why one trace event cannot be read; loadTraceFile adds the file and the
+/// event index.
+struct BadEvent {
+  std::string what;
+};
+
+const Json& field(const Json& obj, const char* key, bool (Json::*is)() const, const char* type) {
+  const Json& v = obj.get(key);
+  if (!(v.*is)()) throw BadEvent{std::string("missing or non-") + type + " \"" + key + "\""};
+  return v;
+}
+
+/// A span id or stream index: a whole number in [0, 2^32).
+std::uint64_t indexField(const Json& obj, const char* key) {
+  const double v = field(obj, key, &Json::isNumber, "numeric").asNumber();
+  if (!(v >= 0.0 && v < 4294967296.0) || v != std::floor(v)) {
+    throw BadEvent{std::string("\"") + key + "\" is not a whole number below 2^32"};
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// A ts/dur field in microseconds, as whole nanoseconds. The bound keeps
+/// ts + dur inside int64_t.
+std::int64_t nsField(const Json& obj, const char* key) {
+  const double ns = field(obj, key, &Json::isNumber, "numeric").asNumber() * 1000.0;
+  if (!(ns >= 0.0 && ns < 4e18)) throw BadEvent{std::string("\"") + key + "\" is out of range"};
+  return std::llround(ns);
+}
+
+/// Read one scidmz.spans.v2 trace (exportChromeTrace) and append a report
+/// row per root span, attributing each phase/storage child to its root's
+/// row. Events come in id order with parents before children, so one pass
+/// with a span→root map suffices. Any malformed event refuses the file.
+bool loadTraceFile(const std::string& path, std::vector<RootReport>& roots, std::ostream& err) {
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     err << "report: cannot open " << path << "\n";
     return false;
   }
-  std::vector<ReportSpan> spans;
-  std::map<std::uint64_t, std::size_t> byId;
-  std::string line;
-  bool sawHeader = false;
-  std::size_t lineNo = 0;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    if (line.empty()) continue;
-    Json j;
-    try {
-      j = Json::parse(line);
-    } catch (const JsonError& e) {
-      err << "report: " << path << ":" << lineNo << ": " << e.what() << "\n";
-      return false;
-    }
-    if (!sawHeader) {
-      sawHeader = true;
-      if (!j.isObject() || !j.contains("schema") ||
-          j.get("schema").asString() != "scidmz.spans.v1") {
-        err << "report: " << path << ": not a scidmz.spans.v1 file\n";
-        return false;
-      }
-      continue;
-    }
-    ReportSpan s;
-    s.id = static_cast<std::uint64_t>(j.get("id").asNumber());
-    s.parent = j.contains("parent") ? static_cast<std::uint64_t>(j.get("parent").asNumber()) : 0;
-    s.name = j.get("name").asString();
-    s.cat = j.get("cat").asString();
-    s.t0 = static_cast<std::int64_t>(j.get("t0_ns").asNumber());
-    s.t1 = static_cast<std::int64_t>(j.get("t1_ns").asNumber());
-    const Json& args = j.get("args");
-    if (args.isObject() && args.contains("stream")) {
-      s.stream = static_cast<std::int64_t>(args.get("stream").asNumber());
-    }
-    byId[s.id] = spans.size();
-    spans.push_back(std::move(s));
-  }
-  if (!sawHeader) {
-    err << "report: " << path << ": empty file\n";
+  std::ostringstream text;
+  text << in.rdbuf();
+  Json doc;
+  try {
+    doc = Json::parse(text.str());
+  } catch (const JsonError& e) {
+    err << "report: " << path << ": " << e.what() << "\n";
     return false;
   }
-
-  // Attribute each phase/storage span to its root's report row. Spans are
-  // written id-ascending and parents precede children, so a single pass with
-  // a parent→root map suffices.
-  std::map<std::uint64_t, std::size_t> rootRowOf;  ///< span id (root) → roots index.
+  const Json& schema = doc.get("otherData").get("schema");
+  const Json& events = doc.get("traceEvents");
+  if (!schema.isString() || schema.asString() != telemetry::kSpanTraceSchema || !events.isArray()) {
+    err << "report: " << path << ": not a " << telemetry::kSpanTraceSchema << " trace\n";
+    return false;
+  }
+  std::map<std::uint64_t, std::size_t> rootRowOf;   ///< root span id → roots index.
   std::map<std::uint64_t, std::uint64_t> rootIdOf;  ///< span id → its root's span id.
-  for (const ReportSpan& s : spans) {
-    if (s.parent == 0) {
-      rootIdOf[s.id] = s.id;
-      RootReport row;
-      row.file = path;
-      row.name = s.name;
-      row.cat = s.cat;
-      row.duration = s.t1 - s.t0;
-      rootRowOf[s.id] = roots.size();
-      roots.push_back(std::move(row));
-      continue;
-    }
-    const auto up = rootIdOf.find(s.parent);
-    if (up == rootIdOf.end()) continue;  // orphan: parent missing from file
-    rootIdOf[s.id] = up->second;
-    RootReport& row = roots[rootRowOf[up->second]];
-    if (s.cat == "tcp.phase") {
-      row.phaseNs[s.name] += s.t1 - s.t0;
-      if (s.stream >= 0 && static_cast<std::size_t>(s.stream) + 1 > row.streams) {
-        row.streams = static_cast<std::size_t>(s.stream) + 1;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    try {
+      const Json& ev = events.at(i);
+      if (field(ev, "ph", &Json::isString, "string").asString() != "X") continue;
+      const std::string& name = field(ev, "name", &Json::isString, "string").asString();
+      const std::string& cat = field(ev, "cat", &Json::isString, "string").asString();
+      const std::int64_t duration = nsField(ev, "dur");
+      (void)nsField(ev, "ts");
+      const Json& args = field(ev, "args", &Json::isObject, "object");
+      const std::uint64_t id = indexField(args, "span_id");
+      if (rootIdOf.count(id) != 0) throw BadEvent{"span_id " + std::to_string(id) + " repeats"};
+      if (!args.contains("parent")) {
+        rootIdOf[id] = id;
+        rootRowOf[id] = roots.size();
+        roots.push_back(RootReport{path, name, cat, duration, 1, {}});
+        continue;
       }
-    } else if (s.cat == "storage") {
-      row.phaseNs["storage"] += s.t1 - s.t0;
+      const std::uint64_t parent = indexField(args, "parent");
+      const auto up = rootIdOf.find(parent);
+      if (up == rootIdOf.end()) {
+        throw BadEvent{"parent " + std::to_string(parent) + " not seen before span " +
+                       std::to_string(id)};
+      }
+      rootIdOf[id] = up->second;
+      RootReport& row = roots[rootRowOf[up->second]];
+      if (cat == "tcp.phase") {
+        row.phaseNs[name] += duration;
+        if (args.contains("stream")) {
+          row.streams = std::max<std::size_t>(row.streams, indexField(args, "stream") + 1);
+        }
+      } else if (cat == "storage") {
+        row.phaseNs["storage"] += duration;
+      }
+    } catch (const BadEvent& e) {
+      err << "report: " << path << ": event " << i << ": " << e.what << "\n";
+      return false;
     }
   }
   return true;
@@ -170,6 +177,8 @@ std::string profileOutputBase() { return g_profile_base; }
 
 void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
   const sim::SimTime now = s.ctx.now();
+  telemetry::Tracer merged;
+  const telemetry::Tracer* tracer = nullptr;
   if (s.sharded()) {
     // Sharded cell: each domain traced its own flows into its own Tracer,
     // and a flow's hops recorded into whichever domain ring they live in.
@@ -181,57 +190,34 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
       recorders.push_back(&ctx->telemetry().recorder());
     }
     std::vector<const telemetry::Tracer*> parts;
-    bool anyEnabled = false;
     for (net::Context* ctx : s.shards->contexts) {
       auto& t = ctx->extension<telemetry::Tracer>();
       if (t.enabled()) {
-        anyEnabled = true;
         t.correlate(recorders, now);
+        tracer = &merged;
       }
       parts.push_back(&t);
     }
-    if (anyEnabled) {
-      telemetry::Tracer merged;
-      merged.mergeFrom(parts);
-      cell.spansEmitted = merged.spansEmitted();
-      const std::string base = traceOutputBase();
-      if (!base.empty()) {
-        const std::string stem = base + ".cell" + std::to_string(cell.index);
-        char cellExtra[48];
-        std::snprintf(cellExtra, sizeof cellExtra, ", \"cell\": %zu", cell.index);
-        if (std::ofstream out(stem + ".spans.jsonl"); out) {
-          merged.exportSpansJsonl(out, now, cellExtra);
-        }
-        if (std::ofstream out(stem + ".trace.json"); out) {
-          merged.exportChromeTrace(out, now);
-        }
-      }
-    }
-    // --profile does not compose with sharding (attachShards refuses it),
-    // so there is no profiler block on this path.
-    return;
-  }
-  auto& tracer = s.ctx.extension<telemetry::Tracer>();
-  if (tracer.enabled()) {
+    if (tracer != nullptr) merged.mergeFrom(parts);
+  } else if (auto& own = s.ctx.extension<telemetry::Tracer>(); own.enabled()) {
     // Flow handles may still be alive (spans open): correlate against the
-    // flight recorder now and let the exporters close open spans virtually.
-    tracer.correlate(s.ctx.telemetry().recorder(), now);
-    cell.spansEmitted = tracer.spansEmitted();
-    const std::string base = traceOutputBase();
-    if (!base.empty()) {
-      // Per-cell files keep sweep workers from sharing a stream; cell.index
-      // makes the paths deterministic at any SCIDMZ_SWEEP_THREADS.
-      const std::string stem = base + ".cell" + std::to_string(cell.index);
-      char cellExtra[48];
-      std::snprintf(cellExtra, sizeof cellExtra, ", \"cell\": %zu", cell.index);
-      if (std::ofstream out(stem + ".spans.jsonl"); out) {
-        tracer.exportSpansJsonl(out, now, cellExtra);
-      }
-      if (std::ofstream out(stem + ".trace.json"); out) {
-        tracer.exportChromeTrace(out, now);
+    // flight recorder now and let the exporter close open spans virtually.
+    own.correlate(s.ctx.telemetry().recorder(), now);
+    tracer = &own;
+  }
+  if (tracer != nullptr) {
+    cell.spansEmitted = tracer->spansEmitted();
+    // Per-cell files keep sweep workers from sharing a stream; cell.index
+    // makes the paths deterministic at any SCIDMZ_SWEEP_THREADS.
+    if (const std::string base = traceOutputBase(); !base.empty()) {
+      if (std::ofstream out(base + ".cell" + std::to_string(cell.index) + ".trace.json"); out) {
+        tracer->exportChromeTrace(out, now, cell.index);
       }
     }
   }
+  // --profile does not compose with sharding (attachShards refuses it),
+  // so a sharded cell has no profiler block.
+  if (s.sharded()) return;
   if (sim::Profiler* prof = s.simulator.profiler(); prof != nullptr) {
     prof->setHighWater("arena_blocks_live", s.ctx.arena().liveCount());
     prof->setHighWater("arena_blocks_peak", s.ctx.arena().highWater());
@@ -248,10 +234,11 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
   }
 }
 
-bool printCriticalPathReport(const std::vector<std::string>& files, std::ostream& out) {
+bool printCriticalPathReport(const std::vector<std::string>& files, std::ostream& out,
+                             std::ostream& err) {
   std::vector<RootReport> roots;
   for (const std::string& file : files) {
-    if (!loadSpansFile(file, roots, out)) return false;
+    if (!loadTraceFile(file, roots, err)) return false;
   }
 
   out << "critical-path report: " << files.size() << " file(s), " << roots.size()

@@ -5,15 +5,17 @@
 // `--profile=<base>`, or by calling setTraceOutput/setProfileOutput) select
 // the artifacts; every sweep cell then writes its own files from
 // finishCell():
-//   <base>.cell<N>.spans.jsonl  — scidmz.spans.v1 (tools/validate_trace.py)
-//   <base>.cell<N>.trace.json   — Chrome trace events (open in Perfetto)
+//   <base>.cell<N>.trace.json   — the cell's spans as Chrome trace events
+//                                 (open in Perfetto) with the
+//                                 scidmz.spans.v2 header in "otherData"
+//                                 (tools/validate_trace.py)
 //   <base>.cell<N>.profile.json — scidmz.profile.v1 self-profile
 // Cells run on sweep worker threads, so per-cell files (never a shared
 // stream) keep output deterministic and lock-free; byte-identical at any
 // SCIDMZ_SWEEP_THREADS (the profile's host-time section excepted).
 //
 // printCriticalPathReport() is the `scidmz_run report` backend: it reads
-// spans JSONL files back and prints, per flow/transfer root span, where the
+// those trace.json files back and prints, per flow/transfer root span, where the
 // time went (handshake / slow_start / cwnd_limited / rwnd_limited /
 // queue_limited / loss_recovery / storage) — the paper's "why is my
 // transfer slow" diagnosis as a table.
@@ -48,8 +50,11 @@ void setProfileOutput(const std::string& base);
 /// output bases are set.
 void writeCellObservability(Scenario& s, sim::SweepCell& cell);
 
-/// Read spans JSONL files and print per-root critical-path breakdowns plus
-/// an aggregate phase table. Returns false if any file fails to parse.
-bool printCriticalPathReport(const std::vector<std::string>& files, std::ostream& out);
+/// Read trace.json files and print per-root critical-path breakdowns plus
+/// an aggregate phase table to `out`. Returns false, after one line on
+/// `err` naming the file (and the event, if one is malformed), when any
+/// file cannot be read; nothing is printed to `out` then.
+bool printCriticalPathReport(const std::vector<std::string>& files, std::ostream& out,
+                             std::ostream& err);
 
 }  // namespace scidmz::scenario

@@ -583,15 +583,32 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
     c.f64(dir.publishBps);
   }
 
-  // Active list and tick scheduling state.
+  // Active list and tick scheduling state. integrate() indexes the hot
+  // arrays by these entries and the recompute merge relies on their id
+  // order, so a restore refuses anything but strictly ascending in-range
+  // indices.
   std::uint64_t activeCount = active_.size();
   c.vu64(activeCount);
-  if (!c.writing()) active_.resize(static_cast<std::size_t>(activeCount));
-  for (auto& e : active_) {
-    c.vu32(e.idx);
-    c.b(e.notify);
+  if (!c.writing() && activeCount > flows_.size()) {
+    c.reader().markFailed();
+    return claimed;
+  }
+  active_.resize(static_cast<std::size_t>(activeCount));
+  for (std::size_t k = 0; k < active_.size(); ++k) {
+    c.vu32(active_[k].idx);
+    c.b(active_[k].notify);
+    if (!c.writing() && (active_[k].idx >= flows_.size() ||
+                         (k > 0 && active_[k].idx <= active_[k - 1].idx))) {
+      active_.clear();
+      c.reader().markFailed();
+      return claimed;
+    }
   }
   c.size(active_left_);
+  if (!c.writing() && active_left_ > active_.size()) {
+    c.reader().markFailed();
+    return claimed;
+  }
   c.b(rates_dirty_);
   sim::codecTime(c, last_tick_);
   c.vu64(flows_completed_);

@@ -241,61 +241,23 @@ std::size_t Tracer::rootOf(std::size_t i) const {
   return i;
 }
 
-void Tracer::exportSpansJsonl(std::ostream& out, sim::SimTime now,
-                              const std::string& headerExtra) const {
-  std::string line;
-  line += "{\"schema\": \"scidmz.spans.v1\"";
-  line += headerExtra;
+void Tracer::exportChromeTrace(std::ostream& out, sim::SimTime now, std::size_t cell) const {
+  // Chrome trace-event "X" (complete) events: ts/dur are microseconds, as
+  // doubles, relative to simulation start. pid 1; each root span gets its
+  // own tid (track) named after the root, so a flow and all its phases
+  // stack on one Perfetto track. Perfetto ignores "otherData".
+  std::string line = "{\"displayTimeUnit\": \"ms\", \"otherData\": {\"schema\": ";
+  line += jsonString(kSpanTraceSchema);
+  line += ", \"cell\": ";
+  line += jsonNumber(static_cast<std::uint64_t>(cell));
   line += ", \"spans\": ";
   line += jsonNumber(static_cast<std::uint64_t>(spans_.size()));
   line += ", \"open\": ";
   line += jsonNumber(static_cast<std::uint64_t>(open_count_));
   line += ", \"now_ns\": ";
   line += jsonNumber(static_cast<std::uint64_t>(now.ns()));
-  line += "}";
-  out << line << '\n';
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Span& s = spans_[i];
-    const sim::SimTime t1 = s.open ? now : s.t1;
-    line.clear();
-    line += "{\"id\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(i + 1));
-    line += ", \"parent\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(s.parent));
-    line += ", \"name\": ";
-    line += jsonString(s.name);
-    line += ", \"cat\": ";
-    line += jsonString(s.category);
-    line += ", \"t0_ns\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(s.t0.ns()));
-    line += ", \"t1_ns\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(t1.ns()));
-    line += ", \"open\": ";
-    line += s.open ? "true" : "false";
-    if (!s.args.empty()) {
-      line += ", \"args\": {";
-      bool first = true;
-      for (const auto& [k, v] : s.args) {
-        if (!first) line += ", ";
-        first = false;
-        line += jsonString(k);
-        line += ": ";
-        line += v;
-      }
-      line += "}";
-    }
-    line += "}";
-    out << line << '\n';
-  }
-}
-
-void Tracer::exportChromeTrace(std::ostream& out, sim::SimTime now) const {
-  // Chrome trace-event "X" (complete) events: ts/dur are microseconds, as
-  // doubles, relative to simulation start. pid 1; each root span gets its
-  // own tid (track) named after the root, so a flow and all its phases
-  // stack on one Perfetto track.
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  std::string line;
+  line += "}, \"traceEvents\": [\n";
+  out << line;
   char buf[64];
   // One metadata record per root span, in first-appearance order.
   std::vector<std::uint32_t> rootTid(spans_.size(), 0);
@@ -336,6 +298,10 @@ void Tracer::exportChromeTrace(std::ostream& out, sim::SimTime now) const {
     line += buf;
     line += ", \"args\": {\"span_id\": ";
     line += jsonNumber(static_cast<std::uint64_t>(i + 1));
+    if (s.parent != 0) {
+      line += ", \"parent\": ";
+      line += jsonNumber(static_cast<std::uint64_t>(s.parent));
+    }
     if (s.open) line += ", \"open\": true";
     for (const auto& [k, v] : s.args) {
       line += ", ";

@@ -17,14 +17,14 @@
 // correlate() can annotate them post-hoc from the FlightRecorder: drops,
 // link loss, retransmits and peak queue residency within the span's window.
 //
-// Two exporters, both deterministic:
-//   exportSpansJsonl — scidmz.spans.v1: a header object, then one span per
-//     line, nanosecond timestamps (validated by tools/validate_trace.py).
-//   exportChromeTrace — Chrome trace-event JSON ("X" complete events,
-//     sim-time microseconds), loadable directly in Perfetto; each root span
-//     renders as its own track.
-// Spans still open at export time are closed virtually at the export
-// timestamp; the JSONL marks them "open": true.
+// One deterministic exporter, exportChromeTrace: Chrome trace-event JSON
+// ("X" complete events, sim-time microseconds with three decimals, so every
+// nanosecond survives), loadable directly in Perfetto, where each root span
+// renders as its own track. A child's args name its "parent" span, and a
+// top-level "otherData" object carries the scidmz.spans.v2 header (cell,
+// span and open counts, export time) that `scidmz_run report` and
+// tools/validate_trace.py read. Spans still open at export time are closed
+// virtually at the export timestamp and marked "open": true.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +38,10 @@
 #include "telemetry/flight_recorder.hpp"
 
 namespace scidmz::telemetry {
+
+/// The "otherData.schema" of exportChromeTrace's documents, which
+/// `scidmz_run report` checks before reading one back.
+inline constexpr std::string_view kSpanTraceSchema = "scidmz.spans.v2";
 
 /// Handle to one span; value 0 is "no span" (also "no parent").
 struct SpanId {
@@ -93,7 +97,7 @@ class Tracer {
   void correlate(const std::vector<const FlightRecorder*>& recorders, sim::SimTime now);
 
   /// Spans opened over the tracer's lifetime (the BENCH_sim.json
-  /// spans_emitted column).
+  /// spans_emitted column); ids run 1..spansEmitted().
   [[nodiscard]] std::uint64_t spansEmitted() const { return static_cast<std::uint64_t>(spans_.size()); }
   [[nodiscard]] std::size_t openCount() const { return open_count_; }
 
@@ -112,7 +116,6 @@ class Tracer {
     std::vector<std::pair<std::string, std::string>> args;
   };
   [[nodiscard]] const Span* find(SpanId id) const;
-  [[nodiscard]] std::size_t spanCount() const { return spans_.size(); }
   template <typename F>
   void forEachSpan(F&& fn) const {
     for (std::size_t i = 0; i < spans_.size(); ++i) fn(SpanId{static_cast<std::uint32_t>(i + 1)}, spans_[i]);
@@ -130,12 +133,9 @@ class Tracer {
   /// Claims no pending events — the tracer is passive state.
   void serialize(sim::Codec& c);
 
-  /// scidmz.spans.v1 JSONL. `headerExtra` is a comma-led JSON fragment
-  /// spliced into the header object (e.g. ",\"cell\": 0"); pass "" for none.
-  void exportSpansJsonl(std::ostream& out, sim::SimTime now,
-                        const std::string& headerExtra = std::string()) const;
-  /// Chrome trace-event JSON (Perfetto-loadable). One track per root span.
-  void exportChromeTrace(std::ostream& out, sim::SimTime now) const;
+  /// Chrome trace-event JSON (Perfetto-loadable), one track per root span,
+  /// with the scidmz.spans.v2 header in "otherData" naming sweep `cell`.
+  void exportChromeTrace(std::ostream& out, sim::SimTime now, std::size_t cell = 0) const;
 
  private:
   [[nodiscard]] Span* mutableSpan(SpanId id);

@@ -148,18 +148,6 @@ TEST(Link, LossIsDirectional) {
   EXPECT_EQ(net.capture.packets.size(), 1u);
 }
 
-TEST(Link, GilbertElliottProducesBurstyLoss) {
-  Scenario s;
-  TwoHosts net{s};
-  net.link.setLossModel(
-      0, std::make_unique<GilbertElliottLoss>(0.01, 0.2, 0.8, s.rng.fork(2)));
-  for (int i = 0; i < 20000; ++i) net.a.send(probeTo(net.b.address(), 100_B));
-  s.simulator.run();
-  const auto& st = net.link.stats(0);
-  EXPECT_GT(st.lost, 100u);
-  EXPECT_LT(st.lossFraction(), 0.5);
-}
-
 TEST(Link, EgressQueueOverflowDropsBeforeWire) {
   Scenario s;
   LinkParams params;

@@ -56,7 +56,7 @@ std::string runImpairedCell(net::FlowFidelity fidelity = net::FlowFidelity::kPac
   auto& tracer = s.ctx.extension<telemetry::Tracer>();
   tracer.correlate(s.ctx.telemetry().recorder(), s.ctx.now());
   std::ostringstream out;
-  tracer.exportSpansJsonl(out, s.ctx.now());
+  tracer.exportChromeTrace(out, s.ctx.now());
   return out.str();
 }
 
@@ -81,7 +81,7 @@ TEST(FlowSpans, PacketFlowOpensRootAndContiguousPhaseChildren) {
   flow->start();
   s.simulator.runFor(2_s);
 
-  ASSERT_GE(tracer.spanCount(), 2u);
+  ASSERT_GE(tracer.spansEmitted(), 2u);
   const telemetry::Tracer::Span* root = tracer.find(telemetry::SpanId{1});
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->category, "flow");
@@ -125,7 +125,7 @@ TEST(FlowSpans, FluidFlowOpensRootWithModelAnnotation) {
   s.simulator.runFor(2_s);
 
   std::ostringstream out;
-  tracer.exportSpansJsonl(out, s.ctx.now());
+  tracer.exportChromeTrace(out, s.ctx.now());
   const std::string text = out.str();
   EXPECT_NE(text.find("\"fidelity\": \"fluid\""), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"handshake\""), std::string::npos);
@@ -155,16 +155,18 @@ TEST(FinishCell, RecordsSpansEmitted) {
 }
 
 TEST(CriticalPathReport, LossRecoveryDominatesImpairedCellAndAttributionIsComplete) {
-  const std::string jsonl = runImpairedCell();
-  const std::string path = testing::TempDir() + "obs_report_spans.jsonl";
+  const std::string trace = runImpairedCell();
+  const std::string path = testing::TempDir() + "obs_report.trace.json";
   {
     std::ofstream out(path);
     ASSERT_TRUE(out);
-    out << jsonl;
+    out << trace;
   }
 
   std::ostringstream report;
-  ASSERT_TRUE(printCriticalPathReport({path}, report));
+  std::ostringstream err;
+  ASSERT_TRUE(printCriticalPathReport({path}, report, err)) << err.str();
+  EXPECT_EQ(err.str(), "");
   const std::string text = report.str();
   std::remove(path.c_str());
 
@@ -196,6 +198,71 @@ TEST(CriticalPathReport, LossRecoveryDominatesImpairedCellAndAttributionIsComple
     }
   }
   EXPECT_EQ(topName, "loss_recovery") << text;
+}
+
+TEST(CriticalPathReport, MalformedTraceIsRefusedWithoutACrash) {
+  // A root flow span (event 1) with one phase child (event 2).
+  const std::string valid =
+      "{\"otherData\": {\"schema\": \"scidmz.spans.v2\", \"cell\": 0, \"spans\": 2, "
+      "\"open\": 0, \"now_ns\": 5000}, \"traceEvents\": [\n"
+      "{\"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"name\": \"thread_name\", "
+      "\"args\": {\"name\": \"flow a->b\"}},\n"
+      "{\"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"name\": \"flow a->b\", \"cat\": \"flow\", "
+      "\"ts\": 0.000, \"dur\": 5.000, \"args\": {\"span_id\": 1}},\n"
+      "{\"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"name\": \"handshake\", \"cat\": \"tcp.phase\", "
+      "\"ts\": 1.000, \"dur\": 2.000, \"args\": {\"span_id\": 2, \"parent\": 1}}\n"
+      "]}\n";
+  const std::string path = testing::TempDir() + "obs_malformed.trace.json";
+  const auto report = [&path](const std::string& text, std::string& err) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    std::ostringstream outStream;
+    std::ostringstream errStream;
+    const bool ok = printCriticalPathReport({path}, outStream, errStream);
+    err = errStream.str();
+    if (!ok) {
+      EXPECT_EQ(outStream.str(), "") << "a refused report prints no table";
+    }
+    return ok;
+  };
+  std::string err;
+  ASSERT_TRUE(report(valid, err)) << err;
+
+  const auto mutate = [&valid](const std::string& from, const std::string& to) {
+    const std::size_t at = valid.rfind(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string out = valid;
+    return out.replace(at, from.size(), to);
+  };
+  const struct {
+    std::string text;
+    const char* why;
+  } cases[] = {
+      {mutate("\"span_id\": 2", "\"span_id\": \"x\""), "event 2: missing or non-numeric \"span_id\""},
+      {mutate("\"name\": \"handshake\", ", ""), "event 2: missing or non-string \"name\""},
+      {mutate("\"cat\": \"tcp.phase\"", "\"cat\": 7"), "event 2: missing or non-string \"cat\""},
+      {mutate("\"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"name\": \"handshake\"",
+              "\"pid\": 1, \"tid\": 1, \"name\": \"handshake\""),
+       "event 2: missing or non-string \"ph\""},
+      {mutate(", \"args\": {\"span_id\": 2, \"parent\": 1}", ""),
+       "event 2: missing or non-object \"args\""},
+      {mutate("\"dur\": 2.000", "\"dur\": 1e30"), "event 2: \"dur\" is out of range"},
+      {mutate("\"ts\": 1.000", "\"ts\": -1.000"), "event 2: \"ts\" is out of range"},
+      {mutate("\"span_id\": 2", "\"span_id\": 2.5"), "event 2: \"span_id\" is not a whole number"},
+      {mutate("\"span_id\": 2", "\"span_id\": 1"), "event 2: span_id 1 repeats"},
+      {mutate("\"parent\": 1", "\"parent\": 9"), "event 2: parent 9 not seen before span 2"},
+      {mutate("\"parent\": 1", "\"parent\": 2"), "event 2: parent 2 not seen before span 2"},
+      {mutate("scidmz.spans.v2", "scidmz.spans.v9"), "not a scidmz.spans.v2 trace"},
+      {valid.substr(0, valid.size() / 2), "report: "},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(report(c.text, err)) << c.why;
+    EXPECT_NE(err.find(path + ": "), std::string::npos) << err;
+    EXPECT_NE(err.find(c.why), std::string::npos) << "want: " << c.why << "\ngot: " << err;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceDeterminism, SpanExportsByteIdenticalAcrossWorkerCounts) {

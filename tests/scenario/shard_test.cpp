@@ -113,7 +113,7 @@ TEST(ShardDeterminism, TracedSpanExportByteIdenticalAt1_2_8Domains) {
     setTraceOutput(base);
     runRingAt(domains);
     telemetry::setProcessTracingEnabled(false);
-    std::ifstream in(base + ".cell0.spans.jsonl", std::ios::binary);
+    std::ifstream in(base + ".cell0.trace.json", std::ios::binary);
     EXPECT_TRUE(in.good()) << "missing span export for domains=" << domains;
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -128,7 +128,7 @@ TEST(ShardDeterminism, TracedSpanExportByteIdenticalAt1_2_8Domains) {
   EXPECT_FALSE(d1.empty());
   EXPECT_EQ(d1, d2);
   EXPECT_EQ(d1, d8);
-  EXPECT_NE(d1.find("scidmz.spans.v1"), std::string::npos);
+  EXPECT_NE(d1.find("scidmz.spans.v2"), std::string::npos);
 }
 
 /// sdn_policy_comparison's three cells (always-firewall, IDS-then-bypass,

@@ -160,7 +160,7 @@ std::string signature(Scenario& s, const std::vector<net::FlowPtr>& flows) {
   out << s.ctx.telemetry().snapshot().toJson() << '\n';
   s.ctx.telemetry().recorder().exportJsonl(out);
   auto& tracer = s.ctx.extension<telemetry::Tracer>();
-  if (tracer.enabled()) tracer.exportSpansJsonl(out, s.simulator.now());
+  if (tracer.enabled()) tracer.exportChromeTrace(out, s.simulator.now());
   return out.str();
 }
 

@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "../tcp/tcp_test_util.hpp"
 #include "net/flow.hpp"
 #include "net/loss.hpp"
+#include "sim/codec.hpp"
 #include "tcp/mathis.hpp"
 
 namespace scidmz::tcp {
@@ -237,6 +240,145 @@ TEST(FluidActiveSet, RecycledSlotBelowInFlightFlowsIsPickedUp) {
   simulator.runFor(20_ms);
   EXPECT_EQ(engine.currentRate(second), sim::DataRate::zero());
   EXPECT_EQ(engine.activeFlowCount(), 0u);
+}
+
+// --- snapshot decoding -------------------------------------------------------
+//
+// FluidEngine::serialize's active list indexes the hot arrays on the first
+// tick after a restore, so a blob whose section CRC is intact but whose
+// active list is impossible must be refused, not trusted.
+
+/// Three fluid bulk flows, established and sending.
+struct ActivePath {
+  TcpPath path;
+  std::vector<net::FlowPtr> flows;
+  ActivePath() {
+    for (std::uint16_t port = 5001; port <= 5003; ++port) {
+      auto flow = makeFluidFlow(path, TcpConfig::tunedDtn(), port);
+      auto* raw = flow.get();
+      flow->onEstablished = [raw] { raw->sendData(1_TB); };
+      flow->start();
+      flows.push_back(std::move(flow));
+    }
+  }
+  FluidEngine& engine() { return path.scenario.ctx.extension<FluidEngine>(); }
+};
+
+/// Where the active list sits in a "FLU " section holding one engine's
+/// serialize stream: bit offsets of its count and of what follows
+/// active_left_, plus the decoded entries. Mirrors the write order.
+struct ActiveList {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::vector<std::pair<std::uint32_t, bool>> entries;
+  std::uint64_t left = 0;
+};
+
+ActiveList findActiveList(const std::vector<std::uint8_t>& blob) {
+  sim::BitReader r(blob.data(), blob.size());
+  (void)r.enterSection("FLU ");
+  // One letter per field: b bool, v varint, d f64, s string, t timer.
+  const auto skip = [&r](std::string_view fields) {
+    for (const char f : fields) {
+      if (f == 'b') (void)r.readBool();
+      if (f == 'v') (void)r.readVarint();
+      if (f == 'd') (void)r.readF64();
+      if (f == 's') (void)r.readString();
+      if (f == 't' && r.readBool()) {  // armed: time, sequence
+        (void)r.readVarint();
+        (void)r.readVarint();
+      }
+    }
+  };
+  skip("b");  // bound
+  for (std::uint64_t n = r.readVarint(); n > 0; --n) skip("bvbbbvvvddvvt");  // flows
+  for (std::uint64_t n = r.readVarint(); n > 0; --n) skip("v");              // free ids
+  for (std::uint64_t n = r.readVarint(); n > 0; --n) skip("svvddddd");       // link dirs
+  ActiveList out;
+  out.begin = r.bitPos();
+  for (std::uint64_t n = r.readVarint(); n > 0; --n) {
+    const auto idx = static_cast<std::uint32_t>(r.readVarint());
+    out.entries.emplace_back(idx, r.readBool());
+  }
+  out.left = r.readVarint();
+  out.end = r.bitPos();
+  EXPECT_TRUE(r.ok());
+  return out;
+}
+
+/// `blob` with its active list replaced, re-framed so the CRC matches.
+std::vector<std::uint8_t> withActiveList(const std::vector<std::uint8_t>& blob,
+                                         const ActiveList& at,
+                                         const std::vector<std::pair<std::uint32_t, bool>>& entries,
+                                         std::uint64_t left) {
+  sim::BitReader r(blob.data(), blob.size());
+  (void)r.enterSection("FLU ");
+  sim::BitWriter w;
+  const auto cookie = w.beginSection("FLU ");
+  const auto copyTo = [&r, &w](std::size_t bit) {
+    while (r.bitPos() < bit) {
+      const int n = static_cast<int>(std::min<std::size_t>(64, bit - r.bitPos()));
+      w.writeBits(r.readBits(n), n);
+    }
+  };
+  copyTo(at.begin);
+  w.writeVarint(entries.size());
+  for (const auto& [idx, notify] : entries) {
+    w.writeVarint(idx);
+    w.writeBool(notify);
+  }
+  w.writeVarint(left);
+  while (r.bitPos() < at.end) (void)r.readBits(1);
+  copyTo(blob.size() * 8);
+  w.endSection(cookie);
+  return w.take();
+}
+
+/// Restore `blob` into a freshly built twin of the path `from` ran.
+bool restoresInto(const std::vector<std::uint8_t>& blob, const sim::Simulator& from) {
+  ActivePath twin;
+  twin.path.scenario.simulator.beginRestore(from.now(), from.eventsExecuted(),
+                                            from.scheduledTotal());
+  sim::BitReader r(blob.data(), blob.size());
+  (void)r.enterSection("FLU ");
+  sim::Codec c(r);
+  (void)twin.engine().serialize(c);
+  return c.ok();
+}
+
+TEST(FluidSnapshot, ImpossibleActiveListIsRefused) {
+  ActivePath original;
+  original.path.scenario.simulator.runFor(50_ms);
+  ASSERT_EQ(original.engine().activeFlowCount(), 3u);
+  sim::BitWriter w;
+  const auto cookie = w.beginSection("FLU ");
+  sim::Codec c(w);
+  (void)original.engine().serialize(c);
+  w.endSection(cookie);
+  const std::vector<std::uint8_t> blob = w.take();
+  const sim::Simulator& ran = original.path.scenario.simulator;
+
+  const ActiveList at = findActiveList(blob);
+  ASSERT_EQ(at.entries.size(), 3u);
+  ASSERT_EQ(at.left, 3u);
+  // Splicing the list back unchanged gives the same bytes, which restore.
+  ASSERT_EQ(withActiveList(blob, at, at.entries, at.left), blob);
+  ASSERT_TRUE(restoresInto(blob, ran));
+
+  const struct {
+    std::vector<std::pair<std::uint32_t, bool>> entries;
+    std::uint64_t left;
+    const char* why;
+  } cases[] = {
+      {{{0, false}, {1, false}, {2, false}, {3, false}}, 4, "more entries than flows"},
+      {{{0, false}, {1, false}, {3, false}}, 3, "index past the last flow"},
+      {{{0, false}, {2, false}, {1, false}}, 3, "indices out of order"},
+      {{{0, false}, {1, false}, {1, false}}, 3, "repeated index"},
+      {at.entries, 4, "active_left_ above the count"},
+  };
+  for (const auto& bad : cases) {
+    EXPECT_FALSE(restoresInto(withActiveList(blob, at, bad.entries, bad.left), ran)) << bad.why;
+  }
 }
 
 // --- the route table --------------------------------------------------------

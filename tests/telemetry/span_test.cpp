@@ -125,30 +125,31 @@ TEST(Tracer, CorrelateCountsMatchingFlowEventsInWindow) {
   EXPECT_EQ(value("fr_drops"), "1");
 }
 
-TEST(Tracer, JsonlExportClosesOpenSpansVirtually) {
+TEST(Tracer, ChromeExportClosesOpenSpansVirtually) {
   TestTracer t;
   const SpanId root = t.begin(at(0), "flow a->b", "flow");
   const SpanId child = t.begin(at(10), "handshake", "tcp.phase", root);
   t.end(child, at(40));
 
   std::ostringstream out;
-  t.exportSpansJsonl(out, at(100), ", \"cell\": 3");
+  t.exportChromeTrace(out, at(100), 3);
   const std::string text = out.str();
   std::vector<std::string> lines;
   std::istringstream in(text);
   for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);
+  ASSERT_EQ(lines.size(), 5u);  // header, one track name, two spans, close
   EXPECT_EQ(lines[0],
-            "{\"schema\": \"scidmz.spans.v1\", \"cell\": 3, \"spans\": 2, \"open\": 1, "
-            "\"now_ns\": 100}");
-  EXPECT_NE(lines[1].find("\"t1_ns\": 100"), std::string::npos);  // virtual close at now
-  EXPECT_NE(lines[1].find("\"open\": true"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"parent\": 1"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"open\": false"), std::string::npos);
+            "{\"displayTimeUnit\": \"ms\", \"otherData\": {\"schema\": \"scidmz.spans.v2\", "
+            "\"cell\": 3, \"spans\": 2, \"open\": 1, \"now_ns\": 100}, \"traceEvents\": [");
+  EXPECT_NE(lines[2].find("\"ts\": 0.000, \"dur\": 0.100"), std::string::npos);  // closed at now
+  EXPECT_NE(lines[2].find("\"args\": {\"span_id\": 1, \"open\": true}"), std::string::npos);
+  EXPECT_NE(lines[3].find("\"ts\": 0.010, \"dur\": 0.030"), std::string::npos);
+  EXPECT_NE(lines[3].find("\"args\": {\"span_id\": 2, \"parent\": 1}"), std::string::npos);
+  EXPECT_EQ(lines[4], "]}");
 
   // Byte-determinism: exporting the same tracer twice is byte-identical.
   std::ostringstream again;
-  t.exportSpansJsonl(again, at(100), ", \"cell\": 3");
+  t.exportChromeTrace(again, at(100), 3);
   EXPECT_EQ(text, again.str());
 }
 

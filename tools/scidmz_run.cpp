@@ -14,11 +14,10 @@
 //                                         # per-worker domains (results byte-
 //                                         # identical at any N)
 //   scidmz_run --trace=BASE --run ...     # causal span traces per cell:
-//                                         # BASE.cellN.spans.jsonl + Perfetto
-//                                         # BASE.cellN.trace.json
+//                                         # BASE.cellN.trace.json (Perfetto)
 //   scidmz_run --profile=BASE --run ...   # event-loop self-profile per cell:
 //                                         # BASE.cellN.profile.json
-//   scidmz_run report SPANS.jsonl...      # per-transfer critical-path
+//   scidmz_run report TRACE.json...       # per-transfer critical-path
 //                                         # breakdown from span traces
 //   scidmz_run convert IN.frbin OUT.jsonl # flight trace to scidmz.trace.v1
 //
@@ -58,7 +57,7 @@ int usage(const char* argv0) {
                "          [--trace BASE] [--profile BASE] [--list] [--dump] [--run NAME]... \\\n"
                "          [--spec FILE [--sweep dotted.path=v1,v2,...]...] \\\n"
                "          [--snapshot BASE] [--restore FILE]\n"
-               "       %s report SPANS.jsonl [SPANS.jsonl ...]\n"
+               "       %s report TRACE.json [TRACE.json ...]\n"
                "       %s convert IN.frbin OUT.jsonl\n",
                argv0, argv0, argv0);
   return 2;
@@ -297,11 +296,11 @@ int main(int argc, char** argv) {
   // `scidmz_run report FILE...` — offline analysis, no simulation.
   if (argc >= 2 && std::strcmp(argv[1], "report") == 0) {
     if (argc < 3) {
-      std::fprintf(stderr, "scidmz_run: report needs at least one spans.jsonl file\n");
+      std::fprintf(stderr, "scidmz_run: report needs at least one TRACE.json file\n");
       return usage(argv[0]);
     }
     std::vector<std::string> files(argv + 2, argv + argc);
-    return scenario::printCriticalPathReport(files, std::cout) ? 0 : 1;
+    return scenario::printCriticalPathReport(files, std::cout, std::cerr) ? 0 : 1;
   }
 
   bool list = false;

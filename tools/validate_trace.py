@@ -10,8 +10,9 @@ Dispatch is by content:
   binary starting "scidmz.frbin.v1\\n" -> binary flight-recorder export
                                           (fully decoded and cross-checked)
   *.jsonl                       -> scidmz.trace.v1 (one flight event per line)
-  *.jsonl whose header line is
-  {"schema": "scidmz.spans.v1"} -> causal span export (scidmz_run --trace)
+  {"traceEvents": [...], "otherData": {"schema": "scidmz.spans.v2"}}
+                                -> causal span trace (scidmz_run --trace),
+                                   Chrome trace-event JSON
   {"schema": "scidmz.telemetry.v1"}    -> snapshot
   {"schema": "scidmz.profile.v1"}      -> self-profiler export
                                           (scidmz_run --profile)
@@ -141,72 +142,83 @@ def validate_trace(path):
             f"{len(depths)} queue points depth-consistent")
 
 
-def validate_spans_line(span, where, span_count, spans_by_id, now_ns):
-    span_id = check_uint(span, "id", where)
-    require(span_id == span_count + 1, where,
-            f"id {span_id} out of sequence (expected {span_count + 1})")
-    parent = check_uint(span, "parent", where)
-    require(parent < span_id, where,
-            f"parent {parent} does not precede span {span_id}")
-    check_str(span, "name", where)
-    check_str(span, "cat", where)
-    t0 = check_uint(span, "t0_ns", where)
-    t1 = check_uint(span, "t1_ns", where)
-    require(t0 <= t1, where, f"t0_ns={t0} > t1_ns={t1}")
-    is_open = span.get("open")
-    require(isinstance(is_open, bool), where, "'open' must be a boolean")
-    if is_open:
-        require(t1 == now_ns, where,
-                f"open span must be virtually closed at now_ns={now_ns}, got t1_ns={t1}")
-    if "args" in span:
-        require(isinstance(span["args"], dict) and span["args"], where,
-                "'args' must be a non-empty object when present")
-    if parent != 0:
-        require(parent in spans_by_id, where, f"parent {parent} not seen")
-        p_t0, p_t1 = spans_by_id[parent]
-        # Children nest inside their parent's bounds (open spans compare
-        # against the parent's virtual close at now_ns).
-        require(p_t0 <= t0 and t1 <= p_t1, where,
-                f"span {span_id} [{t0}, {t1}] escapes parent {parent} "
-                f"[{p_t0}, {p_t1}]")
-    spans_by_id[span_id] = (t0, t1)
-    return is_open
+def check_us(event, key, where):
+    """A ts/dur field (microseconds, three decimals) as integer ns."""
+    require(key in event, where, f"missing key {key!r}")
+    value = event[key]
+    require(isinstance(value, (int, float)) and not isinstance(value, bool), where,
+            f"{key!r} must be a number")
+    require(0 <= value < 4e15, where, f"{key!r}={value} out of range")
+    return round(value * 1000)
 
 
-def validate_spans(path):
-    span_count = 0
+def validate_span_trace(doc, where):
+    """scidmz.spans.v2: a Chrome trace-event document whose "otherData"
+    carries the span header; one "X" event per span, in id order, one
+    "thread_name" record per root's track."""
+    header = doc["otherData"]
+    require(header.get("schema") == "scidmz.spans.v2", where,
+            f"unknown otherData.schema {header.get('schema')!r}")
+    check_uint(header, "cell", where)
+    span_total = check_uint(header, "spans", where)
+    open_total = check_uint(header, "open", where)
+    now_ns = check_uint(header, "now_ns", where)
+    events = doc["traceEvents"]
+    require(isinstance(events, list) and events, where, "traceEvents must be non-empty")
+    named_tracks = set()
+    root_tracks = set()
+    spans = {}  # span id -> (t0_ns, t1_ns, tid)
     open_count = 0
-    header = None
-    spans_by_id = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as err:
-                fail(where, f"invalid JSON: {err}")
-            require(isinstance(doc, dict), where, "line is not a JSON object")
-            if header is None:
-                require(doc.get("schema") == "scidmz.spans.v1", where,
-                        "first line must carry the scidmz.spans.v1 header")
-                check_uint(doc, "spans", where)
-                check_uint(doc, "open", where)
-                check_uint(doc, "now_ns", where)
-                header = doc
-                continue
-            if validate_spans_line(doc, where, span_count, spans_by_id, header["now_ns"]):
-                open_count += 1
-            span_count += 1
-    require(header is not None, path, "missing scidmz.spans.v1 header")
-    require(span_count == header["spans"], path,
-            f"header says {header['spans']} spans, file has {span_count}")
-    require(open_count == header["open"], path,
-            f"header says {header['open']} open spans, file has {open_count}")
-    return (f"scidmz.spans.v1, {span_count} spans ({open_count} open), "
-            f"ids dense, children nested within parents")
+    for index, event in enumerate(events):
+        at = f"{where} (event {index})"
+        require(isinstance(event, dict), at, "event is not a JSON object")
+        phase = check_str(event, "ph", at)
+        tid = check_uint(event, "tid", at)
+        args = event.get("args")
+        require(isinstance(args, dict), at, "'args' must be an object")
+        if phase == "M":
+            require(event.get("name") == "thread_name", at, "metadata must be thread_name")
+            check_str(args, "name", at)
+            require(tid not in named_tracks, at, f"track {tid} named twice")
+            named_tracks.add(tid)
+            continue
+        require(phase == "X", at, f"unexpected ph {phase!r}")
+        check_str(event, "name", at)
+        check_str(event, "cat", at)
+        t0 = check_us(event, "ts", at)
+        t1 = t0 + check_us(event, "dur", at)
+        span_id = check_uint(args, "span_id", at)
+        require(span_id == len(spans) + 1, at,
+                f"span_id {span_id} out of sequence (expected {len(spans) + 1})")
+        is_open = args.get("open", False)
+        require(is_open is True or "open" not in args, at, "'open' may only be true")
+        if is_open:
+            open_count += 1
+            require(t1 == now_ns, at,
+                    f"open span must be virtually closed at now_ns={now_ns}, got {t1}")
+        if "parent" in args:
+            parent = check_uint(args, "parent", at)
+            require(1 <= parent < span_id, at,
+                    f"parent {parent} does not precede span {span_id}")
+            p_t0, p_t1, p_tid = spans[parent]
+            # Children nest inside their parent's bounds (open spans compare
+            # against the parent's virtual close at now_ns).
+            require(p_t0 <= t0 and t1 <= p_t1, at,
+                    f"span {span_id} [{t0}, {t1}] escapes parent {parent} [{p_t0}, {p_t1}]")
+            require(tid == p_tid, at, f"span {span_id} is on track {tid}, its parent on {p_tid}")
+        else:
+            require(tid not in root_tracks, at,
+                    f"root span {span_id} shares track {tid} with an earlier root")
+            root_tracks.add(tid)
+        spans[span_id] = (t0, t1, tid)
+    for span_id, (_, _, tid) in spans.items():
+        require(tid in named_tracks, where, f"track {tid} (span {span_id}) has no thread_name")
+    require(len(spans) == span_total, where,
+            f"header says {span_total} spans, file has {len(spans)}")
+    require(open_count == open_total, where,
+            f"header says {open_total} open spans, file has {open_count}")
+    return (f"scidmz.spans.v2, {len(spans)} spans ({open_count} open) on "
+            f"{len(named_tracks)} tracks, ids dense, children nested within parents")
 
 
 def validate_profile(doc, where):
@@ -581,20 +593,6 @@ def validate_frbin(data, path):
             f"and {n_flows} flows, time monotone, refs in range")
 
 
-def first_line_schema(path):
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            return doc.get("schema") if isinstance(doc, dict) else None
-    return None
-
-
 def validate_file(path):
     with open(path, "rb") as handle:
         head = handle.read(max(len(SNAP_MAGIC), len(FRBIN_MAGIC)))
@@ -605,12 +603,12 @@ def validate_file(path):
             return validate_snap_blob(data, path)
         return validate_frbin(data, path)
     if path.endswith(".jsonl"):
-        if first_line_schema(path) == "scidmz.spans.v1":
-            return validate_spans(path)
         return validate_trace(path)
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
     require(isinstance(doc, dict), path, "top level is not a JSON object")
+    if "traceEvents" in doc and isinstance(doc.get("otherData"), dict):
+        return validate_span_trace(doc, path)
     schema = doc.get("schema")
     if schema == "scidmz.telemetry.v1":
         return validate_snapshot(doc, path)
