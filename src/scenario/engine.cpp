@@ -28,11 +28,7 @@ namespace {
 
 tcp::TcpConfig toTcpConfig(const TcpSpec& spec) {
   tcp::TcpConfig cfg;
-  switch (spec.cc) {
-    case CcAlgo::kReno: cfg.algorithm = tcp::CcAlgorithm::kReno; break;
-    case CcAlgo::kHtcp: cfg.algorithm = tcp::CcAlgorithm::kHtcp; break;
-    case CcAlgo::kCubic: cfg.algorithm = tcp::CcAlgorithm::kCubic; break;
-  }
+  cfg.algorithm = spec.cc;
   cfg.sndBuf = sim::DataSize::bytes(spec.bufBytes);
   cfg.rcvBuf = sim::DataSize::bytes(spec.bufBytes);
   cfg.pacing = spec.pacing;

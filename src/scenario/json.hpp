@@ -24,8 +24,8 @@ class JsonError : public std::runtime_error {
 };
 
 /// Error raised when a scidmz.scenario document is not a valid spec
-/// (unknown key, bad enum, wrong type) or nests deeper than Json::parse
-/// accepts.
+/// (unknown key, bad enum, wrong type, value out of bounds) or nests deeper
+/// than Json::parse accepts.
 class SpecError : public JsonError {
  public:
   explicit SpecError(const std::string& message) : JsonError(message) {}

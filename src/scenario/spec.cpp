@@ -1,580 +1,444 @@
 #include "scenario/spec.hpp"
 
 #include <cmath>
-#include <cstring>
+#include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+
+#include "net/address.hpp"
+#include "net/packet.hpp"
 
 namespace scidmz::scenario {
 
 namespace {
 
-// --- reading helpers -------------------------------------------------------
+// --- enum names ------------------------------------------------------------
 
-/// Tracks which keys of an object were consumed; done() rejects leftovers
-/// so typos in hand-written scenario files fail loudly, naming the key.
-class ObjectReader {
+/// What toString returns for a value outside its enum's name table.
+constexpr const char* kNoName = "?";
+
+/// `names[v]`: each enum's wire names are the one table its toString holds.
+template <typename E, std::size_t N>
+const char* nameIn(const char* const (&names)[N], E v) {
+  const auto i = static_cast<std::size_t>(v);
+  return i < N ? names[i] : kNoName;
+}
+
+/// The enumerator whose toString is `name`, read off the same table.
+template <typename E>
+std::optional<E> fromName(std::string_view name) {
+  for (int i = 0;; ++i) {
+    const std::string_view known = toString(static_cast<E>(i));
+    if (known == kNoName) return std::nullopt;
+    if (name == known) return static_cast<E>(i);
+  }
+}
+
+template <>
+std::optional<net::FlowFidelity> fromName(std::string_view name) {
+  return net::parseFlowFidelity(name);
+}
+
+// --- value bounds ----------------------------------------------------------
+
+/// Inclusive bounds a value read from a document must lie in.
+template <typename T>
+struct Range {
+  T lo;
+  T hi;
+};
+
+/// Every value an integer field can hold: counts stop at 2^53, the largest
+/// integer a JSON number (an IEEE double) holds exactly.
+template <typename T>
+constexpr Range<T> kAny{};
+template <>
+constexpr Range<std::uint64_t> kAny<std::uint64_t>{0, 9007199254740992ull};
+template <>
+constexpr Range<int> kAny<int>{-2147483647, 2147483647};
+/// Any duration a spec names lies in [0, 10^6 s] (about 11.6 days), so
+/// Duration::fromSeconds never overflows and the sum of a spec's durations
+/// stays far inside SimTime's int64 nanoseconds (about 292 years).
+constexpr Range<double> kSeconds{0.0, 1e6};
+constexpr Range<std::uint64_t> kMicroseconds{0, 1'000'000'000'000};  // kSeconds in us
+constexpr Range<int> kPorts{1, 65535};
+constexpr Range<int> kHostCount{1, kMaxNumberedHosts};
+/// 68 bytes is the IPv4 minimum MTU; 65535 its largest total length.
+constexpr Range<std::uint64_t> kMtuBytes{68, 65535};
+static_assert(kMtuBytes.lo > net::kTcpIpHeaderBytes.byteCount(), "the MSS must be positive");
+
+bool isDottedQuad(const std::string& text) {
+  try {
+    (void)net::Address::parse(text);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+// --- the dual-mode key walker ----------------------------------------------
+
+/// kUnlessDefault keys are written only when their value differs from the
+/// value-initialized default, and read only when the document has them.
+enum class Presence { kAlways, kUnlessDefault };
+
+/// One fragment's keys in both directions, as sim::Codec is for the binary
+/// seam: each fragment has a single io(Io&, Fragment&) that lists its keys
+/// once — name, order, presence condition, bounds. Writing appends each key
+/// to a JSON object in call order; reading takes each key from a parsed
+/// object and refuses a missing key, a wrong type, an unknown enum value or
+/// a value out of bounds, naming the dotted key path. done() refuses any
+/// key no call took, so a typo in a hand-written scenario fails loudly.
+class Io {
  public:
-  ObjectReader(const Json& obj, std::string path) : obj_(obj), path_(std::move(path)) {
-    if (!obj_.isObject()) throw SpecError("\"" + path_ + "\" must be a JSON object");
+  explicit Io(Json& out) : out_(&out) {}
+  /// Reader over `in`, named `path` in errors; the root's children are
+  /// named from the top ("topology.path", "workloads[0]").
+  Io(const Json& in, std::string path, bool root = false)
+      : in_(&in), path_(std::move(path)), root_(root) {
+    if (!in.isObject()) throw SpecError("\"" + path_ + "\" must be a JSON object");
+    // One bit per member marks it taken; no spec fragment has 64 keys.
+    if (in.members().size() > 64) throw SpecError("\"" + path_ + "\" has too many keys");
   }
 
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] bool has(const char* key) const { return obj_.contains(key); }
+  [[nodiscard]] bool writing() const { return out_ != nullptr; }
 
-  const Json& require(const char* key) {
-    if (!obj_.contains(key)) {
-      throw SpecError("missing key \"" + std::string(key) + "\" in \"" + path_ + "\"");
+  void field(const char* key, bool& v) {
+    if (writing()) {
+      out_->set(key, v);
+    } else {
+      v = take(key, Json::Kind::kBool, "a boolean")->asBool();
     }
-    seen_.emplace_back(key);
-    return obj_.get(key);
   }
 
-  std::string getString(const char* key) {
-    const Json& v = require(key);
-    if (!v.isString()) throw typeError(key, "a string");
-    return v.asString();
-  }
-
-  bool getBool(const char* key) {
-    const Json& v = require(key);
-    if (!v.isBool()) throw typeError(key, "a boolean");
-    return v.asBool();
-  }
-
-  double getNumber(const char* key) {
-    const Json& v = require(key);
-    if (!v.isNumber()) throw typeError(key, "a number");
-    return v.asNumber();
-  }
-
-  std::uint64_t getUint(const char* key) {
-    const double v = getNumber(key);
-    if (v < 0 || v != std::floor(v) || v > 9.007199254740992e15) {
-      throw typeError(key, "a non-negative integer");
+  void field(const char* key, std::string& v, bool (*valid)(const std::string&) = nullptr,
+             const char* what = nullptr) {
+    if (writing()) {
+      out_->set(key, v);
+      return;
     }
-    return static_cast<std::uint64_t>(v);
-  }
-
-  int getInt(const char* key) {
-    const double v = getNumber(key);
-    if (v != std::floor(v) || std::fabs(v) > 2147483647.0) {
-      throw typeError(key, "an integer");
+    v = take(key, Json::Kind::kString, "a string")->asString();
+    if (valid && !valid(v)) {
+      throw SpecError("\"" + path_ + "." + key + "\" must be " + what + ", got \"" + v + "\"");
     }
-    return static_cast<int>(v);
   }
 
-  const Json& getObject(const char* key) {
-    const Json& v = require(key);
-    if (!v.isObject()) throw typeError(key, "an object");
-    return v;
+  /// The key always holds `value`; a document holding anything else is
+  /// refused.
+  void constant(const char* key, const char* value) {
+    if (writing()) {
+      out_->set(key, value);
+      return;
+    }
+    const std::string& got = take(key, Json::Kind::kString, "a string")->asString();
+    if (got != value) {
+      throw SpecError("unknown value \"" + got + "\" for \"" + path_ + "." + key +
+                      "\" (expected \"" + value + "\")");
+    }
   }
 
-  const Json& getArray(const char* key) {
-    const Json& v = require(key);
-    if (!v.isArray()) throw typeError(key, "an array");
-    return v;
+  void field(const char* key, double& v, Range<double> bounds) {
+    if (writing()) {
+      out_->set(key, v);
+    } else {
+      v = take(key, Json::Kind::kNumber, "a number")->asNumber();
+      checkBounds(key, v, bounds);
+    }
   }
 
-  /// Reject any key that was never consumed.
+  /// An integer member: a JSON number that is whole and fits T (kAny<T>)
+  /// — else a type error — and then lies in `bounds`.
+  template <typename T>
+    requires std::is_same_v<T, int> || std::is_same_v<T, std::uint64_t>
+  void field(const char* key, T& v, Range<T> bounds = kAny<T>,
+             Presence presence = Presence::kAlways) {
+    if (writing()) {
+      if (presence == Presence::kAlways || v != 0) out_->set(key, v);
+      return;
+    }
+    const Json* j = take(key, Json::Kind::kNumber, "a number", presence);
+    if (!j) return;
+    const double d = j->asNumber();
+    if (d != std::floor(d) || d < static_cast<double>(kAny<T>.lo) ||
+        d > static_cast<double>(kAny<T>.hi)) {
+      throw typeError(key, std::is_signed_v<T> ? "an integer" : "a non-negative integer");
+    }
+    v = static_cast<T>(d);
+    checkBounds(key, v, bounds);
+  }
+
+  template <typename E>
+    requires std::is_enum_v<E>
+  void field(const char* key, E& v, Presence presence = Presence::kAlways) {
+    if (writing()) {
+      if (presence == Presence::kAlways || v != E{}) out_->set(key, std::string(toString(v)));
+      return;
+    }
+    const Json* j = take(key, Json::Kind::kString, "a string", presence);
+    if (!j) return;
+    const auto parsed = fromName<E>(j->asString());
+    if (!parsed) {
+      throw SpecError("unknown value \"" + j->asString() + "\" for \"" + path_ + "." + key + "\"");
+    }
+    v = *parsed;
+  }
+
+  /// A nested fragment, through its own io().
+  template <typename T>
+  void object(const char* key, T& v);
+  /// A nested fragment present only when engaged (written) or given (read).
+  template <typename T>
+  void object(const char* key, std::optional<T>& v) {
+    if (writing() ? !v.has_value() : !in_->contains(key)) return;
+    if (!v) v.emplace();
+    object(key, *v);
+  }
+  template <typename T>
+  void array(const char* key, std::vector<T>& v);
+
+  /// Reading: refuse any key no call took.
   void done() const {
-    for (const auto& [key, value] : obj_.members()) {
-      bool known = false;
-      for (const auto& s : seen_) {
-        if (s == key) {
-          known = true;
-          break;
-        }
+    if (writing()) return;
+    const auto& members = in_->members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (!(taken_ >> i & 1)) {
+        throw SpecError("unknown key \"" + members[i].first + "\" in \"" + path_ + "\"");
       }
-      if (!known) throw SpecError("unknown key \"" + key + "\" in \"" + path_ + "\"");
     }
   }
 
  private:
+  /// The member `key` of the required `kind`, marked taken; null only for
+  /// an absent kUnlessDefault key.
+  const Json* take(const char* key, Json::Kind kind, const char* what,
+                   Presence presence = Presence::kAlways) {
+    const auto& members = in_->members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (members[i].first != key) continue;
+      taken_ |= std::uint64_t{1} << i;
+      if (members[i].second.kind() != kind) throw typeError(key, what);
+      return &members[i].second;
+    }
+    if (presence == Presence::kUnlessDefault) return nullptr;
+    throw SpecError("missing key \"" + std::string(key) + "\" in \"" + path_ + "\"");
+  }
+
+  std::string childPath(const char* key) const { return root_ ? key : path_ + "." + key; }
+
+  template <typename T>
+  void checkBounds(const char* key, T v, Range<T> bounds) const {
+    if (v >= bounds.lo && v <= bounds.hi) return;
+    std::string message = "\"" + path_ + "." + key + "\" must be between ";
+    appendJsonNumber(message, static_cast<double>(bounds.lo));
+    message += " and ";
+    appendJsonNumber(message, static_cast<double>(bounds.hi));
+    message += ", got ";
+    appendJsonNumber(message, static_cast<double>(v));
+    throw SpecError(message);
+  }
+
   SpecError typeError(const char* key, const char* what) const {
     return SpecError("key \"" + std::string(key) + "\" in \"" + path_ + "\" must be " + what);
   }
 
-  const Json& obj_;
+  Json* out_ = nullptr;
+  const Json* in_ = nullptr;
   std::string path_;
-  std::vector<std::string> seen_;
+  bool root_ = false;
+  std::uint64_t taken_ = 0;  ///< bit i: member i was taken
 };
 
-template <typename Enum>
-Enum parseEnum(const std::string& value, const std::string& keyPath,
-               std::initializer_list<std::pair<const char*, Enum>> table) {
-  for (const auto& [name, v] : table) {
-    if (value == name) return v;
-  }
-  throw SpecError("unknown value \"" + value + "\" for \"" + keyPath + "\"");
+// --- fragments -------------------------------------------------------------
+
+void io(Io& io, LinkSpec& l) {
+  io.field("rate_mbps", l.rateMbps, {1, 1'000'000});  // up to 1 Tbps
+  io.field("delay_us", l.delayUs, kMicroseconds);
+  io.field("mtu_bytes", l.mtuBytes, kMtuBytes);
 }
 
-// --- fragment (de)serializers ---------------------------------------------
-
-Json linkToJson(const LinkSpec& l) {
-  Json j = Json::object();
-  j.set("rate_mbps", l.rateMbps);
-  j.set("delay_us", l.delayUs);
-  j.set("mtu_bytes", l.mtuBytes);
-  return j;
+void io(Io& io, HostSpec& h) {
+  io.field("name", h.name);
+  io.field("ip", h.ip, isDottedQuad, "a dotted quad");
 }
 
-LinkSpec linkFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  LinkSpec l;
-  l.rateMbps = r.getUint("rate_mbps");
-  l.delayUs = r.getUint("delay_us");
-  l.mtuBytes = r.getUint("mtu_bytes");
-  r.done();
-  return l;
+void io(Io& io, TcpSpec& t) {
+  io.field("cc", t.cc);
+  io.field("buf_bytes", t.bufBytes);
+  io.field("pacing", t.pacing);
 }
 
-Json hostToJson(const HostSpec& h) {
-  Json j = Json::object();
-  j.set("name", h.name);
-  j.set("ip", h.ip);
-  return j;
-}
-
-HostSpec hostFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  HostSpec h;
-  h.name = r.getString("name");
-  h.ip = r.getString("ip");
-  r.done();
-  return h;
-}
-
-Json tcpToJson(const TcpSpec& t) {
-  Json j = Json::object();
-  j.set("cc", toString(t.cc));
-  j.set("buf_bytes", t.bufBytes);
-  j.set("pacing", t.pacing);
-  return j;
-}
-
-TcpSpec tcpFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  TcpSpec t;
-  t.cc = parseEnum<CcAlgo>(r.getString("cc"), path + ".cc",
-                           {{"reno", CcAlgo::kReno},
-                            {"htcp", CcAlgo::kHtcp},
-                            {"cubic", CcAlgo::kCubic}});
-  t.bufBytes = r.getUint("buf_bytes");
-  t.pacing = r.getBool("pacing");
-  r.done();
-  return t;
-}
-
-Json lossToJson(const LossSpec& l) {
-  Json j = Json::object();
-  j.set("segment", l.segment);
-  j.set("direction", l.direction);
-  j.set("kind", toString(l.kind));
+void io(Io& io, LossSpec& l) {
+  io.field("segment", l.segment, {0, 1});
+  io.field("direction", l.direction, {0, 1});
+  io.field("kind", l.kind);
   if (l.kind == LossKind::kRandom) {
-    j.set("rate", l.rate);
-    j.set("rng_fork", l.rngFork);
+    io.field("rate", l.rate, {0.0, 1.0});
+    io.field("rng_fork", l.rngFork);
   } else {
-    j.set("period", l.period);
+    io.field("period", l.period, {1, kAny<std::uint64_t>.hi});
   }
-  return j;
 }
 
-LossSpec lossFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  LossSpec l;
-  l.segment = r.getInt("segment");
-  l.direction = r.getInt("direction");
-  l.kind = parseEnum<LossKind>(r.getString("kind"), path + ".kind",
-                               {{"random", LossKind::kRandom},
-                                {"periodic", LossKind::kPeriodic}});
-  if (l.kind == LossKind::kRandom) {
-    l.rate = r.getNumber("rate");
-    l.rngFork = r.getUint("rng_fork");
-  } else {
-    l.period = r.getUint("period");
-  }
-  r.done();
-  return l;
-}
-
-// --- topologies ------------------------------------------------------------
-
-Json pathToJson(const PathTopology& p) {
-  Json j = Json::object();
-  j.set("src", hostToJson(p.src));
-  j.set("dst", hostToJson(p.dst));
-  j.set("middlebox", toString(p.middlebox));
-  if (p.middlebox != Middlebox::kNone) j.set("mid_name", p.midName);
-  j.set("link", linkToJson(p.link));
-  if (p.link2) j.set("link2", linkToJson(*p.link2));
+void io(Io& io, PathTopology& p) {
+  io.object("src", p.src);
+  io.object("dst", p.dst);
+  io.field("middlebox", p.middlebox);
+  if (p.middlebox != Middlebox::kNone) io.field("mid_name", p.midName);
+  io.object("link", p.link);
+  io.object("link2", p.link2);
   if (p.middlebox == Middlebox::kSwitch) {
-    j.set("switch_profile", toString(p.switchProfile));
-    j.set("egress_buffer_bytes", p.egressBufferBytes);
-    j.set("acl_permit_all_default_deny", p.aclPermitAllDefaultDeny);
+    io.field("switch_profile", p.switchProfile);
+    io.field("egress_buffer_bytes", p.egressBufferBytes);
+    io.field("acl_permit_all_default_deny", p.aclPermitAllDefaultDeny);
   }
   if (p.middlebox == Middlebox::kFirewall) {
-    j.set("firewall_seq_checking", p.firewallSeqChecking);
-    j.set("ids_vetting_packets", p.idsVettingPackets);
+    io.field("firewall_seq_checking", p.firewallSeqChecking);
+    io.field("ids_vetting_packets", p.idsVettingPackets);
   }
-  Json losses = Json::array();
-  for (const auto& l : p.losses) losses.push(lossToJson(l));
-  j.set("losses", std::move(losses));
-  return j;
+  io.array("losses", p.losses);
 }
 
-PathTopology pathFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  PathTopology p;
-  p.src = hostFromJson(r.getObject("src"), path + ".src");
-  p.dst = hostFromJson(r.getObject("dst"), path + ".dst");
-  p.middlebox = parseEnum<Middlebox>(r.getString("middlebox"), path + ".middlebox",
-                                     {{"none", Middlebox::kNone},
-                                      {"router", Middlebox::kRouter},
-                                      {"switch", Middlebox::kSwitch},
-                                      {"firewall", Middlebox::kFirewall}});
-  if (p.middlebox != Middlebox::kNone) p.midName = r.getString("mid_name");
-  p.link = linkFromJson(r.getObject("link"), path + ".link");
-  if (r.has("link2")) p.link2 = linkFromJson(r.getObject("link2"), path + ".link2");
-  if (p.middlebox == Middlebox::kSwitch) {
-    p.switchProfile = parseEnum<SwitchProfileKind>(
-        r.getString("switch_profile"), path + ".switch_profile",
-        {{"default", SwitchProfileKind::kDefault},
-         {"science_dmz", SwitchProfileKind::kScienceDmz}});
-    p.egressBufferBytes = r.getUint("egress_buffer_bytes");
-    p.aclPermitAllDefaultDeny = r.getBool("acl_permit_all_default_deny");
-  }
-  if (p.middlebox == Middlebox::kFirewall) {
-    p.firewallSeqChecking = r.getBool("firewall_seq_checking");
-    p.idsVettingPackets = r.getUint("ids_vetting_packets");
-  }
-  const Json& losses = r.getArray("losses");
-  for (std::size_t i = 0; i < losses.size(); ++i) {
-    p.losses.push_back(
-        lossFromJson(losses.at(i), path + ".losses[" + std::to_string(i) + "]"));
-  }
-  r.done();
-  return p;
+void io(Io& io, FaninTopology& f) {
+  io.field("senders", f.senders, kHostCount);
+  io.field("egress_buffer_bytes", f.egressBufferBytes);
+  io.object("egress_link", f.egressLink);
+  io.object("sender_link", f.senderLink);
 }
 
-/// A numbered host count: each host needs a distinct numberedHost address.
-int getHostCount(ObjectReader& r, const char* key) {
-  const int n = r.getInt(key);
-  if (n < 1 || n > kMaxNumberedHosts) {
-    throw SpecError("\"" + r.path() + "." + key + "\" must be between 1 and " +
-                    std::to_string(kMaxNumberedHosts) + ", got " + std::to_string(n));
-  }
-  return n;
+void io(Io& io, EnterpriseEdgeTopology& e) {
+  io.field("pairs", e.pairs, kHostCount);
+  io.object("core_link", e.coreLink);
+  io.object("edge_link", e.edgeLink);
 }
 
-Json faninToJson(const FaninTopology& f) {
-  Json j = Json::object();
-  j.set("senders", f.senders);
-  j.set("egress_buffer_bytes", f.egressBufferBytes);
-  j.set("egress_link", linkToJson(f.egressLink));
-  j.set("sender_link", linkToJson(f.senderLink));
-  return j;
+void io(Io& io, SiteTopology& s) {
+  io.field("design", s.design);
+  // The site plan numbers DTNs from 10.10.1.10 up to perfSONAR's .250, and
+  // compute nodes from 10.10.2.1 up to .254.
+  io.field("dtn_count", s.dtnCount, {1, 240});
+  io.field("compute_node_count", s.computeNodeCount, {0, 254});
+  io.object("wan", s.wan);
+  io.field("untuned_hosts", s.untunedHosts);
+  io.field("remote_storage_read_mbps", s.remoteStorageReadMbps);
+  io.field("remote_storage_per_stream_cap_mbps", s.remoteStoragePerStreamCapMbps);
 }
 
-FaninTopology faninFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  FaninTopology f;
-  f.senders = getHostCount(r, "senders");
-  f.egressBufferBytes = r.getUint("egress_buffer_bytes");
-  f.egressLink = linkFromJson(r.getObject("egress_link"), path + ".egress_link");
-  f.senderLink = linkFromJson(r.getObject("sender_link"), path + ".sender_link");
-  r.done();
-  return f;
+void io(Io& io, UsecaseTopology& u) {
+  io.field("which", u.which);
+  if (u.which == UsecaseKind::kColorado) io.field("physics_hosts", u.physicsHosts, kHostCount);
+  if (u.which != UsecaseKind::kPennStateSeries) io.field("vendor_fix", u.vendorFix);
 }
 
-Json edgeToJson(const EnterpriseEdgeTopology& e) {
-  Json j = Json::object();
-  j.set("pairs", e.pairs);
-  j.set("core_link", linkToJson(e.coreLink));
-  j.set("edge_link", linkToJson(e.edgeLink));
-  return j;
-}
-
-EnterpriseEdgeTopology edgeFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  EnterpriseEdgeTopology e;
-  e.pairs = getHostCount(r, "pairs");
-  e.coreLink = linkFromJson(r.getObject("core_link"), path + ".core_link");
-  e.edgeLink = linkFromJson(r.getObject("edge_link"), path + ".edge_link");
-  r.done();
-  return e;
-}
-
-Json siteToJson(const SiteTopology& s) {
-  Json j = Json::object();
-  j.set("design", toString(s.design));
-  j.set("dtn_count", s.dtnCount);
-  j.set("compute_node_count", s.computeNodeCount);
-  j.set("wan", linkToJson(s.wan));
-  j.set("untuned_hosts", s.untunedHosts);
-  j.set("remote_storage_read_mbps", s.remoteStorageReadMbps);
-  j.set("remote_storage_per_stream_cap_mbps", s.remoteStoragePerStreamCapMbps);
-  return j;
-}
-
-SiteTopology siteFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  SiteTopology s;
-  s.design = parseEnum<SiteDesign>(r.getString("design"), path + ".design",
-                                   {{"general_purpose", SiteDesign::kGeneralPurpose},
-                                    {"simple_dmz", SiteDesign::kSimpleDmz},
-                                    {"supercomputer", SiteDesign::kSupercomputer},
-                                    {"bigdata", SiteDesign::kBigData}});
-  s.dtnCount = r.getInt("dtn_count");
-  s.computeNodeCount = r.getInt("compute_node_count");
-  s.wan = linkFromJson(r.getObject("wan"), path + ".wan");
-  s.untunedHosts = r.getBool("untuned_hosts");
-  s.remoteStorageReadMbps = r.getUint("remote_storage_read_mbps");
-  s.remoteStoragePerStreamCapMbps = r.getUint("remote_storage_per_stream_cap_mbps");
-  r.done();
-  return s;
-}
-
-Json usecaseToJson(const UsecaseTopology& u) {
-  Json j = Json::object();
-  j.set("which", toString(u.which));
-  if (u.which == UsecaseKind::kColorado) j.set("physics_hosts", u.physicsHosts);
-  if (u.which != UsecaseKind::kPennStateSeries) j.set("vendor_fix", u.vendorFix);
-  return j;
-}
-
-UsecaseTopology usecaseFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  UsecaseTopology u;
-  u.which = parseEnum<UsecaseKind>(r.getString("which"), path + ".which",
-                                   {{"colorado", UsecaseKind::kColorado},
-                                    {"pennstate_inbound", UsecaseKind::kPennStateInbound},
-                                    {"pennstate_outbound", UsecaseKind::kPennStateOutbound},
-                                    {"pennstate_series", UsecaseKind::kPennStateSeries},
-                                    {"noaa", UsecaseKind::kNoaa},
-                                    {"nersc_olcf", UsecaseKind::kNerscOlcf}});
-  if (u.which == UsecaseKind::kColorado) u.physicsHosts = getHostCount(r, "physics_hosts");
-  if (u.which != UsecaseKind::kPennStateSeries) u.vendorFix = r.getBool("vendor_fix");
-  r.done();
-  return u;
-}
-
-Json topologyToJson(const TopologySpec& t) {
-  Json j = Json::object();
-  j.set("kind", toString(t.kind));
+void io(Io& io, TopologySpec& t) {
+  io.field("kind", t.kind);
+  const char* key = toString(t.kind);  // each kind's fragment sits under its name
   switch (t.kind) {
-    case TopologyKind::kPath: j.set("path", pathToJson(t.path)); break;
-    case TopologyKind::kFanin: j.set("fanin", faninToJson(t.fanin)); break;
-    case TopologyKind::kEnterpriseEdge: j.set("enterprise_edge", edgeToJson(t.edge)); break;
-    case TopologyKind::kSite: j.set("site", siteToJson(t.site)); break;
-    case TopologyKind::kUsecase: j.set("usecase", usecaseToJson(t.usecase)); break;
+    case TopologyKind::kPath: io.object(key, t.path); break;
+    case TopologyKind::kFanin: io.object(key, t.fanin); break;
+    case TopologyKind::kEnterpriseEdge: io.object(key, t.edge); break;
+    case TopologyKind::kSite: io.object(key, t.site); break;
+    case TopologyKind::kUsecase: io.object(key, t.usecase); break;
   }
-  return j;
 }
 
-TopologySpec topologyFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  TopologySpec t;
-  t.kind = parseEnum<TopologyKind>(r.getString("kind"), path + ".kind",
-                                   {{"path", TopologyKind::kPath},
-                                    {"fanin", TopologyKind::kFanin},
-                                    {"enterprise_edge", TopologyKind::kEnterpriseEdge},
-                                    {"site", TopologyKind::kSite},
-                                    {"usecase", TopologyKind::kUsecase}});
-  switch (t.kind) {
-    case TopologyKind::kPath:
-      t.path = pathFromJson(r.getObject("path"), path + ".path");
-      break;
-    case TopologyKind::kFanin:
-      t.fanin = faninFromJson(r.getObject("fanin"), path + ".fanin");
-      break;
-    case TopologyKind::kEnterpriseEdge:
-      t.edge = edgeFromJson(r.getObject("enterprise_edge"), path + ".enterprise_edge");
-      break;
-    case TopologyKind::kSite:
-      t.site = siteFromJson(r.getObject("site"), path + ".site");
-      break;
-    case TopologyKind::kUsecase:
-      t.usecase = usecaseFromJson(r.getObject("usecase"), path + ".usecase");
-      break;
-  }
-  r.done();
-  return t;
+void io(Io& io, AnalysisSpec& a) {
+  io.field("validate", a.validate);
+  io.field("assess_path", a.assessPath);
+  io.field("window_scaling_broken", a.windowScalingBroken);
 }
 
-Json analysisToJson(const AnalysisSpec& a) {
-  Json j = Json::object();
-  j.set("validate", a.validate);
-  j.set("assess_path", a.assessPath);
-  j.set("window_scaling_broken", a.windowScalingBroken);
-  return j;
+/// Each kind's keys, in its order: one global sequence, each key guarded by
+/// the kinds that carry it (only dtn_transfer puts `port` after `bytes`).
+void io(Io& io, WorkloadSpec& w) {
+  using enum WorkloadKind;
+  io.field("kind", w.kind);
+  io.field("label", w.label);
+  const auto is = [kind = w.kind](auto... kinds) { return ((kind == kinds) || ...); };
+  const auto port = [&] {
+    io.field(is(kConvergingFlows, kBackground) ? "base_port" : "port", w.port, kPorts);
+  };
+  if (is(kSteadyFlow, kConvergingFlows, kTimedFlow, kParallelTransfer)) io.object("tcp", w.tcp);
+  if (is(kDtnTransfer)) io.field("file", w.file);
+  if (is(kCampaign)) {
+    io.field("src_cluster", w.srcCluster);
+    io.field("dst_cluster", w.dstCluster);
+    io.field("files", w.files, {0, kAny<int>.hi});
+    io.field("file_size_bytes", w.fileSizeBytes);
+    io.field("file_prefix", w.filePrefix);
+    io.field("file_suffix", w.fileSuffix);
+  }
+  if (is(kRoce)) io.field("rate_gbps", w.rateGbps, {1, 1000});
+  // Mean gap 1 / flows_per_second between 1 us and the longest duration.
+  if (is(kBackground)) io.field("flows_per_second", w.flowsPerSecond, {1e-6, 1e6});
+  if (!is(kDtnTransfer, kCampaign, kRoce)) port();
+  if (is(kParallelTransfer, kDtnTransfer, kRoce)) io.field("bytes", w.bytes);
+  if (is(kDtnTransfer)) port();
+  if (is(kParallelTransfer)) io.field("streams", w.streams, kPorts);  // no more than ports
+  if (is(kSteadyFlow, kConvergingFlows)) {
+    io.field("warmup_s", w.warmupS, kSeconds);
+    io.field("window_s", w.windowS, kSeconds);
+  }
+  if (is(kTimedFlow, kProbe, kBackground)) io.field("run_s", w.runS, kSeconds);
+  if (is(kBackground)) io.field("drain_s", w.drainS, kSeconds);
+  if (is(kParallelTransfer, kDtnTransfer, kCampaign, kRoce)) {
+    io.field("timeout_s", w.timeoutS, kSeconds);
+  }
+  if (is(kBackground)) io.field("rng_fork", w.rngFork);
+  if (workloadHasFidelity(w.kind)) io.field("fidelity", w.fidelity, Presence::kUnlessDefault);
+  if (is(kConvergingFlows)) {
+    io.field("fluid_flows", w.fluidFlows, {0, kMaxNumberedHosts}, Presence::kUnlessDefault);
+  }
 }
 
-AnalysisSpec analysisFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  AnalysisSpec a;
-  a.validate = r.getBool("validate");
-  a.assessPath = r.getBool("assess_path");
-  a.windowScalingBroken = r.getBool("window_scaling_broken");
-  r.done();
-  return a;
+void io(Io& io, ScenarioSpec& s) {
+  io.constant("schema", kScenarioSchema);
+  io.field("name", s.name);
+  io.field("seed", s.seed);
+  io.field("telemetry", s.telemetry);
+  io.field("domains", s.domains, {0, kAny<int>.hi}, Presence::kUnlessDefault);
+  io.field("lookahead_us", s.lookaheadUs, kMicroseconds, Presence::kUnlessDefault);
+  io.object("topology", s.topology);
+  io.object("analysis", s.analysis);
+  io.array("workloads", s.workloads);
+  if (s.topology.kind == TopologyKind::kUsecase && !s.workloads.empty()) {
+    throw SpecError("\"workloads\" must be empty for a usecase topology (\"" + s.name +
+                    "\"): the use case drives its own simulation");
+  }
 }
 
-// --- workloads -------------------------------------------------------------
-
-Json workloadToJson(const WorkloadSpec& w) {
-  Json j = Json::object();
-  j.set("kind", toString(w.kind));
-  j.set("label", w.label);
-  switch (w.kind) {
-    case WorkloadKind::kSteadyFlow:
-      j.set("tcp", tcpToJson(w.tcp));
-      j.set("port", w.port);
-      j.set("warmup_s", w.warmupS);
-      j.set("window_s", w.windowS);
-      break;
-    case WorkloadKind::kConvergingFlows:
-      j.set("tcp", tcpToJson(w.tcp));
-      j.set("base_port", w.port);
-      j.set("warmup_s", w.warmupS);
-      j.set("window_s", w.windowS);
-      break;
-    case WorkloadKind::kTimedFlow:
-      j.set("tcp", tcpToJson(w.tcp));
-      j.set("port", w.port);
-      j.set("run_s", w.runS);
-      break;
-    case WorkloadKind::kParallelTransfer:
-      j.set("tcp", tcpToJson(w.tcp));
-      j.set("port", w.port);
-      j.set("bytes", w.bytes);
-      j.set("streams", w.streams);
-      j.set("timeout_s", w.timeoutS);
-      break;
-    case WorkloadKind::kDtnTransfer:
-      j.set("file", w.file);
-      j.set("bytes", w.bytes);
-      j.set("port", w.port);
-      j.set("timeout_s", w.timeoutS);
-      break;
-    case WorkloadKind::kCampaign:
-      j.set("src_cluster", w.srcCluster);
-      j.set("dst_cluster", w.dstCluster);
-      j.set("files", w.files);
-      j.set("file_size_bytes", w.fileSizeBytes);
-      j.set("file_prefix", w.filePrefix);
-      j.set("file_suffix", w.fileSuffix);
-      j.set("timeout_s", w.timeoutS);
-      break;
-    case WorkloadKind::kProbe:
-      j.set("port", w.port);
-      j.set("run_s", w.runS);
-      break;
-    case WorkloadKind::kRoce:
-      j.set("rate_gbps", w.rateGbps);
-      j.set("bytes", w.bytes);
-      j.set("timeout_s", w.timeoutS);
-      break;
-    case WorkloadKind::kBackground:
-      j.set("flows_per_second", w.flowsPerSecond);
-      j.set("base_port", w.port);
-      j.set("run_s", w.runS);
-      j.set("drain_s", w.drainS);
-      j.set("rng_fork", w.rngFork);
-      break;
+// Defined after the fragments so the io() call below finds them all.
+template <typename T>
+void Io::object(const char* key, T& v) {
+  if (writing()) {
+    Json j = Json::object();
+    Io child(j);
+    io(child, v);
+    out_->set(key, std::move(j));
+    return;
   }
-  // Optional v2 fields, emitted only when non-default.
-  if (workloadHasFidelity(w.kind) && w.fidelity != net::FlowFidelity::kPacket) {
-    j.set("fidelity", net::toString(w.fidelity));
-  }
-  if (w.kind == WorkloadKind::kConvergingFlows && w.fluidFlows != 0) {
-    j.set("fluid_flows", w.fluidFlows);
-  }
-  return j;
+  Io child(*take(key, Json::Kind::kObject, "an object"), childPath(key));
+  io(child, v);
+  child.done();
 }
 
-WorkloadSpec workloadFromJson(const Json& doc, const std::string& path) {
-  ObjectReader r(doc, path);
-  WorkloadSpec w;
-  w.kind = parseEnum<WorkloadKind>(
-      r.getString("kind"), path + ".kind",
-      {{"steady_flow", WorkloadKind::kSteadyFlow},
-       {"converging_flows", WorkloadKind::kConvergingFlows},
-       {"timed_flow", WorkloadKind::kTimedFlow},
-       {"parallel_transfer", WorkloadKind::kParallelTransfer},
-       {"dtn_transfer", WorkloadKind::kDtnTransfer},
-       {"campaign", WorkloadKind::kCampaign},
-       {"probe", WorkloadKind::kProbe},
-       {"roce", WorkloadKind::kRoce},
-       {"background", WorkloadKind::kBackground}});
-  w.label = r.getString("label");
-  switch (w.kind) {
-    case WorkloadKind::kSteadyFlow:
-      w.tcp = tcpFromJson(r.getObject("tcp"), path + ".tcp");
-      w.port = r.getInt("port");
-      w.warmupS = r.getNumber("warmup_s");
-      w.windowS = r.getNumber("window_s");
-      break;
-    case WorkloadKind::kConvergingFlows:
-      w.tcp = tcpFromJson(r.getObject("tcp"), path + ".tcp");
-      w.port = r.getInt("base_port");
-      w.warmupS = r.getNumber("warmup_s");
-      w.windowS = r.getNumber("window_s");
-      break;
-    case WorkloadKind::kTimedFlow:
-      w.tcp = tcpFromJson(r.getObject("tcp"), path + ".tcp");
-      w.port = r.getInt("port");
-      w.runS = r.getNumber("run_s");
-      break;
-    case WorkloadKind::kParallelTransfer:
-      w.tcp = tcpFromJson(r.getObject("tcp"), path + ".tcp");
-      w.port = r.getInt("port");
-      w.bytes = r.getUint("bytes");
-      w.streams = r.getInt("streams");
-      w.timeoutS = r.getNumber("timeout_s");
-      break;
-    case WorkloadKind::kDtnTransfer:
-      w.file = r.getString("file");
-      w.bytes = r.getUint("bytes");
-      w.port = r.getInt("port");
-      w.timeoutS = r.getNumber("timeout_s");
-      break;
-    case WorkloadKind::kCampaign:
-      w.srcCluster = r.getString("src_cluster");
-      w.dstCluster = r.getString("dst_cluster");
-      w.files = r.getInt("files");
-      w.fileSizeBytes = r.getUint("file_size_bytes");
-      w.filePrefix = r.getString("file_prefix");
-      w.fileSuffix = r.getString("file_suffix");
-      w.timeoutS = r.getNumber("timeout_s");
-      break;
-    case WorkloadKind::kProbe:
-      w.port = r.getInt("port");
-      w.runS = r.getNumber("run_s");
-      break;
-    case WorkloadKind::kRoce:
-      w.rateGbps = r.getUint("rate_gbps");
-      w.bytes = r.getUint("bytes");
-      w.timeoutS = r.getNumber("timeout_s");
-      break;
-    case WorkloadKind::kBackground:
-      w.flowsPerSecond = r.getNumber("flows_per_second");
-      w.port = r.getInt("base_port");
-      w.runS = r.getNumber("run_s");
-      w.drainS = r.getNumber("drain_s");
-      w.rngFork = r.getUint("rng_fork");
-      break;
+template <typename T>
+void Io::array(const char* key, std::vector<T>& v) {
+  if (writing()) {
+    Json items = Json::array();
+    for (auto& item : v) {
+      Io child(items.push(Json::object()));
+      io(child, item);
+    }
+    out_->set(key, std::move(items));
+    return;
   }
-  // Optional fields, written only when non-default.
-  if (workloadHasFidelity(w.kind) && r.has("fidelity")) {
-    w.fidelity = parseEnum<net::FlowFidelity>(r.getString("fidelity"), path + ".fidelity",
-                                              {{"packet", net::FlowFidelity::kPacket},
-                                               {"fluid", net::FlowFidelity::kFluid}});
+  const Json& items = *take(key, Json::Kind::kArray, "an array");
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    Io child(items.at(i), childPath(key) + "[" + std::to_string(i) + "]");
+    io(child, v.emplace_back());
+    child.done();
   }
-  if (w.kind == WorkloadKind::kConvergingFlows && r.has("fluid_flows")) {
-    w.fluidFlows = r.getInt("fluid_flows");
-  }
-  r.done();
-  return w;
 }
 
 }  // namespace
@@ -582,49 +446,17 @@ WorkloadSpec workloadFromJson(const Json& doc, const std::string& path) {
 // --- ScenarioSpec ----------------------------------------------------------
 
 Json ScenarioSpec::toJson() const {
-  Json j = Json::object();
-  j.set("schema", kScenarioSchema);
-  j.set("name", name);
-  j.set("seed", seed);
-  j.set("telemetry", telemetry);
-  // Optional sharding knobs, emitted only when non-default.
-  if (domains != 0) j.set("domains", domains);
-  if (lookaheadUs != 0) j.set("lookahead_us", lookaheadUs);
-  j.set("topology", topologyToJson(topology));
-  j.set("analysis", analysisToJson(analysis));
-  Json w = Json::array();
-  for (const auto& workload : workloads) w.push(workloadToJson(workload));
-  j.set("workloads", std::move(w));
-  return j;
+  Json doc = Json::object();
+  Io out(doc);
+  io(out, const_cast<ScenarioSpec&>(*this));  // a writing Io only reads the spec
+  return doc;
 }
 
 ScenarioSpec ScenarioSpec::fromJson(const Json& doc) {
-  ObjectReader r(doc, "scenario");
-  const std::string schema = r.getString("schema");
-  if (schema != kScenarioSchema) {
-    throw SpecError("unknown value \"" + schema + "\" for \"scenario.schema\" (expected \"" +
-                    kScenarioSchema + "\")");
-  }
+  Io in(doc, "scenario", /*root=*/true);
   ScenarioSpec spec;
-  spec.name = r.getString("name");
-  spec.seed = r.getUint("seed");
-  spec.telemetry = r.getBool("telemetry");
-  if (r.has("domains")) {
-    spec.domains = r.getInt("domains");
-    if (spec.domains < 0) throw SpecError("\"scenario.domains\" must be non-negative");
-  }
-  if (r.has("lookahead_us")) spec.lookaheadUs = r.getUint("lookahead_us");
-  spec.topology = topologyFromJson(r.getObject("topology"), "topology");
-  spec.analysis = analysisFromJson(r.getObject("analysis"), "analysis");
-  const Json& w = r.getArray("workloads");
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    spec.workloads.push_back(workloadFromJson(w.at(i), "workloads[" + std::to_string(i) + "]"));
-  }
-  if (spec.topology.kind == TopologyKind::kUsecase && !spec.workloads.empty()) {
-    throw SpecError("\"workloads\" must be empty for a usecase topology (\"" + spec.name +
-                    "\"): the use case drives its own simulation");
-  }
-  r.done();
+  io(in, spec);
+  in.done();
   return spec;
 }
 
@@ -632,64 +464,28 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   return fromJson(Json::parse(text));
 }
 
-const char* toString(CcAlgo v) {
-  switch (v) {
-    case CcAlgo::kReno: return "reno";
-    case CcAlgo::kHtcp: return "htcp";
-    case CcAlgo::kCubic: return "cubic";
-  }
-  return "?";
-}
-
-const char* toString(LossKind v) {
-  return v == LossKind::kRandom ? "random" : "periodic";
-}
-
-const char* toString(Middlebox v) {
-  switch (v) {
-    case Middlebox::kNone: return "none";
-    case Middlebox::kRouter: return "router";
-    case Middlebox::kSwitch: return "switch";
-    case Middlebox::kFirewall: return "firewall";
-  }
-  return "?";
-}
-
-const char* toString(SwitchProfileKind v) {
-  return v == SwitchProfileKind::kDefault ? "default" : "science_dmz";
-}
+const char* toString(LossKind v) { return nameIn({"random", "periodic"}, v); }
+const char* toString(Middlebox v) { return nameIn({"none", "router", "switch", "firewall"}, v); }
+const char* toString(SwitchProfileKind v) { return nameIn({"default", "science_dmz"}, v); }
 
 const char* toString(SiteDesign v) {
-  switch (v) {
-    case SiteDesign::kGeneralPurpose: return "general_purpose";
-    case SiteDesign::kSimpleDmz: return "simple_dmz";
-    case SiteDesign::kSupercomputer: return "supercomputer";
-    case SiteDesign::kBigData: return "bigdata";
-  }
-  return "?";
+  return nameIn({"general_purpose", "simple_dmz", "supercomputer", "bigdata"}, v);
 }
 
 const char* toString(UsecaseKind v) {
-  switch (v) {
-    case UsecaseKind::kColorado: return "colorado";
-    case UsecaseKind::kPennStateInbound: return "pennstate_inbound";
-    case UsecaseKind::kPennStateOutbound: return "pennstate_outbound";
-    case UsecaseKind::kPennStateSeries: return "pennstate_series";
-    case UsecaseKind::kNoaa: return "noaa";
-    case UsecaseKind::kNerscOlcf: return "nersc_olcf";
-  }
-  return "?";
+  return nameIn({"colorado", "pennstate_inbound", "pennstate_outbound", "pennstate_series", "noaa",
+                 "nersc_olcf"},
+                v);
 }
 
 const char* toString(TopologyKind v) {
-  switch (v) {
-    case TopologyKind::kPath: return "path";
-    case TopologyKind::kFanin: return "fanin";
-    case TopologyKind::kEnterpriseEdge: return "enterprise_edge";
-    case TopologyKind::kSite: return "site";
-    case TopologyKind::kUsecase: return "usecase";
-  }
-  return "?";
+  return nameIn({"path", "fanin", "enterprise_edge", "site", "usecase"}, v);
+}
+
+const char* toString(WorkloadKind v) {
+  return nameIn({"steady_flow", "converging_flows", "timed_flow", "parallel_transfer",
+                 "dtn_transfer", "campaign", "probe", "roce", "background"},
+                v);
 }
 
 bool workloadHasFidelity(WorkloadKind kind) {
@@ -707,21 +503,6 @@ bool workloadHasFidelity(WorkloadKind kind) {
       return false;
   }
   return false;
-}
-
-const char* toString(WorkloadKind v) {
-  switch (v) {
-    case WorkloadKind::kSteadyFlow: return "steady_flow";
-    case WorkloadKind::kConvergingFlows: return "converging_flows";
-    case WorkloadKind::kTimedFlow: return "timed_flow";
-    case WorkloadKind::kParallelTransfer: return "parallel_transfer";
-    case WorkloadKind::kDtnTransfer: return "dtn_transfer";
-    case WorkloadKind::kCampaign: return "campaign";
-    case WorkloadKind::kProbe: return "probe";
-    case WorkloadKind::kRoce: return "roce";
-    case WorkloadKind::kBackground: return "background";
-  }
-  return "?";
 }
 
 }  // namespace scidmz::scenario

@@ -5,13 +5,17 @@
 // an ordered list of workloads to run over it.
 //
 // Specs serialize to `scidmz.scenario.v2` JSON documents, the only schema
-// parsing accepts. Optional keys (per-flow model fidelity, converging-flow
-// fluid counts, sharding knobs) appear only when non-default; every other
-// field always appears, in a fixed order, so parse -> serialize -> parse is
+// parsing accepts, with the discipline of the binary seam's
+// serialize(Codec&): one dual-mode io() per fragment (spec.cpp) both writes
+// and reads each key, stating its name, order, presence and bounds once.
+// Optional keys (per-flow model fidelity, converging-flow fluid counts,
+// sharding knobs) appear only when non-default; every other field always
+// appears, in a fixed order, so parse -> serialize -> parse is
 // byte-identical and a dumped spec is the fixed point of its own round
-// trip. Unknown keys and unrecognized enum values are hard errors that name
-// the offending key — a typo in a hand-written scenario file fails loudly,
-// not silently.
+// trip. Unknown keys, unrecognized enum values and values out of bounds
+// (a rate of 0, a negative duration, a port past 65535, an ip that is not a
+// dotted quad) are hard errors that name the offending key path — a bad
+// hand-written scenario file fails loudly at parse, not in the run.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 
 #include "net/flow.hpp"
 #include "scenario/json.hpp"
+#include "tcp/congestion.hpp"
 
 namespace scidmz::scenario {
 
@@ -40,7 +45,8 @@ struct HostSpec {
   std::string ip;  ///< dotted quad
 };
 
-enum class CcAlgo { kReno, kHtcp, kCubic };
+/// A workload's congestion control, named on the wire by tcp::toString.
+using CcAlgo = tcp::CcAlgorithm;
 
 struct TcpSpec {
   CcAlgo cc = CcAlgo::kHtcp;
@@ -234,7 +240,6 @@ struct ScenarioSpec {
 };
 
 // Enum <-> string helpers (shared with the engine and the CLI).
-[[nodiscard]] const char* toString(CcAlgo v);
 [[nodiscard]] const char* toString(LossKind v);
 [[nodiscard]] const char* toString(Middlebox v);
 [[nodiscard]] const char* toString(SwitchProfileKind v);

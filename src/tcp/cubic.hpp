@@ -18,7 +18,7 @@ class CubicCc final : public CongestionControl {
     sim::codecTime(c, epoch_start_);
     c.b(in_epoch_);
   }
-  [[nodiscard]] std::string_view name() const override { return "cubic"; }
+  [[nodiscard]] std::string_view name() const override { return toString(CcAlgorithm::kCubic); }
 
  private:
   static constexpr double kBeta = 0.7;   // multiplicative decrease

@@ -22,7 +22,7 @@ class HtcpCc final : public CongestionControl {
     c.f64(rtt_min_s_);
     c.f64(rtt_max_s_);
   }
-  [[nodiscard]] std::string_view name() const override { return "htcp"; }
+  [[nodiscard]] std::string_view name() const override { return toString(CcAlgorithm::kHtcp); }
 
  private:
   [[nodiscard]] double alpha(sim::SimTime now) const;

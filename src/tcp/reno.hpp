@@ -11,7 +11,7 @@ class RenoCc final : public CongestionControl {
   void onAckedBytes(CcState& state, std::uint64_t ackedBytes, sim::Duration srtt,
                     sim::SimTime now) override;
   void onPacketLoss(CcState& state, sim::SimTime now) override;
-  [[nodiscard]] std::string_view name() const override { return "reno"; }
+  [[nodiscard]] std::string_view name() const override { return toString(CcAlgorithm::kReno); }
 };
 
 }  // namespace scidmz::tcp

@@ -105,7 +105,7 @@ TEST(ScenarioSpec, MissingKeyErrorNamesTheKey) {
 
 // --- schema v2: per-workload fidelity --------------------------------------
 
-TEST(ScenarioSpec, DefaultSpecWritesV2AndStillReadsV1) {
+TEST(ScenarioSpec, DefaultSpecWritesV2AndRefusesV1) {
   ScenarioSpec spec;
   spec.name = "defaults";
   spec.workloads.push_back(WorkloadSpec{});
@@ -323,6 +323,129 @@ TEST(ScenarioSpec, HostCountsOutsideTheAddressPlanAreRejected) {
   EXPECT_EQ(ScenarioSpec::fromJson(withCount(edge, "enterprise_edge", "pairs", 1))
                 .topology.edge.pairs,
             1);
+}
+
+// --- value bounds ----------------------------------------------------------
+
+/// One spec that carries every bounded key: a path with a random and a
+/// periodic loss model, and one workload of each kind whose keys are
+/// bounded. Parsing checks keys and values, not whether a workload can run
+/// on the topology, so one document holds them all.
+Json boundedKeysDoc() {
+  ScenarioSpec spec;
+  spec.name = "bounds";
+  LossSpec periodic;
+  periodic.kind = LossKind::kPeriodic;
+  periodic.period = 1000;
+  spec.topology.path.losses = {LossSpec{}, periodic};
+  for (const auto kind : {WorkloadKind::kSteadyFlow, WorkloadKind::kConvergingFlows,
+                          WorkloadKind::kTimedFlow, WorkloadKind::kParallelTransfer,
+                          WorkloadKind::kRoce, WorkloadKind::kBackground}) {
+    WorkloadSpec w;
+    w.kind = kind;
+    spec.workloads.push_back(w);
+  }
+  return spec.toJson();
+}
+
+/// The member at a dotted path whose numeric segments index arrays
+/// ("workloads.3.streams").
+Json& memberAt(Json& doc, const std::string& path) {
+  Json* node = &doc;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t dot = path.find('.', begin);
+    const std::string segment = path.substr(begin, dot - begin);
+    node = node->isArray() ? &const_cast<Json&>(node->at(std::stoul(segment)))
+                           : &(*node)[segment];
+    if (dot == std::string::npos) return *node;
+    begin = dot + 1;
+  }
+}
+
+/// Values that crashed a run (an uncaught exception, SIGFPE, a float-to-int
+/// overflow) or quietly ran something else: each is refused at parse time
+/// with a SpecError naming the key path and the bound.
+TEST(ScenarioSpec, OutOfBoundsValuesAreRefusedNamingTheKey) {
+  const Json path = boundedKeysDoc();
+  ScenarioSpec siteSpec;
+  siteSpec.name = "site";
+  siteSpec.topology.kind = TopologyKind::kSite;
+  WorkloadSpec campaign;
+  campaign.kind = WorkloadKind::kCampaign;
+  siteSpec.workloads.push_back(campaign);
+  const Json site = siteSpec.toJson();
+  struct Case {
+    const Json* doc;
+    const char* path;
+    Json value;
+    const char* bound;  ///< the error reads "<key path>" must be <bound>
+  };
+  const Case cases[] = {
+      {&path, "topology.path.src.ip", "10.0.0", "a dotted quad, got \"10.0.0\""},
+      {&path, "topology.path.dst.ip", "10.0.0.256", "a dotted quad"},
+      {&path, "topology.path.link.rate_mbps", 0, "between 1 and 1000000, got 0"},
+      {&path, "topology.path.link.mtu_bytes", 40, "between 68 and 65535, got 40"},
+      {&path, "topology.path.link.mtu_bytes", 10, "between 68 and 65535, got 10"},
+      {&path, "topology.path.link.delay_us", 1e13, "between 0 and 1000000000000"},
+      {&path, "topology.path.losses.0.direction", 2, "between 0 and 1, got 2"},
+      {&path, "topology.path.losses.0.direction", -1, "between 0 and 1, got -1"},
+      {&path, "topology.path.losses.0.rate", 1.5, "between 0 and 1, got 1.5"},
+      {&path, "topology.path.losses.1.period", 0, "between 1 and"},
+      {&path, "workloads.0.warmup_s", -3, "between 0 and 1000000, got -3"},
+      {&path, "workloads.0.window_s", 1e300, "between 0 and 1000000, got 1e+300"},
+      {&path, "workloads.0.port", 70000, "between 1 and 65535, got 70000"},
+      {&path, "workloads.0.port", 0, "between 1 and 65535, got 0"},
+      {&path, "workloads.1.base_port", 70000, "between 1 and 65535"},
+      {&path, "workloads.2.run_s", -1, "between 0 and 1000000"},
+      {&path, "workloads.3.streams", 0, "between 1 and 65535"},
+      {&path, "workloads.3.timeout_s", 1e10, "between 0 and 1000000"},
+      {&path, "workloads.4.rate_gbps", 0, "between 1 and 1000"},
+      {&path, "workloads.5.flows_per_second", 0, "between 1e-06 and 1000000"},
+      {&path, "workloads.5.flows_per_second", -5, "between 1e-06 and 1000000"},
+      {&path, "workloads.5.drain_s", -0.5, "between 0 and 1000000"},
+      {&path, "workloads.5.base_port", 65536, "between 1 and 65535"},
+      {&site, "topology.site.dtn_count", 0, "between 1 and 240"},
+      {&site, "topology.site.dtn_count", 241, "between 1 and 240"},
+      {&site, "topology.site.compute_node_count", -1, "between 0 and 254"},
+      {&site, "workloads.0.files", -1, "between 0 and"},
+  };
+  ASSERT_NO_THROW(ScenarioSpec::fromJson(path));
+  ASSERT_NO_THROW(ScenarioSpec::fromJson(site));
+  for (const auto& c : cases) {
+    Json doc = *c.doc;
+    Json& member = memberAt(doc, c.path);
+    ASSERT_EQ(member.kind(), c.value.kind()) << c.path << " is not in the document";
+    member = c.value;
+    // "workloads.3.streams" is named "workloads[3].streams" in errors.
+    std::string keyPath = c.path;
+    for (std::size_t at = 0; (at = keyPath.find_first_of("0123456789", at)) != std::string::npos;) {
+      keyPath.replace(at - 1, 1, "[");
+      at = keyPath.find('.', at);
+      keyPath.insert(at, "]");
+    }
+    const std::string expected = "\"" + keyPath + "\" must be " + c.bound;
+    try {
+      ScenarioSpec::fromJson(doc);
+      ADD_FAILURE() << c.path << " = " << c.value.dump() << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << expected << " not in: " << e.what();
+    }
+  }
+}
+
+/// Zero durations stay legal: the benchmark's setup-only copies of its
+/// cells set every *_s to 0.
+TEST(ScenarioSpec, ZeroDurationsStillParse) {
+  Json doc = boundedKeysDoc();
+  for (const char* path : {"workloads.0.warmup_s", "workloads.0.window_s", "workloads.2.run_s",
+                           "workloads.3.timeout_s", "workloads.5.run_s", "workloads.5.drain_s"}) {
+    memberAt(doc, path) = 0;
+  }
+  const std::string once = ScenarioSpec::fromJson(doc).toJson().dump();
+  EXPECT_EQ(once, doc.dump());
+  EXPECT_EQ(ScenarioSpec::parse(once).toJson().dump(), once);
 }
 
 // --- the JSON layer under the spec ----------------------------------------
