@@ -310,17 +310,10 @@ double simulatorTimerEventsPerSecond(ScheduleKind kind, sim::Profiler* profiler,
 
 void emitProfilerPairTable() {
   constexpr std::int64_t kOps = 2'000'000;
-  bench::header("micro_simulator: event loop, profiler detached vs attached",
-                "self-profiling must cost nothing when off (see perf.yml ratchet)");
-  bench::Table table{
-      "micro_simulator_profiler",
-      "Simulator event loop: self-profiler detached vs attached",
-      "detached is the ratcheted production path; attached shows probe cost",
-      {bench::Column{"schedule", "%-10s"},
-       bench::Column{"off_mev_s", "%12.2f", "off Mev/s"},
-       bench::Column{"on_mev_s", "%12.2f", "on Mev/s"},
-       bench::Column{"on_cost", "%8.2f", "off/on"}}};
-  table.printHeader();
+  bench::Table table{"micro_simulator_profiler",
+                     "Simulator event loop: self-profiler detached vs attached",
+                     "detached is the ratcheted production path; attached shows probe cost",
+                     {{"schedule"}, {"off_mev_s", 2}, {"on_mev_s", 2}, {"on_cost", 2}}};
   // Interleaved best-of-N: the two sides alternate within each repetition,
   // so transient machine load hits both rather than skewing the ratio, and
   // the max per side approximates unloaded throughput.
@@ -334,11 +327,11 @@ void emitProfilerPairTable() {
       sim::Profiler profiler;  // fresh per repetition: histograms stay cheap
       on = std::max(on, simulatorTimerEventsPerSecond(kind, &profiler, kOps));
     }
-    table.emit({kScheduleNames[k], off / 1e6, on / 1e6, off / on});
+    table.addRow({kScheduleNames[k], off / 1e6, on / 1e6, off / on});
   }
-  table.note("1024 self-rescheduling timers through the full Simulator, 2M events per cell.");
-  table.note("Best of 5 interleaved repetitions per side.");
-  table.note("Machine-dependent: compare the on_cost column, not absolute rates.");
+  table.addNote("1024 self-rescheduling timers through the full Simulator, 2M events per cell.");
+  table.addNote("Best of 5 interleaved repetitions per side.");
+  table.addNote("Machine-dependent: compare the on_cost column, not absolute rates.");
   table.write();
 }
 

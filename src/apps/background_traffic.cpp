@@ -63,7 +63,7 @@ void BackgroundTraffic::launchFlow() {
   // Spread listeners over a port block so concurrent flows to one server
   // do not collide.
   const std::uint16_t port = static_cast<std::uint16_t>(base_port_ + next_port_offset_);
-  next_port_offset_ = static_cast<std::uint16_t>((next_port_offset_ + 1) % 512);
+  next_port_offset_ = static_cast<std::uint16_t>((next_port_offset_ + 1) % kPortBlock);
 
   auto flow = std::make_unique<BulkTransfer>(*client, *server, port, size, profile_.tcp,
                                              profile_.fidelity);

@@ -43,6 +43,9 @@ class BackgroundTraffic {
                     std::vector<net::Host*> servers, std::uint16_t basePort,
                     BackgroundProfile profile, sim::Rng rng);
 
+  /// Flows listen on basePort .. basePort + kPortBlock - 1, round robin.
+  static constexpr int kPortBlock = 512;
+
   BackgroundTraffic(const BackgroundTraffic&) = delete;
   BackgroundTraffic& operator=(const BackgroundTraffic&) = delete;
 

@@ -63,28 +63,20 @@ std::vector<ScenarioSpec> faninSpecs() {
 
 void renderFanin(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"senders", "%-10d"},
-                      {"egress_buffer", "%-14s"},
-                      {"aggregate_mbps", "%-18.1f"},
-                      {"drop_pct", "%-10.3f"}});
-  table.printHeader();
+                     {{"senders"}, {"egress_buffer"}, {"aggregate_mbps", 1}, {"drop_pct", 3}});
   std::size_t next = 0;
   for (const int senders : faninSenderCounts()) {
     for (std::size_t b = 0; b < faninBuffers().size(); ++b) {
       const auto& o = outcomes[next++];
       const double aggregateMbps = o.result.at("w0.delta_bits") / 6.0 / 1e6;
       const double dropPct = o.result.at("sw.egress_drop_fraction") * 100.0;
-      table.emit({senders, sim::toString(sim::DataSize::bytes(faninBuffers()[b])),
-                  aggregateMbps, dropPct});
+      table.addRow({senders, sim::toString(sim::DataSize::bytes(faninBuffers()[b])),
+                    aggregateMbps, dropPct});
     }
-    table.blankRow();
   }
-  bench::row("shallow buffers shave multiple Gbps off the aggregate as coincident");
-  bench::row("bursts drop and flows stall in recovery; science-DMZ-class buffers");
-  bench::row("carry the same fan-in at line rate.");
-  table.json().addNote("shallow buffers shave multiple Gbps off the aggregate as coincident"
-                       " bursts drop and flows stall in recovery; science-DMZ-class buffers"
-                       " carry the same fan-in at line rate");
+  table.addNote("shallow buffers shave multiple Gbps off the aggregate as coincident"
+                " bursts drop and flows stall in recovery; science-DMZ-class buffers"
+                " carry the same fan-in at line rate");
   table.write();
 }
 
@@ -125,28 +117,23 @@ std::vector<ScenarioSpec> pacingSpecs() {
 
 void renderPacing(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"egress_buffer", "%-14s"},
-                      {"bursty_mbps", "%-14.1f"},
-                      {"bursty_retx", "%-10llu", "retx"},
-                      {"paced_mbps", "%-14.1f"},
-                      {"paced_retx", "%-10llu", "retx"}});
-  table.printHeader();
+                     {{"egress_buffer"},
+                      {"bursty_mbps", 1},
+                      {"bursty_retx"},
+                      {"paced_mbps", 1},
+                      {"paced_retx"}});
   for (std::size_t i = 0; i < pacingBuffers().size(); ++i) {
     const auto& bursty = outcomes[i * 2];
     const auto& paced = outcomes[i * 2 + 1];
-    table.emit({sim::toString(sim::DataSize::bytes(pacingBuffers()[i])),
-                bursty.result.at("w0.delivered_bits") / 20.0 / 1e6,
-                static_cast<unsigned long long>(bursty.result.at("w0.retx")),
-                paced.result.at("w0.delivered_bits") / 20.0 / 1e6,
-                static_cast<unsigned long long>(paced.result.at("w0.retx"))});
+    table.addRow({sim::toString(sim::DataSize::bytes(pacingBuffers()[i])),
+                  bursty.result.at("w0.delivered_bits") / 20.0 / 1e6,
+                  static_cast<unsigned long long>(bursty.result.at("w0.retx")),
+                  paced.result.at("w0.delivered_bits") / 20.0 / 1e6,
+                  static_cast<unsigned long long>(paced.result.at("w0.retx"))});
   }
-  table.blankRow();
-  bench::row("line-rate bursts need the egress buffer to hold them; pacing shrinks");
-  bench::row("the required buffer — the host-side complement to the deep-buffered");
-  bench::row("switch the location pattern calls for.");
-  table.json().addNote("line-rate bursts need the egress buffer to hold them; pacing shrinks"
-                       " the required buffer — the host-side complement to the deep-buffered"
-                       " switch");
+  table.addNote("line-rate bursts need the egress buffer to hold them; pacing shrinks"
+                " the required buffer — the host-side complement to the deep-buffered"
+                " switch");
   table.write();
 }
 
@@ -192,20 +179,14 @@ double streamsMbps(const CellOutcome& o) {
 
 void renderStreams(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"streams", "%-10d"},
-                      {"mbps_mtu1500", "%-16.1f"},
-                      {"mbps_mtu9000", "%-16.1f"}});
-  table.printHeader();
+                     {{"streams"}, {"mbps_mtu1500", 1}, {"mbps_mtu9000", 1}});
   for (std::size_t i = 0; i < streamCounts().size(); ++i) {
-    table.emit({streamCounts()[i], streamsMbps(outcomes[i * 2]), streamsMbps(outcomes[i * 2 + 1])});
+    table.addRow(
+        {streamCounts()[i], streamsMbps(outcomes[i * 2]), streamsMbps(outcomes[i * 2 + 1])});
   }
-  table.blankRow();
-  bench::row("both knobs act through the Mathis equation: N streams multiply the");
-  bench::row("aggregate window N-fold; jumbo frames multiply MSS (and thus the");
-  bench::row("loss-limited rate) 6-fold. DTN defaults combine the two.");
-  table.json().addNote("both knobs act through the Mathis equation: N streams multiply the"
-                       " aggregate window N-fold; jumbo frames multiply MSS (and thus the"
-                       " loss-limited rate) 6-fold");
+  table.addNote("both knobs act through the Mathis equation: N streams multiply the"
+                " aggregate window N-fold; jumbo frames multiply MSS (and thus the"
+                " loss-limited rate) 6-fold");
   table.write();
 }
 
@@ -275,34 +256,27 @@ std::vector<ScenarioSpec> fvaSpecs() {
 
 void renderFva(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"rtt_ms", "%-8d"},
-                      {"firewall_path_mbps", "%-22.1f"},
-                      {"acl_switch_path_mbps", "%-22.1f"},
-                      {"firewall_drops", "%-16llu"}});
-  table.printHeader();
+                     {{"rtt_ms"},
+                      {"firewall_path_mbps", 1},
+                      {"acl_switch_path_mbps", 1},
+                      {"firewall_drops"}});
   for (std::size_t i = 0; i < fvaRtts().size(); ++i) {
     const auto& viaFw = outcomes[i * 2];
     const auto& viaAcl = outcomes[i * 2 + 1];
-    table.emit({fvaRtts()[i], mbpsOf(viaFw, "w0.bps"), mbpsOf(viaAcl, "w0.bps"),
-                static_cast<unsigned long long>(viaFw.result.at("fw.drops_input_buffer"))});
+    table.addRow({fvaRtts()[i], mbpsOf(viaFw, "w0.bps"), mbpsOf(viaAcl, "w0.bps"),
+                  static_cast<unsigned long long>(viaFw.result.at("fw.drops_input_buffer"))});
   }
-  table.blankRow();
   const auto& business = outcomes.back();
   const auto flows = static_cast<unsigned long long>(business.result.at("w0.flows_started"));
   const auto inspected = static_cast<std::uint64_t>(business.result.at("fw.inspected"));
   const auto drops = static_cast<std::uint64_t>(business.result.at("fw.drops_input_buffer"));
   const double dropFrac = static_cast<double>(drops) /
                           static_cast<double>(std::max<std::uint64_t>(inspected + drops, 1));
-  bench::row("business mix through the SAME firewall: %llu flows, %.4f%% buffer drops", flows,
-             dropFrac * 100.0);
-  table.json().addNote(bench::formatRow(
+  table.addNote(bench::formatRow(
       "business mix through the SAME firewall: %llu flows, %.4f%% buffer drops", flows,
       dropFrac * 100.0));
-  table.blankRow();
-  bench::row("the firewall is fine for what it was built for (many small flows) and");
-  bench::row("ruinous for single line-rate science flows; ACLs filter at line rate.");
-  table.json().addNote("the firewall is fine for what it was built for (many small flows) and"
-                       " ruinous for single line-rate science flows; ACLs filter at line rate");
+  table.addNote("the firewall is fine for what it was built for (many small flows) and"
+                " ruinous for single line-rate science flows; ACLs filter at line rate");
   table.write();
 }
 

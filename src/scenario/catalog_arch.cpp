@@ -47,12 +47,11 @@ std::vector<ScenarioSpec> simpleDmzSpecs() {
 
 void renderSimpleDmz(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"architecture", "%-26s"},
-                      {"criticals", "%-10zu"},
-                      {"firewall", "%-10s"},
-                      {"predicted_mbps", "%-16.1f"},
-                      {"measured_mbps", "%-14.1f"}});
-  table.printHeader();
+                     {{"architecture"},
+                      {"criticals"},
+                      {"firewall"},
+                      {"predicted_mbps", 1},
+                      {"measured_mbps", 1}});
   const char* names[] = {"general-purpose campus", "simple science dmz"};
   double measured[2] = {0, 0};
   std::size_t criticals[2] = {0, 0};
@@ -63,11 +62,10 @@ void renderSimpleDmz(const ScenarioEntry& entry, const std::vector<CellOutcome>&
     const double predicted =
         o.result.has("path.predicted_bps") ? mbpsOf(o, "path.predicted_bps") : 0.0;
     const bool crossesFw = o.result.get("path.crosses_firewall", 0.0) != 0.0;
-    table.emit({names[i], static_cast<unsigned long long>(criticals[i]),
-                crossesFw ? "on-path" : "off-path", predicted, measured[i]});
+    table.addRow({names[i], static_cast<unsigned long long>(criticals[i]),
+                  crossesFw ? "on-path" : "off-path", predicted, measured[i]});
   }
-  table.blankRow();
-  table.note(bench::formatRow(
+  table.addNote(bench::formatRow(
       "improvement: %.0fx measured (validator predicted the loser: %zu vs %zu criticals)",
       measured[1] / std::max(measured[0], 0.001), criticals[0], criticals[1]));
   table.write();
@@ -109,12 +107,11 @@ std::vector<ScenarioSpec> supercomputerSpecs() {
 
 void renderSupercomputer(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"dtn_pool", "%-10d"},
-                      {"files", "%-8d"},
-                      {"aggregate_mbps", "%-16.1f"},
-                      {"elapsed_s", "%-12.1f"},
-                      {"files_visible_without_copy", "%-22s", "visible_without_copy"}});
-  table.printHeader();
+                     {{"dtn_pool"},
+                      {"files"},
+                      {"aggregate_mbps", 1},
+                      {"elapsed_s", 1},
+                      {"files_visible_without_copy"}});
   const std::vector<int> pools{1, 2, 4};
   for (std::size_t i = 0; i < pools.size(); ++i) {
     const auto& o = outcomes[i];
@@ -122,19 +119,13 @@ void renderSupercomputer(const ScenarioEntry& entry, const std::vector<CellOutco
         o.result.has("campaign.aggregate_bps") ? mbpsOf(o, "campaign.aggregate_bps") : 0.0;
     const double elapsedSecs = o.result.get("campaign.elapsed_s", 0.0);
     const auto visible = static_cast<std::size_t>(o.result.at("campaign.files_visible"));
-    table.emit({pools[i], 8, aggregateMbps, elapsedSecs,
-                bench::Cell{bench::JsonValue(static_cast<unsigned long long>(visible)),
-                            bench::formatRow("%zu/8", visible)}});
+    table.addRow({pools[i], 8, aggregateMbps, elapsedSecs,
+                  static_cast<unsigned long long>(visible)});
   }
-  table.blankRow();
-  bench::row("note: every ingested file is visible on the shared filesystem the");
-  bench::row("moment the DTN commits it; login nodes never copy data (Section 4.2).");
-  bench::row("remote single DTN is the source; pool scaling amortizes per-file");
-  bench::row("ramp-up until the sender or the WAN becomes the bottleneck.");
-  table.json().addNote("every ingested file is visible on the shared filesystem the moment the"
-                       " DTN commits it; login nodes never copy data (Section 4.2)");
-  table.json().addNote("pool scaling amortizes per-file ramp-up until the sender or the WAN"
-                       " becomes the bottleneck");
+  table.addNote("every ingested file is visible on the shared filesystem the moment the"
+                " DTN commits it; login nodes never copy data (Section 4.2)");
+  table.addNote("pool scaling amortizes per-file ramp-up until the sender or the WAN"
+                " becomes the bottleneck");
   table.write();
 }
 
@@ -178,23 +169,11 @@ std::vector<ScenarioSpec> bigdataSpecs() {
 void renderBigdata(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   const auto& o = outcomes[0];
   const auto criticals = static_cast<unsigned long long>(o.result.at("validate.criticals"));
-  bench::row("validator: %zu critical findings on the science path",
-             static_cast<std::size_t>(criticals));
   const double secs = o.result.get("campaign.elapsed_s", 0.0);
   const double mbps = o.result.has("campaign.aggregate_bps")
                           ? mbpsOf(o, "campaign.aggregate_bps")
                           : 0.0;
-  bench::row("campaign: 18 x 400 MB in %.1f s  ->  %.1f Mbps aggregate", secs, mbps);
-  bench::row("firewall saw %llu science packets (must be 0: flows bypass it)",
-             static_cast<unsigned long long>(o.result.at("campaign.fw.inspected")));
-  bench::row("data-switch ACL drops (unsanctioned traffic): %llu",
-             static_cast<unsigned long long>(o.result.at("campaign.sw.drops_acl")));
-  bench::row("unsanctioned ssh to a transfer node: %s; ACL drops now: %llu",
-             o.result.at("probe.connected") != 0.0 ? "CONNECTED (bug)"
-                                                   : "blocked in the switching plane",
-             static_cast<unsigned long long>(o.result.at("probe.sw.drops_acl")));
-
-  bench::JsonTable table(entry.name, entry.title, entry.paperRef, {"metric", "value"});
+  bench::Table table(entry.name, entry.title, entry.paperRef, {{"metric"}, {"value"}});
   table.addRow({"validator_critical_findings", criticals});
   table.addRow({"campaign_elapsed_s", secs});
   table.addRow({"campaign_aggregate_mbps", mbps});

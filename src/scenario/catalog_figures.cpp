@@ -3,11 +3,10 @@
 //   fig2_dashboard_mesh    — Figure 2 perfSONAR mesh dashboard (native)
 //   soft_failure_linecard  — Section 2 failing line card, plus telemetry
 //   eqn2_window_sizing     — Equation 2 BDP window sizing
-// Each entry's specs() builds the declarative cells; render() reproduces
-// the legacy bench's stdout and .table.json byte-for-byte from the raw
-// metrics. fig2 drives the perfSONAR mesh directly (continuous measurement
-// over one long-lived simulation does not decompose into independent
-// scenario cells), so it stays a native entry.
+// Each entry's specs() builds the declarative cells; render() builds the
+// entry's table from the raw metrics. fig2 drives the perfSONAR mesh
+// directly (continuous measurement over one long-lived simulation does not
+// decompose into independent scenario cells), so it stays a native entry.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -68,9 +67,8 @@ std::vector<ScenarioSpec> fig1Specs() {
         WorkloadSpec w;
         w.tcp.cc = algo;
         w.tcp.bufBytes = (256_MB).byteCount();  // above the 125 MB BDP at 100 ms
-        // Measurement horizon scaled to the congestion-avoidance sawtooth
-        // (see the legacy bench comment): several cycles, bounded so the
-        // grid stays minutes.
+        // Measurement horizon scaled to the congestion-avoidance sawtooth:
+        // several cycles, bounded so the grid stays minutes.
         double windowSecs = 10.0;
         if (loss > 0) {
           windowSecs = std::clamp(8.2 * (static_cast<double>(rtt) * 1e-3) / std::sqrt(loss),
@@ -88,12 +86,7 @@ std::vector<ScenarioSpec> fig1Specs() {
 
 void renderFig1(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"rtt_ms", "%-10d"},
-                      {"loss", "%-12.2e"},
-                      {"mathis_mbps", "%-14.1f"},
-                      {"reno_mbps", "%-14s"},
-                      {"htcp_mbps", "%-14s"}});
-  table.printHeader();
+                     {{"rtt_ms"}, {"loss"}, {"mathis_mbps", 1}, {"reno_mbps"}, {"htcp_mbps"}});
   std::size_t next = 0;
   for (const double loss : fig1Losses()) {
     for (const int rtt : fig1Rtts()) {
@@ -103,19 +96,15 @@ void renderFig1(const ScenarioEntry& entry, const std::vector<CellOutcome>& outc
       const double capped = std::min(predicted.toMbps(), (10_Gbps).toMbps());
       const auto& reno = outcomes[next++];
       const auto& htcp = outcomes[next++];
-      table.emit({rtt, loss, capped,
-                  bench::mbpsCell(mbpsOf(reno, "w0.bps"), reno.result.at("w0.established") != 0.0),
-                  bench::mbpsCell(mbpsOf(htcp, "w0.bps"), htcp.result.at("w0.established") != 0.0)});
+      const auto rate = [](const CellOutcome& o) {
+        return bench::mbpsCell(mbpsOf(o, "w0.bps"), o.result.at("w0.established") != 0.0);
+      };
+      table.addRow({rtt, loss, capped, rate(reno), rate(htcp)});
     }
-    table.blankRow();
   }
-  bench::row("shape checks:");
-  bench::row("  - loss-free row flat near 10000 Mbps at all RTTs");
-  bench::row("  - each lossy family falls ~1/RTT; families drop ~1/sqrt(loss)");
-  bench::row("  - htcp >= reno at high RTT x loss (the paper's measured gap)");
-  table.json().addNote("loss-free row flat near 10000 Mbps at all RTTs");
-  table.json().addNote("each lossy family falls ~1/RTT; families drop ~1/sqrt(loss)");
-  table.json().addNote("htcp >= reno at high RTT x loss (the paper's measured gap)");
+  table.addNote("loss-free row flat near 10000 Mbps at all RTTs");
+  table.addNote("each lossy family falls ~1/RTT; families drop ~1/sqrt(loss)");
+  table.addNote("htcp >= reno at high RTT x loss (the paper's measured gap)");
   table.write();
 }
 
@@ -196,9 +185,6 @@ MeshResult runMesh(sim::SweepCell& cell) {
   out.push_back(dashboard.render());
   result.degradedWithCard = dashboard.countAtRating(perfsonar::CellRating::kBad) +
                             dashboard.countAtRating(perfsonar::CellRating::kDegraded);
-  out.push_back(bench::formatRow("degraded/bad cells: %d (expect the lbl-sourced row impaired)",
-                                 result.degradedWithCard));
-  out.push_back(bench::formatRow("alerts raised: %zu", alertCount));
   result.alertsRaised = alertCount;
 
   out.push_back("");
@@ -208,8 +194,6 @@ MeshResult runMesh(sim::SweepCell& cell) {
   out.push_back(dashboard.render());
   result.degradedAfterRepair = dashboard.countAtRating(perfsonar::CellRating::kBad) +
                                dashboard.countAtRating(perfsonar::CellRating::kDegraded);
-  out.push_back(bench::formatRow("degraded/bad cells after repair: %d",
-                                 result.degradedAfterRepair));
   mesh.stop();
   finishCell(s, cell);
   return result;
@@ -220,12 +204,9 @@ void runFig2Native() {
   const auto results = sweep.run<MeshResult>(
       1, [](sim::SweepCell& cell) { return runMesh(cell); }, "mesh");
   const MeshResult& mesh = results[0];
-  for (const auto& line : mesh.lines) bench::row("%s", line.c_str());
-
-  bench::JsonTable table("fig2_dashboard_mesh",
-                         "perfSONAR mesh dashboard with a soft failure",
-                         "Figure 2 + Section 3.3, Dart et al. SC13",
-                         {"phase", "degraded_bad_cells", "alerts_raised"});
+  bench::Table table("fig2_dashboard_mesh", "perfSONAR mesh dashboard with a soft failure",
+                     "Figure 2 + Section 3.3, Dart et al. SC13",
+                     {{"phase"}, {"degraded_bad_cells"}, {"alerts_raised"}});
   table.addRow({"with_failing_card", mesh.degradedWithCard,
                 static_cast<unsigned long long>(mesh.alertsRaised)});
   table.addRow({"after_repair", mesh.degradedAfterRepair,
@@ -233,6 +214,7 @@ void runFig2Native() {
   table.addNote("1/22000 loss on lbl's uplink impairs the lbl-sourced dashboard row;"
                 " repair clears it");
   table.write();
+  for (const auto& line : mesh.lines) bench::row("%s", line.c_str());
   bench::writeSweepReport(sweep, "fig2_dashboard_mesh");
 }
 
@@ -349,15 +331,11 @@ void diagnoseFromTelemetry() {
 
 void renderSoftFailure(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"rtt_ms", "%-8d"},
-                      {"clean_mbps", "%-14.1f"},
-                      {"with_card_mbps", "%-16.1f"},
-                      {"local_drop_mbps", "%-20.1f"},
-                      {"collapse_factor", "%.0fx", "collapse", "%-12s"}});
-  // Historical quirk: the drop column prints 3 decimals while its header
-  // derives from a .1f-wide layout; keep the legacy formats exactly.
-  bench::row("%-8s %-14s %-16s %-20s %-12s", "rtt_ms", "clean_mbps", "with_card_mbps",
-             "local_drop_mbps", "collapse");
+                     {{"rtt_ms"},
+                      {"clean_mbps", 1},
+                      {"with_card_mbps", 1},
+                      {"local_drop_mbps", 3},
+                      {"collapse_factor", 0}});
   const std::vector<int> rtts{2, 10, 40, 80};
   for (std::size_t i = 0; i < rtts.size(); ++i) {
     const auto& clean = outcomes[2 * i];
@@ -369,16 +347,10 @@ void renderSoftFailure(const ScenarioEntry& entry, const std::vector<CellOutcome
     const double lostBits = broken.result.at("seg1.lost") * 9000.0 * 8.0;
     const double localLossMbps = lostBits / 25.0 / 1e6;
     const double collapse = cleanMbps / std::max(brokenMbps, 1.0);
-    bench::row("%-8d %-14.1f %-16.1f %-20.3f %.0fx", rtts[i], cleanMbps, brokenMbps,
-               localLossMbps, collapse);
-    table.json().addRow({rtts[i], cleanMbps, brokenMbps, localLossMbps, collapse});
+    table.addRow({rtts[i], cleanMbps, brokenMbps, localLossMbps, collapse});
   }
-  bench::row("%s", "");
-  bench::row("paper's point: the card itself loses <1 Mbps of traffic, invisible to");
-  bench::row("error counters, while end-to-end TCP loses orders of magnitude more;");
-  bench::row("only active measurement (owamp) sees it. (cf. bench/fig2_dashboard_mesh)");
-  table.json().addNote("the card itself loses <1 Mbps of traffic, invisible to error counters,"
-                       " while end-to-end TCP loses orders of magnitude more");
+  table.addNote("the card itself loses <1 Mbps of traffic, invisible to error counters,"
+                " while end-to-end TCP loses orders of magnitude more");
   table.write();
 
   diagnoseFromTelemetry();
@@ -427,27 +399,20 @@ std::vector<ScenarioSpec> eqn2Specs() {
 
 void renderEqn2(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"rate", "%-12s"},
-                      {"rtt_ms", "%-8.0f"},
-                      {"required_window_bytes", "%-16s", "required_window"},
-                      {"mbps_64KB_buf", "%-18.1f"},
-                      {"mbps_tuned_buf", "%-18.1f"}});
-  table.printHeader();
+                     {{"rate"},
+                      {"rtt_ms"},
+                      {"required_window_bytes"},
+                      {"mbps_64KB_buf", 1},
+                      {"mbps_tuned_buf", 1}});
   std::size_t next = 0;
   for (const auto& c : eqn2Cases()) {
     const auto window = tcp::bandwidthDelayWindow(c.rate, c.rtt);
     const double small = mbpsOf(outcomes[next++], "w0.bps");
     const double big = mbpsOf(outcomes[next++], "w0.bps");
-    table.emit({sim::toString(c.rate), c.rtt.toMillis(),
-                bench::Cell{bench::JsonValue(static_cast<unsigned long long>(window.byteCount())),
-                            bench::formatRow("%-16s", sim::toString(window).c_str())},
-                small, big});
+    table.addRow({sim::toString(c.rate), c.rtt.toMillis(),
+                  static_cast<unsigned long long>(window.byteCount()), small, big});
   }
-  table.blankRow();
-  bench::row("paper example: 1 Gbps x 10 ms needs %s; the 64KB default is ~20x too small,",
-             sim::toString(tcp::bandwidthDelayWindow(1_Gbps, 10_ms)).c_str());
-  bench::row("capping throughput near 50 Mbps regardless of link speed.");
-  table.json().addNote(bench::formatRow(
+  table.addNote(bench::formatRow(
       "paper example: 1 Gbps x 10 ms needs %s; the 64KB default is ~20x too small, capping"
       " throughput near 50 Mbps regardless of link speed",
       sim::toString(tcp::bandwidthDelayWindow(1_Gbps, 10_ms)).c_str()));

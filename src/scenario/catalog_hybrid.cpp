@@ -53,12 +53,11 @@ std::vector<ScenarioSpec> hybridSpecs() {
 
 void renderHybrid(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"fluid_flows", "%-12d"},
-                      {"packet_mbps", "%-14.1f"},
-                      {"fluid_agg_mbps", "%-16.1f"},
-                      {"total_mbps", "%-12.1f"},
-                      {"fluid_share_pct", "%-16.1f"}});
-  table.printHeader();
+                     {{"fluid_flows"},
+                      {"packet_mbps", 1},
+                      {"fluid_agg_mbps", 1},
+                      {"total_mbps", 1},
+                      {"fluid_share_pct", 1}});
   for (std::size_t i = 0; i < hybridFluidCounts().size(); ++i) {
     const int fluidFlows = hybridFluidCounts()[i];
     const auto& o = outcomes[i];
@@ -66,17 +65,13 @@ void renderHybrid(const ScenarioEntry& entry, const std::vector<CellOutcome>& ou
     const double packetBits =
         fluidFlows > 0 ? o.result.at("w0.packet_bits") : totalBits;
     const double fluidBits = fluidFlows > 0 ? o.result.at("w0.fluid_bits") : 0.0;
-    table.emit({fluidFlows, packetBits / 6.0 / 1e6, fluidBits / 6.0 / 1e6,
-                totalBits / 6.0 / 1e6,
-                totalBits > 0 ? fluidBits / totalBits * 100.0 : 0.0});
+    table.addRow({fluidFlows, packetBits / 6.0 / 1e6, fluidBits / 6.0 / 1e6,
+                  totalBits / 6.0 / 1e6,
+                  totalBits > 0 ? fluidBits / totalBits * 100.0 : 0.0});
   }
-  table.blankRow();
-  bench::row("the packet flow's share shrinks as analytic background joins the");
-  bench::row("bottleneck: fluid demand is subtracted from the link capacity packet");
-  bench::row("serialization sees, so no background packet is ever simulated.");
-  table.json().addNote("the packet flow's share shrinks as analytic background joins the"
-                       " bottleneck: fluid demand is subtracted from the link capacity packet"
-                       " serialization sees, so no background packet is ever simulated");
+  table.addNote("the packet flow's share shrinks as analytic background joins the"
+                " bottleneck: fluid demand is subtracted from the link capacity packet"
+                " serialization sees, so no background packet is ever simulated");
   table.write();
 }
 

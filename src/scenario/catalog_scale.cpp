@@ -3,8 +3,8 @@
 //
 // The entry is native: it drives the sharded harness directly (ring
 // construction + attachShards), which the spec engine's path-topology
-// schema cannot express. The printed per-site table and its JSON mirror
-// are byte-identical at every --domains; bench/micro_shard reuses
+// schema cannot express. The per-site table (JSON and the view printed
+// from it) is byte-identical at every --domains; bench/micro_shard reuses
 // runEsnetScale() for the scaling curve.
 #include <cstdint>
 
@@ -29,26 +29,21 @@ void runEsnetScaleNative() {
 
   bench::Table table("esnet_scale", "WAN ring of DTN sites under bulk load",
                      "Section 5 (ESnet backbone) + Figure 4, Dart et al. SC13",
-                     {{"site", "%-6d"},
-                      {"hosts", "%-6d"},
-                      {"flows_in", "%-8d"},
-                      {"delivered_mb", "%-14.1f"}});
-  table.printHeader();
+                     {{"site"}, {"hosts"}, {"flows_in"}, {"delivered_mb", 1}});
   unsigned long long total = 0;
   for (int i = 0; i < cfg.sites; ++i) {
     const unsigned long long bytes = r.deliveredBySite[static_cast<std::size_t>(i)];
     total += bytes;
-    table.emit({i, cfg.hostsPerSite, cfg.hostsPerSite * cfg.flowsPerHost,
-                static_cast<double>(bytes) / 1e6});
+    table.addRow({i, cfg.hostsPerSite, cfg.hostsPerSite * cfg.flowsPerHost,
+                  static_cast<double>(bytes) / 1e6});
   }
-  table.blankRow();
-  table.note(bench::formatRow(
+  table.addNote(bench::formatRow(
       "%d sites in a 10-14ms WAN ring, %llu flows (each one hop clockwise), "
       "%.1f MB total in %.1fs",
       cfg.sites, static_cast<unsigned long long>(r.flows),
       static_cast<double>(total) / 1e6, cfg.runDuration.toSeconds()));
-  table.note("per-site delivered bytes are byte-identical at any --domains; "
-             "events/s scales with domains (see bench/micro_shard)");
+  table.addNote("per-site delivered bytes are byte-identical at any --domains; "
+                "events/s scales with domains (see bench/micro_shard)");
   table.write();
   bench::writeSweepReport(sweep, "esnet_scale");
 }

@@ -441,26 +441,21 @@ std::vector<ScenarioSpec> coloradoSpecs() {
 
 void renderColorado(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"hosts", "%-8d"},
-                      {"fix", "%-10s"},
-                      {"latched_sf", "%-12s"},
-                      {"switch_drops", "%-16llu"},
-                      {"worst_mbps", "%-14.1f"},
-                      {"aggregate_mbps", "%-14.1f"}});
-  table.printHeader();
+                     {{"hosts"},
+                      {"fix"},
+                      {"latched_sf"},
+                      {"switch_drops"},
+                      {"worst_mbps", 1},
+                      {"aggregate_mbps", 1}});
   for (const auto& o : outcomes) {
     const auto& u = o.spec->topology.usecase;
-    table.emit({u.physicsHosts, u.vendorFix ? "applied" : "no",
-                o.result.at("colorado.latched") != 0.0 ? "yes" : "no",
-                static_cast<unsigned long long>(o.result.at("colorado.switch_drops")),
-                o.result.at("colorado.worst_mbps"), o.result.at("colorado.aggregate_mbps")});
+    table.addRow({u.physicsHosts, u.vendorFix ? "applied" : "no",
+                  o.result.at("colorado.latched") != 0.0 ? "yes" : "no",
+                  static_cast<unsigned long long>(o.result.at("colorado.switch_drops")),
+                  o.result.at("colorado.worst_mbps"), o.result.at("colorado.aggregate_mbps")});
   }
-  table.blankRow();
-  bench::row("paper outcome: before the vendor fix, heavy use collapsed throughput");
-  bench::row("(store-and-forward fallback lost its buffers); after the fix,");
-  bench::row("\"performance returned to near line rate for each member\".");
-  table.json().addNote("before the vendor fix, heavy use collapsed throughput; after the fix,"
-                       " performance returned to near line rate for each member");
+  table.addNote("before the vendor fix, heavy use collapsed throughput; after the fix,"
+                " performance returned to near line rate for each member");
   table.write();
 }
 
@@ -482,47 +477,32 @@ std::vector<ScenarioSpec> pennstateSpecs() {
 }
 
 void renderPennstate(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+  bench::Table table(entry.name, entry.title, entry.paperRef,
+                     {{"direction"}, {"sequence_checking"}, {"mbps", 1}, {"peak_window_bytes"}});
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto& o = outcomes[i];
+    const auto& u = o.spec->topology.usecase;
+    table.addRow({u.which == UsecaseKind::kPennStateInbound ? "inbound" : "outbound",
+                  u.vendorFix ? "off (after)" : "on (before)", o.result.at("pennstate.mbps"),
+                  static_cast<unsigned long long>(o.result.at("pennstate.peak_window"))});
+  }
+  const auto mbps = [&outcomes](std::size_t i) { return outcomes[i].result.at("pennstate.mbps"); };
+  const double inSpeedup = mbps(0) > 0 ? mbps(2) / mbps(0) : 0.0;
+  const double outSpeedup = mbps(1) > 0 ? mbps(3) / mbps(1) : 0.0;
+  table.addNote(bench::formatRow("speedup: inbound %.1fx, outbound %.1fx (paper: ~5x inbound,"
+                                 " ~12x outbound from a lower outbound baseline)",
+                                 inSpeedup, outSpeedup));
+  table.write();
   bench::row("equation 2: required window = %s (paper: 1.25 MB, ~20x the 64KB default)",
              sim::toString(tcp::bandwidthDelayWindow(kPennStateAccessRate, kPennStateRtt))
                  .c_str());
 
-  bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"direction", "%-12s"},
-                      {"sequence_checking", "%-22s"},
-                      {"mbps", "%-14.1f"},
-                      {"peak_window_bytes", "%-18llu"}});
-  table.blankRow();
-  table.printHeader();
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto& o = outcomes[i];
-    const auto& u = o.spec->topology.usecase;
-    table.emit({u.which == UsecaseKind::kPennStateInbound ? "inbound" : "outbound",
-                u.vendorFix ? "off (after)" : "on (before)", o.result.at("pennstate.mbps"),
-                static_cast<unsigned long long>(o.result.at("pennstate.peak_window"))});
-  }
-  table.blankRow();
-  const auto mbps = [&outcomes](std::size_t i) { return outcomes[i].result.at("pennstate.mbps"); };
-  const double inSpeedup = mbps(0) > 0 ? mbps(2) / mbps(0) : 0.0;
-  const double outSpeedup = mbps(1) > 0 ? mbps(3) / mbps(1) : 0.0;
-  bench::row("speedup: inbound %.1fx, outbound %.1fx (paper: ~5x inbound, ~12x outbound",
-             inSpeedup, outSpeedup);
-  bench::row("from a lower outbound baseline; our symmetric model improves both alike)");
-  table.json().addNote(bench::formatRow("speedup: inbound %.1fx, outbound %.1fx (paper: ~5x"
-                                        " inbound, ~12x outbound from a lower outbound"
-                                        " baseline)",
-                                        inSpeedup, outSpeedup));
-  table.write();
-
-  bench::JsonTable utilTable("usecase_pennstate_firewall_util",
-                             "figure-8-style SNMP series (edge utilization, 10s samples)",
-                             "Figure 8, Dart et al. SC13", {"t_sec", "util_mbps", "note"});
-  bench::row("%s", "");
-  bench::row("figure-8-style SNMP series (edge utilization, 10s samples):");
-  bench::row("%-8s %-12s %-10s", "t_sec", "util_mbps", "note");
+  bench::Table utilTable("usecase_pennstate_firewall_util",
+                         "figure-8-style SNMP series (edge utilization, 10s samples)",
+                         "Figure 8, Dart et al. SC13", {{"t_sec"}, {"util_mbps", 1}, {"note"}});
   const auto& series = outcomes[4].result;
   for (int t = 10; t <= 120; t += 10) {
     const double util = series.at(metricFor("pennstate.t", t, "_mbps"));
-    bench::row("%-8d %-12.1f %-10s", t, util, t == 60 ? "<- sequence checking disabled" : "");
     utilTable.addRow({t, util, t == 60 ? "sequence checking disabled" : ""});
   }
   utilTable.write();
@@ -540,18 +520,10 @@ void renderNoaa(const ScenarioEntry& entry, const std::vector<CellOutcome>& outc
   const double dmzMBps = outcomes[1].result.at("noaa.dmz_MBps");
   const double batchSecs = outcomes[1].result.at("noaa.batch_s");
   const double speedup = legacyMBps > 0 ? dmzMBps / legacyMBps : 0.0;
-  bench::row("%-28s %-14s %-20s", "path", "rate_MBps", "239.5GB batch time");
-  bench::row("%-28s %-14.2f %s", "firewalled FTP (legacy)", legacyMBps,
-             legacyMBps > 0 ? "weeks (extrapolated)" : "n/a");
-  bench::row("%-28s %-14.1f %.1f minutes", "science DMZ DTN + Globus", dmzMBps,
-             batchSecs / 60.0);
-  bench::row("%s", "");
-  bench::row("speedup: %.0fx    (paper: 1-2 MB/s -> ~395 MB/s, \"nearly 200 times\",", speedup);
-  bench::row("273 files / 239.5 GB \"in just over 10 minutes\")");
-
-  bench::JsonTable table(entry.name, entry.title, entry.paperRef,
-                         {"path", "rate_MBps", "batch_minutes"});
-  table.addRow({"firewalled FTP (legacy)", legacyMBps, "weeks (extrapolated)"});
+  bench::Table table(entry.name, entry.title, entry.paperRef,
+                     {{"path"}, {"rate_MBps", 2}, {"batch_minutes", 1}});
+  table.addRow({"firewalled FTP (legacy)", legacyMBps,
+                legacyMBps > 0 ? "weeks (extrapolated)" : "n/a"});
   table.addRow({"science DMZ DTN + Globus", dmzMBps, batchSecs / 60.0});
   table.addNote(bench::formatRow(
       "speedup: %.0fx (paper: 1-2 MB/s -> ~395 MB/s, nearly 200 times)", speedup));
@@ -574,19 +546,9 @@ void renderNersc(const ScenarioEntry& entry, const std::vector<CellOutcome>& out
   const double fileAfterSecs = after.at("nersc.file_after_s");
   const double campaignAfterSecs = after.at("nersc.campaign_after_s");
   const double speedup = beforeMBps > 0 ? afterMBps / beforeMBps : 0.0;
-  bench::row("%-26s %-12s %-20s %-18s", "path", "rate_MBps", "33GB file", "40TB campaign");
-  bench::row("%-26s %-12.2f %-20s %-18s", "login-node path (before)", beforeMBps,
-             (std::to_string(fileBeforeSecs / 3600.0).substr(0, 4) + " hours").c_str(),
-             "months");
-  bench::row("%-26s %-12.1f %-20s %.2f days", "DTN to DTN (after)", afterMBps,
-             (std::to_string(fileAfterSecs / 60.0).substr(0, 4) + " minutes").c_str(),
-             campaignAfterSecs / 86400.0);
-  bench::row("%s", "");
-  bench::row("speedup: %.0fx    (paper: >workday for one 33 GB file -> 200 MB/s;", speedup);
-  bench::row("40 TB in under three days; \"at least a factor of 20\" for many groups)");
-
-  bench::JsonTable table(entry.name, entry.title, entry.paperRef,
-                         {"path", "rate_MBps", "file_33gb_hours", "campaign_40tb_days"});
+  bench::Table table(
+      entry.name, entry.title, entry.paperRef,
+      {{"path"}, {"rate_MBps", 2}, {"file_33gb_hours", 3}, {"campaign_40tb_days", 2}});
   table.addRow({"login-node path (before)", beforeMBps, fileBeforeSecs / 3600.0, "months"});
   table.addRow({"DTN to DTN (after)", afterMBps, fileAfterSecs / 3600.0,
                 campaignAfterSecs / 86400.0});

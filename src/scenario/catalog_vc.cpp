@@ -82,40 +82,29 @@ void oscarsDemo() {
 }
 
 void renderVc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
-  oscarsDemo();
-
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"transport", "%-30s"},
-                      {"gbps", "%-12.1f"},
-                      {"cpu_units", "%-14.3f"},
-                      {"wasted_GB", "%-12.2f"}});
-  table.blankRow();
-  table.printHeader();
+                     {{"transport"}, {"gbps", 1}, {"cpu_units", 3}, {"wasted_GB", 2}});
 
   const auto& tcp = outcomes[0];
   const auto tcpRate =
       sim::DataRate::bitsPerSecond(static_cast<std::uint64_t>(tcp.result.at("w0.bps")));
-  table.emit({"tcp (htcp) on circuit", tcpRate.toGbps(), vc::tcpCpuUnits(tcpRate.bytesIn(4_s)),
-              bench::Cell{bench::JsonValue("-"), bench::formatRow("%-12s", "-")}});
+  table.addRow({"tcp (htcp) on circuit", tcpRate.toGbps(), vc::tcpCpuUnits(tcpRate.bytesIn(4_s)),
+                "-"});
   for (std::size_t i = 1; i < 3; ++i) {
     const auto& o = outcomes[i];
     const auto goodput = sim::DataRate::bitsPerSecond(
         static_cast<std::uint64_t>(o.result.at("w0.goodput_bps")));
     const double wastedGB =
         sim::DataSize::bytes(static_cast<std::uint64_t>(o.result.at("w0.wasted_bytes"))).toGB();
-    table.emit({i == 1 ? "roce on loss-free circuit" : "roce without circuit (1e-4 loss)",
-                goodput.toGbps(), o.result.at("w0.cpu_units"), wastedGB});
+    table.addRow({i == 1 ? "roce on loss-free circuit" : "roce without circuit (1e-4 loss)",
+                  goodput.toGbps(), o.result.at("w0.cpu_units"), wastedGB});
   }
-  table.blankRow();
-  bench::row("cpu per GB moved, tcp/roce: %.0fx (paper: ~50x less CPU;",
-             vc::kTcpCpuUnitsPerGB / vc::kRoceCpuUnitsPerGB);
-  bench::row("39.5 Gbps single flow on a 40GE host). without the circuit, go-back-N");
-  bench::row("wastes the pipe: RoCE requires the loss-free guaranteed-bandwidth path.");
-  table.json().addNote(bench::formatRow(
+  table.addNote(bench::formatRow(
       "cpu per GB moved, tcp/roce: %.0fx (paper: ~50x less CPU); without the circuit,"
       " go-back-N wastes the pipe",
       vc::kTcpCpuUnitsPerGB / vc::kRoceCpuUnitsPerGB));
   table.write();
+  oscarsDemo();
 }
 
 // --- sdn_policy_comparison -------------------------------------------------
@@ -155,26 +144,19 @@ std::vector<ScenarioSpec> sdnSpecs() {
 
 void renderSdn(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
-                     {{"policy", "%-26s"},
-                      {"mbps", "%-12s"},
-                      {"pkts_inspected", "%-18llu"},
-                      {"fw_drops", "%-14llu"}});
-  table.printHeader();
+                     {{"policy"}, {"mbps"}, {"pkts_inspected"}, {"fw_drops"}});
   const char* names[] = {"always-firewall", "ids-then-bypass (sdn)", "acl-only (science dmz)"};
   for (std::size_t mode = 0; mode < 3; ++mode) {
     const auto& o = outcomes[mode];
     const double mbps =
         sim::DataRate::bitsPerSecond(static_cast<std::uint64_t>(o.result.at("w0.bps")))
             .toMbps();
-    table.emit({names[mode], bench::mbpsCell(mbps, o.result.at("w0.established") != 0.0),
-                static_cast<unsigned long long>(o.result.get("fw.inspected", 0.0)),
-                static_cast<unsigned long long>(o.result.get("fw.drops_input_buffer", 0.0))});
+    table.addRow({names[mode], bench::mbpsCell(mbps, o.result.at("w0.established") != 0.0),
+                  static_cast<unsigned long long>(o.result.get("fw.inspected", 0.0)),
+                  static_cast<unsigned long long>(o.result.get("fw.drops_input_buffer", 0.0))});
   }
-  table.blankRow();
-  bench::row("the SDN policy recovers (nearly) the ACL-only rate while still passing");
-  bench::row("connection setup through the IDS — the paper's proposed middle ground.");
-  table.json().addNote("the SDN policy recovers (nearly) the ACL-only rate while still passing"
-                       " connection setup through the IDS — the paper's proposed middle ground");
+  table.addNote("the SDN policy recovers (nearly) the ACL-only rate while still passing"
+                " connection setup through the IDS — the paper's proposed middle ground");
   table.write();
 }
 

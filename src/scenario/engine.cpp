@@ -160,7 +160,7 @@ void buildFanin(const FaninTopology& t, Scenario& s, Materialized& m) {
   s.topo.connect(sw, sink, toLinkParams(t.egressLink));
   const auto in = toLinkParams(t.senderLink);
   for (int i = 0; i < t.senders; ++i) {
-    auto& h = s.topo.addHost("h" + std::to_string(i), numberedHost(10, 0, i));
+    auto& h = s.topo.addHost(numberedName("h", i), numberedHost(10, 0, i));
     s.topo.connect(h, sw, in);
     m.senders.push_back(&h);
   }
@@ -177,10 +177,10 @@ void buildEnterpriseEdge(const EnterpriseEdgeTopology& t, Scenario& s, Materiali
   s.topo.connect(fw, inside, core);
   const auto edge = toLinkParams(t.edgeLink);
   for (int i = 0; i < t.pairs; ++i) {
-    auto& c = s.topo.addHost("c" + std::to_string(i), numberedHost(198, 0, i));
+    auto& c = s.topo.addHost(numberedName("c", i), numberedHost(198, 0, i));
     s.topo.connect(c, outside, edge);
     m.edgeClients.push_back(&c);
-    auto& v = s.topo.addHost("s" + std::to_string(i), numberedHost(10, 20, i));
+    auto& v = s.topo.addHost(numberedName("s", i), numberedHost(10, 20, i));
     s.topo.connect(v, inside, edge);
     m.edgeServers.push_back(&v);
   }
@@ -525,10 +525,19 @@ ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell) {
     case TopologyKind::kUsecase: runUsecase(spec.topology.usecase, s, r); break;
   }
 
+  // A campaign takes one lane port per pool node from its port up; the
+  // pool is known only now, so its port block is checked here, before any
+  // flow is built.
+  for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
+    if (spec.workloads[i].kind == WorkloadKind::kCampaign && m.site) {
+      checkPortBlock(i, "port", spec.workloads[i].port,
+                     std::max<std::size_t>(m.site->dtns.size(), 1));
+    }
+  }
   runAnalysis(spec, s, m, r);
   for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
     const auto& w = spec.workloads[i];
-    const std::string p = w.label.empty() ? "w" + std::to_string(i) : w.label;
+    const std::string p = w.label.empty() ? numberedName("w", i) : w.label;
     runWorkload(w, p, spec, s, m, r);
   }
 

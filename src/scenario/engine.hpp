@@ -5,9 +5,8 @@
 // every run at any SCIDMZ_SWEEP_THREADS — device construction touches no
 // simulator state, loss/background rngs are pure forks of the cell seed,
 // and every metric is either an exact integer counter (< 2^53) or a value
-// computed by the simulation itself. Renderers that need a legacy table's
-// derived quantities (Mbps, fractions, speedups) recompute them from these
-// raw metrics with the exact legacy arithmetic.
+// computed by the simulation itself. Renderers derive a table's quantities
+// (Mbps, fractions, speedups) from these raw metrics.
 #pragma once
 
 #include <map>
@@ -62,5 +61,14 @@ void runUsecase(const UsecaseTopology& u, Scenario& s, ScenarioResult& r);
 /// 0 <= i < kMaxNumberedHosts; the fan-in and enterprise-edge builders
 /// and the Colorado use case number their hosts this way.
 [[nodiscard]] net::Address numberedHost(std::uint8_t a, std::uint8_t b, int i);
+
+/// `prefix` then `index` in decimal ("h12"): the name of a numbered host,
+/// router or workload. Built by appending: GCC 12 flags `"h" +
+/// std::to_string(i)` as an overlapping memcpy (-Wrestrict) in Release.
+[[nodiscard]] inline std::string numberedName(const char* prefix, std::size_t index) {
+  std::string name = prefix;
+  name += std::to_string(index);
+  return name;
+}
 
 }  // namespace scidmz::scenario

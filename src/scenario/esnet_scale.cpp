@@ -5,6 +5,7 @@
 
 #include "net/flow.hpp"
 #include "net/topology.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/partition.hpp"
 #include "scenario/shard.hpp"
@@ -17,10 +18,13 @@ using namespace scidmz::sim::literals;
 
 namespace {
 
-std::string routerName(int site) { return "r" + std::to_string(site); }
+std::string routerName(int site) { return numberedName("r", static_cast<std::size_t>(site)); }
 
 std::string hostName(int site, int host) {
-  return "s" + std::to_string(site) + "h" + std::to_string(host);
+  std::string name = numberedName("s", static_cast<std::size_t>(site));
+  name += 'h';
+  name += std::to_string(host);
+  return name;
 }
 
 /// WAN delay for ring segment r<i> -> r<i+1 mod K>: 10/12/14 ms cycling,

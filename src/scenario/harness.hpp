@@ -2,8 +2,7 @@
 // renderers: one Scenario owns the simulator/rng/context/topology
 // for a single cell, SteadyFlow measures one bulk TCP flow's steady-state
 // goodput, and finishCell() does the standard end-of-cell sweep
-// bookkeeping. (Moved here from bench/bench_util.hpp so benches, the
-// scenario engine, and scidmz_run share one harness.)
+// bookkeeping. Benches, the scenario engine and scidmz_run share it.
 #pragma once
 
 #include <cstdint>

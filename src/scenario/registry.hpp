@@ -22,13 +22,13 @@ struct CellOutcome {
 struct ScenarioEntry {
   std::string name;       ///< bench/binary name, e.g. "fig1_tcp_loss_rtt"
   std::string family;     ///< "figure" | "arch" | "usecase" | "ablation" | "vc" | "scale"
-  std::string title;      ///< header/table title (header prints "name: title")
+  std::string title;      ///< --list shows it; renderers title their table with it
   std::string paperRef;
   std::string sweepName;  ///< SweepRunner sweep label
   /// The cells, in sweep/table order. Empty for native entries.
   std::function<std::vector<ScenarioSpec>()> specs;
-  /// Print the tables/notes from the sweep results. Runs after all cells
-  /// complete, on the main thread, in legacy output order.
+  /// Build and write the entry's tables from the sweep results. Runs after
+  /// all cells complete, on the main thread, in cell order.
   std::function<void(const ScenarioEntry&, const std::vector<CellOutcome>&)> render;
   /// A fully self-driven entry (fig2's perfSONAR mesh): builds, runs, and
   /// prints on its own. Mutually exclusive with specs/render.

@@ -23,7 +23,6 @@ std::vector<CellOutcome> runSpecs(const std::vector<ScenarioSpec>& specs,
 }
 
 int runScenario(const ScenarioEntry& entry) {
-  bench::header((entry.name + ": " + entry.title).c_str(), entry.paperRef.c_str());
   if (entry.native) {
     entry.native();
     return 0;

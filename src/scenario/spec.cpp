@@ -6,6 +6,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "apps/background_traffic.hpp"
 #include "net/address.hpp"
 #include "net/packet.hpp"
 
@@ -63,6 +64,8 @@ constexpr Range<int> kAny<int>{-2147483647, 2147483647};
 constexpr Range<double> kSeconds{0.0, 1e6};
 constexpr Range<std::uint64_t> kMicroseconds{0, 1'000'000'000'000};  // kSeconds in us
 constexpr Range<int> kPorts{1, 65535};
+/// Background traffic listens on a block of ports from its base port up.
+constexpr Range<int> kBackgroundBasePorts{1, kPorts.hi - (apps::BackgroundTraffic::kPortBlock - 1)};
 constexpr Range<int> kHostCount{1, kMaxNumberedHosts};
 /// 68 bytes is the IPv4 minimum MTU; 65535 its largest total length.
 constexpr Range<std::uint64_t> kMtuBytes{68, 65535};
@@ -356,7 +359,11 @@ void io(Io& io, WorkloadSpec& w) {
   io.field("label", w.label);
   const auto is = [kind = w.kind](auto... kinds) { return ((kind == kinds) || ...); };
   const auto port = [&] {
-    io.field(is(kConvergingFlows, kBackground) ? "base_port" : "port", w.port, kPorts);
+    if (is(kBackground)) {
+      io.field("base_port", w.port, kBackgroundBasePorts);
+    } else {
+      io.field(is(kConvergingFlows) ? "base_port" : "port", w.port, kPorts);
+    }
   };
   if (is(kSteadyFlow, kConvergingFlows, kTimedFlow, kParallelTransfer)) io.object("tcp", w.tcp);
   if (is(kDtnTransfer)) io.field("file", w.file);
@@ -404,6 +411,14 @@ void io(Io& io, ScenarioSpec& s) {
   if (s.topology.kind == TopologyKind::kUsecase && !s.workloads.empty()) {
     throw SpecError("\"workloads\" must be empty for a usecase topology (\"" + s.name +
                     "\"): the use case drives its own simulation");
+  }
+  // A fan-in's converging flows take one port per sender from base_port up.
+  if (s.topology.kind != TopologyKind::kFanin) return;
+  for (std::size_t i = 0; i < s.workloads.size(); ++i) {
+    if (s.workloads[i].kind == WorkloadKind::kConvergingFlows) {
+      checkPortBlock(i, "base_port", s.workloads[i].port,
+                     static_cast<std::size_t>(s.topology.fanin.senders));
+    }
   }
 }
 
@@ -486,6 +501,14 @@ const char* toString(WorkloadKind v) {
   return nameIn({"steady_flow", "converging_flows", "timed_flow", "parallel_transfer",
                  "dtn_transfer", "campaign", "probe", "roce", "background"},
                 v);
+}
+
+void checkPortBlock(std::size_t workload, const char* key, int basePort, std::size_t ports) {
+  const long long highest = 65536 - static_cast<long long>(ports);
+  if (ports == 0 || basePort <= highest) return;
+  throw SpecError("\"workloads[" + std::to_string(workload) + "]." + key + "\" must be at most " +
+                  std::to_string(highest) + " for " + std::to_string(ports) + " ports, got " +
+                  std::to_string(basePort));
 }
 
 bool workloadHasFidelity(WorkloadKind kind) {

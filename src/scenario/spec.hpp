@@ -248,4 +248,9 @@ struct ScenarioSpec {
 [[nodiscard]] const char* toString(TopologyKind v);
 [[nodiscard]] const char* toString(WorkloadKind v);
 
+/// Refuses, with a SpecError naming `workloads[N].<key>`, a workload whose
+/// ports basePort .. basePort + ports - 1 pass 65535: a port is 16 bits,
+/// so the later flows would wrap to port 0, 1, ...
+void checkPortBlock(std::size_t workload, const char* key, int basePort, std::size_t ports);
+
 }  // namespace scidmz::scenario

@@ -425,10 +425,11 @@ void TcpConnection::becomeEstablished() {
   if (onEstablished) onEstablished();
 }
 
-void TcpConnection::initTelemetry() {
+void TcpConnection::initTelemetry(std::optional<std::uint32_t> point) {
+  if (tel_init_) return;  // restore-twice: samplers already registered
   auto& tel = host_.ctx().telemetry();
   const std::string base = "tcp/" + flow_.toString();
-  tel_point_ = tel.recorder().internPoint("tcp:" + flow_.toString());
+  tel_point_ = point ? *point : tel.recorder().internPoint("tcp:" + flow_.toString());
   tel_retransmits_ = &tel.metrics().counter(base + "/retransmits");
   tel_rtos_ = &tel.metrics().counter(base + "/rtos");
   tel_samplers_[0] = tel.addSampler(base + "/cwnd_bytes", [this] { return cc_state_.cwnd; });
@@ -774,23 +775,6 @@ void TcpConnection::onRtoFire() {
 // ---------------------------------------------------------------------------
 // Snapshot/restore
 
-void TcpConnection::restoreTelemetry(std::uint32_t point) {
-  if (tel_init_) return;  // restore-twice: samplers already registered
-  auto& tel = host_.ctx().telemetry();
-  const std::string base = "tcp/" + flow_.toString();
-  tel_point_ = point;
-  tel_retransmits_ = &tel.metrics().counter(base + "/retransmits");
-  tel_rtos_ = &tel.metrics().counter(base + "/rtos");
-  tel_samplers_[0] = tel.addSampler(base + "/cwnd_bytes", [this] { return cc_state_.cwnd; });
-  tel_samplers_[1] =
-      tel.addSampler(base + "/ssthresh_bytes", [this] { return cc_state_.ssthresh; });
-  tel_samplers_[2] = tel.addSampler(base + "/srtt_ms", [this] { return srtt_.toMillis(); });
-  tel_samplers_[3] = tel.addSampler(base + "/inflight_bytes", [this] {
-    return snd_nxt_ >= snd_una_ ? static_cast<double>(snd_nxt_ - snd_una_) : 0.0;
-  });
-  tel_init_ = true;
-}
-
 std::uint64_t TcpConnection::serialize(sim::Codec& c) {
   std::uint64_t claimed = 0;
   std::uint8_t state = static_cast<std::uint8_t>(state_);
@@ -861,7 +845,7 @@ std::uint64_t TcpConnection::serialize(sim::Codec& c) {
   std::uint32_t telPoint = tel_point_;
   c.vu32(telPoint);
   if (!c.writing() && telInit && host_.ctx().telemetry().enabled()) {
-    restoreTelemetry(telPoint);
+    initTelemetry(telPoint);
   }
 
   // Span-trace machine. The ids index the tracer's span table, which the

@@ -190,15 +190,13 @@ class TcpConnection : public net::PacketSink {
   [[nodiscard]] std::uint64_t nextHole(std::uint64_t point) const;
   void becomeEstablished();
   /// Registers per-flow probes (cwnd/ssthresh/srtt/in-flight), caches the
-  /// retransmit/RTO counters and interns the flow's emit point. Called on
-  /// establishment when telemetry is enabled; samplers are unregistered in
-  /// the destructor so a closing connection stops being sampled.
-  void initTelemetry();
-  /// Restore-path variant of initTelemetry(): trusts the snapshotted emit
-  /// point id (the flight-recorder overlay re-installs the matching intern
-  /// table) instead of interning a fresh one, and skips re-registration
-  /// when samplers are already armed (restore-twice into one Context).
-  void restoreTelemetry(std::uint32_t point);
+  /// retransmit/RTO counters and takes the flow's emit point: interned
+  /// afresh, or the snapshotted id `point` on restore (the flight-recorder
+  /// overlay re-installs the matching intern table). Called on
+  /// establishment when telemetry is enabled, and by serialize(); a no-op
+  /// once armed (restore-twice into one Context). Samplers are unregistered
+  /// in the destructor so a closing connection stops being sampled.
+  void initTelemetry(std::optional<std::uint32_t> point = std::nullopt);
   void checkSendComplete();
 
   /// Span-tracing phase machine (active only when setTrace armed it).

@@ -404,7 +404,7 @@ TEST(ScenarioSpec, OutOfBoundsValuesAreRefusedNamingTheKey) {
       {&path, "workloads.5.flows_per_second", 0, "between 1e-06 and 1000000"},
       {&path, "workloads.5.flows_per_second", -5, "between 1e-06 and 1000000"},
       {&path, "workloads.5.drain_s", -0.5, "between 0 and 1000000"},
-      {&path, "workloads.5.base_port", 65536, "between 1 and 65535"},
+      {&path, "workloads.5.base_port", 65536, "between 1 and 65024"},
       {&site, "topology.site.dtn_count", 0, "between 1 and 240"},
       {&site, "topology.site.dtn_count", 241, "between 1 and 240"},
       {&site, "topology.site.compute_node_count", -1, "between 0 and 254"},
@@ -446,6 +446,90 @@ TEST(ScenarioSpec, ZeroDurationsStillParse) {
   const std::string once = ScenarioSpec::fromJson(doc).toJson().dump();
   EXPECT_EQ(once, doc.dump());
   EXPECT_EQ(ScenarioSpec::parse(once).toJson().dump(), once);
+}
+
+/// A converging fan-in takes one port per sender from base_port up, and
+/// background traffic a block of 512: a base port whose block passes 65535
+/// (its later flows would wrap to port 0, 1, ...) is refused at parse
+/// time, and the highest base port that fits runs.
+TEST(ScenarioSpec, PortBlocksPastTheLastPortAreRefusedAtParse) {
+  ScenarioSpec fanin;
+  fanin.name = "fanin_ports";
+  fanin.topology.kind = TopologyKind::kFanin;
+  fanin.topology.fanin.senders = 3;
+  WorkloadSpec converging;
+  converging.kind = WorkloadKind::kConvergingFlows;
+  converging.warmupS = 0;
+  converging.windowS = 0;
+  fanin.workloads.push_back(converging);
+
+  ScenarioSpec edge;
+  edge.name = "edge_ports";
+  edge.topology.kind = TopologyKind::kEnterpriseEdge;
+  WorkloadSpec background;
+  background.kind = WorkloadKind::kBackground;
+  background.runS = 0;
+  background.drainS = 0;
+  edge.workloads.push_back(background);
+
+  struct Case {
+    ScenarioSpec* spec;
+    int refused;
+    const char* error;
+    int runs;
+  };
+  const Case cases[] = {
+      {&fanin, 65534, "\"workloads[0].base_port\" must be at most 65533 for 3 ports, got 65534",
+       65533},
+      {&edge, 65025, "\"workloads[0].base_port\" must be between 1 and 65024, got 65025", 65024},
+  };
+  for (const auto& c : cases) {
+    c.spec->workloads[0].port = c.refused;
+    try {
+      ScenarioSpec::parse(c.spec->toJson().dump());
+      ADD_FAILURE() << c.spec->name << " at base_port " << c.refused << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << c.error << " not in: " << e.what();
+    }
+    c.spec->workloads[0].port = c.runs;
+    const ScenarioSpec parsed = ScenarioSpec::parse(c.spec->toJson().dump());
+    sim::SweepCell cell;
+    EXPECT_NO_THROW(runSpec(parsed, cell)) << c.spec->name;
+  }
+}
+
+/// A campaign takes one lane port per pool DTN from its port up. The pool
+/// is built by the engine, so the engine refuses a block past 65535 before
+/// any flow starts, naming the key.
+TEST(ScenarioSpec, CampaignLanePortsPastTheLastPortAreRefusedByTheEngine) {
+  ScenarioSpec spec;
+  spec.name = "campaign_ports";
+  spec.topology.kind = TopologyKind::kSite;
+  spec.topology.site.design = SiteDesign::kSupercomputer;
+  spec.topology.site.dtnCount = 4;
+  WorkloadSpec w;
+  w.kind = WorkloadKind::kCampaign;
+  w.srcCluster = "experiment";
+  w.dstCluster = "center";
+  w.port = 65533;
+  w.files = 0;
+  w.timeoutS = 0;
+  spec.workloads.push_back(w);
+  ASSERT_NO_THROW(ScenarioSpec::parse(spec.toJson().dump()));
+  try {
+    sim::SweepCell cell;
+    runSpec(spec, cell);
+    ADD_FAILURE() << "4 lanes from port 65533 were accepted";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "\"workloads[0].port\" must be at most 65532 for 4 ports, got 65533"),
+              std::string::npos)
+        << e.what();
+  }
+  spec.workloads[0].port = 65532;
+  sim::SweepCell cell;
+  EXPECT_NO_THROW(runSpec(spec, cell));
 }
 
 // --- the JSON layer under the spec ----------------------------------------

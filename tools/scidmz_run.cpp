@@ -202,18 +202,13 @@ int runSpecFile(const std::string& file, const std::vector<SweepArg>& sweeps) {
   }
 
   const std::string benchName = specs[0].name.substr(0, specs[0].name.find('#'));
-  bench::header((benchName + ": ad-hoc scenario spec").c_str(), file.c_str());
   const auto outcomes = scenario::runSpecs(specs, "spec", benchName);
 
-  bench::JsonTable table(benchName, "ad-hoc scenario spec run", file,
-                         {"cell", "name", "metric", "value"});
+  bench::Table table(benchName, "ad-hoc scenario spec run", file,
+                     {{"cell"}, {"name"}, {"metric"}, {"value"}});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& o = outcomes[i];
-    bench::row("cell %zu: %s", i, o.spec->name.c_str());
     for (const auto& [key, value] : o.result.metrics) {
-      std::string text;
-      scenario::appendJsonNumber(text, value);
-      bench::row("  %-36s %s", key.c_str(), text.c_str());
       table.addRow({static_cast<unsigned long long>(i), o.spec->name, key, value});
     }
   }
