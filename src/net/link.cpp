@@ -1,6 +1,8 @@
 #include "net/link.hpp"
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "net/codec.hpp"
 #include "net/device.hpp"
@@ -67,11 +69,10 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
                  telemetry::FlightEventKind::kDeliver, tel_[d].point);
   }
   const sim::SimTime at = sctx.now() + params_.delay;
-  Outbox& out = outbox_[d];
-  if (out.link != nullptr) {
-    // Boundary channel: stage a by-value copy; this pool slot recycles here.
-    out.pending.push_back(Outbox::Staged{
-        at, sim::ShardedSimulator::boundarySeq(out.channel, out.sent++), *packet});
+  if (Outbox* out = outbox_[d].get()) {
+    // Boundary channel: stage the handle; its slot recycles at the drain.
+    out->pending.push(DelayRecord{
+        at, sim::ShardedSimulator::boundarySeq(out->channel, out->sent++), std::move(packet)});
     return;
   }
   line_[d].push(at, std::move(packet));
@@ -79,18 +80,19 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
 
 void Link::routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int domainB) {
   for (int d = 0; d < 2; ++d) {
-    outbox_[d].link = this;
-    outbox_[d].dir = d;
-    outbox_[d].channel = sharded.addChannel(d == 0 ? domainB : domainA, params_.delay, outbox_[d]);
+    Outbox& out = *(outbox_[d] = std::make_unique<Outbox>());
+    out.link = this;
+    out.dir = d;
+    out.channel = sharded.addChannel(d == 0 ? domainB : domainA, params_.delay, out);
   }
 }
 
 void Link::Outbox::drain() {
   Context& dctx = link->peer(dir).owner().ctx();
-  for (Staged& m : pending) {
-    link->line_[dir].push(m.at, m.seq, dctx.pool().acquire(std::move(m.packet)));
+  while (!pending.empty()) {
+    DelayRecord m = pending.pop();
+    link->line_[dir].push(m.at, m.seq, dctx.pool().acquire(Packet{*m.packet}));
   }
-  pending.clear();
 }
 
 std::uint64_t Link::serialize(sim::Codec& c) {

@@ -11,13 +11,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/delay_line.hpp"
 #include "net/device.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
+#include "net/queue.hpp"
 #include "sim/codec.hpp"
 #include "sim/domain.hpp"
 #include "sim/units.hpp"
@@ -50,8 +50,8 @@ class Link {
 
   /// Called by the transmitting Interface when serialization finishes;
   /// applies loss and appends the packet to the direction's delay line (or,
-  /// in channel mode, stages it for the destination domain). Takes
-  /// ownership of the handle; a lost packet's slot recycles here.
+  /// in channel mode, stages the handle itself for the destination domain).
+  /// Takes ownership of the handle; a lost packet's slot recycles here.
   void transmitComplete(int fromEnd, PacketRef packet);
 
   /// Sharded execution: register one boundary channel per direction
@@ -123,15 +123,11 @@ class Link {
   };
   void initTelemetry(int dir);
 
-  /// One direction's boundary channel (channel mode only): by-value copies
-  /// keyed for the destination domain. drain() re-acquires them from the
-  /// destination domain's pool onto the delay line.
+  /// One direction's boundary channel, allocated only in channel mode: the
+  /// sending domain's handles, keyed for the destination domain. drain(),
+  /// with every worker parked, copies each packet into the destination
+  /// domain's pool onto the delay line and releases the source slot.
   struct Outbox final : sim::ShardedSimulator::Inbox {
-    struct Staged {
-      sim::SimTime at;
-      std::uint64_t seq = 0;
-      Packet packet;
-    };
     void drain() override;
     [[nodiscard]] std::size_t staged() const override { return pending.size(); }
 
@@ -139,7 +135,7 @@ class Link {
     int dir = 0;
     std::uint32_t channel = 0;
     std::uint64_t sent = 0;
-    std::vector<Staged> pending;
+    detail::Ring<DelayRecord> pending;
   };
 
   LinkParams params_;
@@ -152,7 +148,7 @@ class Link {
   /// Packets propagating away from end 0 and end 1. Each line arms in the
   /// far end's domain and hands its packets to the far interface.
   DelayLine<Interface, &Interface::receive> line_[2];
-  Outbox outbox_[2];
+  std::unique_ptr<Outbox> outbox_[2];
 };
 
 }  // namespace scidmz::net

@@ -199,13 +199,12 @@ MeshResult runMesh(sim::SweepCell& cell) {
   return result;
 }
 
-void runFig2Native() {
+void runFig2Native(const ScenarioEntry& entry) {
   sim::SweepRunner sweep;
   const auto results = sweep.run<MeshResult>(
       1, [](sim::SweepCell& cell) { return runMesh(cell); }, "mesh");
   const MeshResult& mesh = results[0];
-  bench::Table table("fig2_dashboard_mesh", "perfSONAR mesh dashboard with a soft failure",
-                     "Figure 2 + Section 3.3, Dart et al. SC13",
+  bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"phase"}, {"degraded_bad_cells"}, {"alerts_raised"}});
   table.addRow({"with_failing_card", mesh.degradedWithCard,
                 static_cast<unsigned long long>(mesh.alertsRaised)});
@@ -215,7 +214,7 @@ void runFig2Native() {
                 " repair clears it");
   table.write();
   for (const auto& line : mesh.lines) bench::row("%s", line.c_str());
-  bench::writeSweepReport(sweep, "fig2_dashboard_mesh");
+  bench::writeSweepReport(sweep, entry.name.c_str());
 }
 
 // --- soft_failure_linecard -------------------------------------------------

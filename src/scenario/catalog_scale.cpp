@@ -18,7 +18,7 @@ namespace scidmz::scenario {
 
 namespace {
 
-void runEsnetScaleNative() {
+void runEsnetScaleNative(const ScenarioEntry& entry) {
   EsnetScaleConfig cfg;  // catalog defaults: 8 sites x 4 DTNs, 0.5 s
   cfg.domains = processDomainsOverride().value_or(1);
 
@@ -27,8 +27,7 @@ void runEsnetScaleNative() {
       1, [&cfg](sim::SweepCell& cell) { return runEsnetScale(cfg, cell); }, "ring");
   const EsnetScaleResult& r = results[0];
 
-  bench::Table table("esnet_scale", "WAN ring of DTN sites under bulk load",
-                     "Section 5 (ESnet backbone) + Figure 4, Dart et al. SC13",
+  bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"site"}, {"hosts"}, {"flows_in"}, {"delivered_mb", 1}});
   unsigned long long total = 0;
   for (int i = 0; i < cfg.sites; ++i) {
@@ -45,14 +44,13 @@ void runEsnetScaleNative() {
   table.addNote("per-site delivered bytes are byte-identical at any --domains; "
                 "events/s scales with domains (see bench/micro_shard)");
   table.write();
-  bench::writeSweepReport(sweep, "esnet_scale");
+  bench::writeSweepReport(sweep, entry.name.c_str());
 }
 
 }  // namespace
 
 void registerScaleScenarios(ScenarioRegistry& registry) {
-  registry.add({"esnet_scale", "scale",
-                "WAN ring of DTN sites under bulk load (sharded scheduler)",
+  registry.add({"esnet_scale", "scale", "WAN ring of DTN sites under bulk load",
                 "Section 5 (ESnet backbone) + Figure 4, Dart et al. SC13", "ring",
                 nullptr, nullptr, runEsnetScaleNative});
 }

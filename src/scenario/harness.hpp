@@ -38,7 +38,7 @@ struct Scenario {
   sim::Rng rng{20130101};
   net::Context ctx{simulator, rng};
   // Declared between ctx and topo so teardown runs topo (devices, links,
-  // queued packets) -> extra domain contexts -> the primary context.
+  // queued and staged packets) -> extra domain contexts -> the primary context.
   std::shared_ptr<ShardRuntime> shards;
   net::Topology topo{ctx};
 

@@ -31,8 +31,9 @@ struct ScenarioEntry {
   /// all cells complete, on the main thread, in cell order.
   std::function<void(const ScenarioEntry&, const std::vector<CellOutcome>&)> render;
   /// A fully self-driven entry (fig2's perfSONAR mesh): builds, runs, and
-  /// prints on its own. Mutually exclusive with specs/render.
-  std::function<void()> native;
+  /// prints on its own, titling its table from the entry. Mutually
+  /// exclusive with specs/render.
+  std::function<void(const ScenarioEntry&)> native;
 };
 
 class ScenarioRegistry {

@@ -24,7 +24,7 @@ std::vector<CellOutcome> runSpecs(const std::vector<ScenarioSpec>& specs,
 
 int runScenario(const ScenarioEntry& entry) {
   if (entry.native) {
-    entry.native();
+    entry.native(entry);
     return 0;
   }
   const auto specs = entry.specs();

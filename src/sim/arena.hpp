@@ -27,6 +27,7 @@
 // cell, parallelism only across cells.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -131,14 +132,11 @@ class Arena {
   // Size classes: 64, 128, 256, 512, 1024, 2048, 4096 bytes.
   static constexpr std::size_t kClasses = 7;
 
+  /// The smallest class whose blocks hold `bytes`: log2 of the size rounded
+  /// up to a power of two, less log2(kMinClassBytes).
   static constexpr std::size_t classFor(std::size_t bytes) {
-    std::size_t cls = 0;
-    std::size_t cap = kMinClassBytes;
-    while (cap < bytes) {
-      cap <<= 1;
-      ++cls;
-    }
-    return cls;
+    if (bytes <= kMinClassBytes) return 0;
+    return static_cast<std::size_t>(std::bit_width(bytes - 1) - std::bit_width(kMinClassBytes - 1));
   }
   static constexpr std::size_t classBytes(std::size_t cls) { return kMinClassBytes << cls; }
 

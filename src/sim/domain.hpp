@@ -28,7 +28,8 @@
 // interleaving is byte-identical at 1, 2, and 8 domains.
 //
 // Channels are typed by their owner (a link direction stages
-// {at, seq, Packet}); see Inbox.
+// {at, seq, PacketRef} records whose handles still point into the sending
+// domain's pool); see Inbox.
 #pragma once
 
 #include <condition_variable>
@@ -55,9 +56,11 @@ class ShardedSimulator {
   /// cut link direction). Its one sending domain stages messages mid-epoch,
   /// each keyed with boundarySeq(); drain() runs on the orchestrating
   /// thread after the barrier and must arm every staged message in the
-  /// destination domain under its key, leaving the inbox empty. The
-  /// barrier orders the producer's writes before the drain, so neither
-  /// side takes a lock.
+  /// destination domain under its key, leaving the inbox empty. Every
+  /// worker is parked while drain() runs, so it may also touch the source
+  /// domain's state (a link releases staged packets into the sending
+  /// domain's pool). The barrier orders the producer's writes before the
+  /// drain, so neither side takes a lock.
   class Inbox {
    public:
     virtual void drain() = 0;

@@ -79,7 +79,9 @@ TEST(Cluster, MoreNodesMoveTheCampaignFaster) {
     Scenario s;
     ClusterPair pair{s, nodesPerSite};
     TransferCampaign campaign{pair.srcCluster, pair.dstCluster};
-    for (int i = 0; i < 8; ++i) campaign.enqueue({"f" + std::to_string(i), 400_MB});
+    for (int i = 0; i < 8; ++i) {
+      campaign.enqueue({std::string("f").append(std::to_string(i)), 400_MB});
+    }
     bool done = false;
     sim::SimTime doneAt;
     campaign.onComplete = [&](const TransferCampaign::Report&) {

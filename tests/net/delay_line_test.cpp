@@ -19,14 +19,21 @@ namespace {
 using namespace scidmz::sim::literals;
 using testutil::Scenario;
 
-/// Logs each packet the line hands over ("P<id>@<us>") into a shared trace,
-/// so tests can interleave deliveries with unrelated events.
+/// "P<id>@<us>": one handover in a Sink's trace.
+std::string handover(std::uint64_t id, std::int64_t us) {
+  std::string entry = "P";
+  entry += std::to_string(id);
+  entry += '@';
+  entry += std::to_string(us);
+  return entry;
+}
+
+/// Logs each packet the line hands over into a shared trace, so tests can
+/// interleave deliveries with unrelated events.
 struct Sink {
   sim::Simulator& sim;
   std::vector<std::string>& log;
-  void take(PacketRef p) {
-    log.push_back("P" + std::to_string(p->id) + "@" + std::to_string(sim.now().ns() / 1000));
-  }
+  void take(PacketRef p) { log.push_back(handover(p->id, sim.now().ns() / 1000)); }
 };
 
 using Line = DelayLine<Sink, &Sink::take>;
@@ -102,7 +109,7 @@ TEST(RingBlocks, DelayLineFifoAndOvertakingPushesAcrossBlockBoundaries) {
   std::stable_sort(expected.begin(), expected.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::string> want;
-  for (auto [us, pid] : expected) want.push_back("P" + std::to_string(pid) + "@" + std::to_string(us));
+  for (auto [us, pid] : expected) want.push_back(handover(pid, us));
   EXPECT_EQ(log, want);
   EXPECT_EQ(s.simulator.eventsExecuted(), static_cast<std::uint64_t>(3 * kBlock + 2));
   EXPECT_EQ(s.ctx.pool().liveCount(), 0u);

@@ -54,7 +54,7 @@ class Recorder : public PacketSink {
   Recorder(sim::Simulator& sim, std::vector<std::string>& log) : sim_(sim), log_(log) {}
   void onPacket(const Packet& p) override {
     const std::uint64_t seqNo = std::get<ProbeHeader>(p.body).seqNo;
-    log_.push_back("P" + std::to_string(seqNo));
+    log_.push_back(std::string("P").append(std::to_string(seqNo)));
     at.push_back(sim_.now());
   }
   std::vector<sim::SimTime> at;
@@ -213,7 +213,7 @@ TEST(Link, DeliveriesFireAtSendTimePlusDelayInSendOrder) {
   for (std::size_t i = 0; i < std::size(wire); ++i) {
     net.a.send(probeTo(net.b.address(), sim::DataSize::bytes(wire[i] - 28), i));
     sent += params.rate.transmissionTime(sim::DataSize::bytes(wire[i]));
-    want.push_back("P" + std::to_string(i));
+    want.push_back(std::string("P").append(std::to_string(i)));
     wantAt.push_back(sent + params.delay);
   }
   s.simulator.run();

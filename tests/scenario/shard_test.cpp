@@ -4,17 +4,21 @@
 // without tracing, because all cut-eligible links route through reserved-
 // sequence channels at every domain count. Plus the scenario-layer
 // boundary edge cases: zero-lookahead rejection, a flow whose path spans
-// three domains, and a cross-domain link below the lookahead floor.
+// three domains, a cross-domain link below the lookahead floor, and a
+// packet handed across a channel field for field.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
 #include "net/host.hpp"
+#include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/topology.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/esnet_scale.hpp"
@@ -24,6 +28,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/shard.hpp"
 #include "scenario/spec.hpp"
+#include "sim/domain.hpp"
 #include "sim/sweep.hpp"
 #include "sim/units.hpp"
 #include "tcp/connection.hpp"
@@ -278,6 +283,118 @@ TEST(ShardDeterminism, ChannelDeliverySortsAfterSameTimeLocalEventAt1And2Domains
   const std::vector<std::string> want{"local", "deliver"};
   EXPECT_EQ(channelTieAt(1), want);
   EXPECT_EQ(channelTieAt(2), want);
+}
+
+/// Copies every packet that reaches it, with its arrival time.
+class PacketLog : public net::PacketSink {
+ public:
+  explicit PacketLog(sim::Simulator& sim) : sim_(sim) {}
+  void onPacket(const net::Packet& packet) override { got.emplace_back(sim_.now(), packet); }
+
+  std::vector<std::pair<sim::SimTime, net::Packet>> got;
+
+ private:
+  sim::Simulator& sim_;
+};
+
+TEST(ShardChannel, StagedHandleKeepsEveryFieldAndFreesItsSourceSlotAtDrain) {
+  Scenario s{1};
+  ShardPlan plan;
+  plan.domains = 2;
+  plan.nodeDomain = {{"a", 0}, {"b", 1}};
+  attachShards(s, plan, 1, 5_ms);
+  auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
+  auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
+  net::LinkParams p;
+  p.rate = sim::DataRate::gigabitsPerSecond(1);
+  p.delay = 10_ms;
+  p.mtu = 9000_B;
+  s.topo.connect(a, b, p);
+  s.topo.computeRoutes();
+  PacketLog log{b.ctx().sim()};
+  b.bind(net::Protocol::kTcp, 5001, log);
+
+  // Three segments, each field distinct per packet; the last carries all
+  // three SACK blocks. Sent straight to the interface so the ids are ours.
+  net::PacketPool& srcPool = a.ctx().pool();
+  const std::size_t liveBefore = srcPool.liveCount();
+  std::vector<net::Packet> sent;
+  for (int i = 0; i < 3; ++i) {
+    net::Packet pk;
+    pk.flow = net::FlowKey{a.address(), b.address(), 40000, 5001, net::Protocol::kTcp};
+    pk.payload = sim::DataSize::bytes(1000 + 100 * i);
+    pk.ttl = static_cast<std::uint8_t>(60 - i);
+    pk.id = 7000 + static_cast<std::uint64_t>(i);
+    net::TcpHeader h;
+    h.seq = 1'000'000 + 10 * static_cast<std::uint64_t>(i);
+    h.ackNo = 5'000'000 + static_cast<std::uint64_t>(i);
+    h.tsVal = 111 + static_cast<std::uint64_t>(i);
+    h.tsEcho = 222 + static_cast<std::uint64_t>(i);
+    for (int k = 0; k <= i; ++k) {
+      const std::uint64_t start = h.ackNo + 100 * static_cast<std::uint64_t>(k + 1);
+      ASSERT_TRUE(h.addSack(start, start + 50));
+    }
+    h.windowField = static_cast<std::uint16_t>(4000 + i);
+    h.windowScale = static_cast<std::uint8_t>(7 + i);
+    h.syn = i == 0;
+    h.ack = true;
+    h.fin = i == 2;
+    h.rst = i == 1;
+    h.windowScalePresent = i == 0;
+    pk.body = h;
+    sent.push_back(pk);
+    a.interface(0).send(srcPool.acquire(net::Packet{pk}));
+  }
+
+  // Serialization ends within the first millisecond: the packets sit staged
+  // in the channel, still in their source-pool slots.
+  sim::ShardedSimulator& sharded = *s.shards->sharded;
+  s.runFor(1_ms);
+  EXPECT_EQ(sharded.pendingChannelMessages(), 3u);
+  EXPECT_EQ(srcPool.liveCount(), liveBefore + 3);
+  EXPECT_TRUE(log.got.empty());
+
+  // The next run drains first: the copies move to b's pool, the source
+  // slots come free, and nothing has arrived yet.
+  s.runFor(1_ms);
+  EXPECT_EQ(sharded.pendingChannelMessages(), 0u);
+  EXPECT_EQ(srcPool.liveCount(), liveBefore);
+  EXPECT_TRUE(log.got.empty());
+
+  s.runFor(20_ms);
+  ASSERT_EQ(log.got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    const auto& [at, got] = log.got[i];
+    const net::Packet& want = sent[i];
+    EXPECT_GE(at, sim::SimTime::zero() + 10_ms);
+    if (i > 0) {
+      EXPECT_LT(log.got[i - 1].first, at);  // (at, seq) order
+    }
+    EXPECT_EQ(got.flow, want.flow);
+    EXPECT_EQ(got.payload, want.payload);
+    EXPECT_EQ(got.ttl, want.ttl);
+    EXPECT_EQ(got.id, want.id);
+    ASSERT_TRUE(got.isTcp());
+    const net::TcpHeader& g = got.tcp();
+    const net::TcpHeader& w = want.tcp();
+    EXPECT_EQ(g.seq, w.seq);
+    EXPECT_EQ(g.ackNo, w.ackNo);
+    EXPECT_EQ(g.tsVal, w.tsVal);
+    EXPECT_EQ(g.tsEcho, w.tsEcho);
+    EXPECT_EQ(g.sackCount, w.sackCount);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(g.sackBlocks[k].start, w.sackBlocks[k].start) << "sack " << k;
+      EXPECT_EQ(g.sackBlocks[k].end, w.sackBlocks[k].end) << "sack " << k;
+    }
+    EXPECT_EQ(g.windowField, w.windowField);
+    EXPECT_EQ(g.windowScale, w.windowScale);
+    EXPECT_EQ(g.syn, w.syn);
+    EXPECT_EQ(g.ack, w.ack);
+    EXPECT_EQ(g.fin, w.fin);
+    EXPECT_EQ(g.rst, w.rst);
+    EXPECT_EQ(g.windowScalePresent, w.windowScalePresent);
+  }
 }
 
 TEST(ShardEdgeCases, ZeroLookaheadIsRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "scenario/engine.hpp"
@@ -418,11 +419,17 @@ TEST(ScenarioSpec, OutOfBoundsValuesAreRefusedNamingTheKey) {
     ASSERT_EQ(member.kind(), c.value.kind()) << c.path << " is not in the document";
     member = c.value;
     // "workloads.3.streams" is named "workloads[3].streams" in errors.
-    std::string keyPath = c.path;
-    for (std::size_t at = 0; (at = keyPath.find_first_of("0123456789", at)) != std::string::npos;) {
-      keyPath.replace(at - 1, 1, "[");
-      at = keyPath.find('.', at);
-      keyPath.insert(at, "]");
+    std::string keyPath;
+    std::istringstream parts(c.path);
+    for (std::string part; std::getline(parts, part, '.');) {
+      if (part.find_first_not_of("0123456789") == std::string::npos) {
+        keyPath += '[';
+        keyPath += part;
+        keyPath += ']';
+      } else {
+        if (!keyPath.empty()) keyPath += '.';
+        keyPath += part;
+      }
     }
     const std::string expected = "\"" + keyPath + "\" must be " + c.bound;
     try {

@@ -394,7 +394,7 @@ TEST(FluidRoutes, FlowsOnOnePathShareOneRoute) {
   s.topo.connect(agg, sink, params);
   std::vector<net::Host*> senders;
   for (int i = 0; i < 4; ++i) {
-    auto& h = s.topo.addHost("h" + std::to_string(i),
+    auto& h = s.topo.addHost(std::string("h").append(std::to_string(i)),
                              net::Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)));
     s.topo.connect(h, agg, params);
     senders.push_back(&h);

@@ -42,7 +42,7 @@ TEST(MetricRegistry, CounterCreateOrGetIsStable) {
 TEST(MetricRegistry, AddressesSurviveGrowth) {
   MetricRegistry reg;
   std::uint64_t& first = reg.counter("c0");
-  for (int i = 1; i < 200; ++i) (void)reg.counter("c" + std::to_string(i));
+  for (int i = 1; i < 200; ++i) (void)reg.counter(std::string("c").append(std::to_string(i)));
   first = 7;
   EXPECT_EQ(reg.counterValue("c0"), 7u);
   EXPECT_EQ(reg.counterCount(), 200u);

@@ -32,11 +32,11 @@ TEST_P(OscarsFuzz, NeverOversubscribesAnyLink) {
   net::LinkParams edge;
   edge.rate = 10_Gbps;
   for (int i = 0; i < 4; ++i) {
-    auto& hl = s.topo.addHost("l" + std::to_string(i),
+    auto& hl = s.topo.addHost(std::string("l").append(std::to_string(i)),
                               net::Address(10, 0, 1, static_cast<std::uint8_t>(i + 1)));
     s.topo.connect(hl, left, edge);
     hosts.push_back(&hl);
-    auto& hr = s.topo.addHost("r" + std::to_string(i),
+    auto& hr = s.topo.addHost(std::string("r").append(std::to_string(i)),
                               net::Address(10, 0, 2, static_cast<std::uint8_t>(i + 1)));
     s.topo.connect(hr, right, edge);
     hosts.push_back(&hr);
