@@ -55,59 +55,39 @@ void Topology::configureShards(ShardConfig config) {
   shard_ = std::move(config);
 }
 
-Context& Topology::ctxForDevice(const std::string& name) const {
-  if (shard_.sharded == nullptr) return ctx_;
-  const auto it = shard_.deviceDomain.find(name);
-  if (it == shard_.deviceDomain.end()) {
-    throw std::runtime_error("sharded topology: device missing from domain map: " + name);
+template <typename T, typename... Args>
+T& Topology::emplaceDevice(std::string name, Args... args) {
+  Context* ctx = &ctx_;
+  if (shard_.sharded != nullptr) {
+    const auto it = shard_.deviceDomain.find(name);
+    if (it == shard_.deviceDomain.end()) {
+      throw std::runtime_error("sharded topology: device missing from domain map: " + name);
+    }
+    ctx = shard_.domains[static_cast<std::size_t>(it->second)];
   }
-  return *shard_.domains[static_cast<std::size_t>(it->second)];
+  devices_.push_back(std::make_unique<T>(*ctx, std::move(name), args...));
+  return static_cast<T&>(*devices_.back());
 }
 
-void Topology::noteDomain(const Device& d, const std::string& name) {
-  if (shard_.sharded == nullptr) return;
-  device_domain_[&d] = shard_.deviceDomain.at(name);
-}
-
-int Topology::deviceDomain(const Device& d) const {
-  const auto it = device_domain_.find(&d);
-  return it == device_domain_.end() ? 0 : it->second;
+int Topology::domainOf(Device& d) const {
+  const auto it = std::find(shard_.domains.begin(), shard_.domains.end(), &d.ctx());
+  return static_cast<int>(it - shard_.domains.begin());
 }
 
 Host& Topology::addHost(std::string name, Address address) {
-  Context& ctx = ctxForDevice(name);
-  auto host = std::make_unique<Host>(ctx, std::move(name), address);
-  auto& ref = *host;
-  devices_.push_back(std::move(host));
-  noteDomain(ref, ref.name());
-  return ref;
+  return emplaceDevice<Host>(std::move(name), address);
 }
 
 SwitchDevice& Topology::addSwitch(std::string name, SwitchProfile profile) {
-  Context& ctx = ctxForDevice(name);
-  auto dev = std::make_unique<SwitchDevice>(ctx, std::move(name), profile);
-  auto& ref = *dev;
-  devices_.push_back(std::move(dev));
-  noteDomain(ref, ref.name());
-  return ref;
+  return emplaceDevice<SwitchDevice>(std::move(name), profile);
 }
 
 RouterDevice& Topology::addRouter(std::string name, SwitchProfile profile) {
-  Context& ctx = ctxForDevice(name);
-  auto dev = std::make_unique<RouterDevice>(ctx, std::move(name), profile);
-  auto& ref = *dev;
-  devices_.push_back(std::move(dev));
-  noteDomain(ref, ref.name());
-  return ref;
+  return emplaceDevice<RouterDevice>(std::move(name), profile);
 }
 
 FirewallDevice& Topology::addFirewall(std::string name, FirewallProfile profile) {
-  Context& ctx = ctxForDevice(name);
-  auto dev = std::make_unique<FirewallDevice>(ctx, std::move(name), profile);
-  auto& ref = *dev;
-  devices_.push_back(std::move(dev));
-  noteDomain(ref, ref.name());
-  return ref;
+  return emplaceDevice<FirewallDevice>(std::move(name), profile);
 }
 
 sim::DataSize Topology::defaultBuffer(const Device& d) {
@@ -131,8 +111,8 @@ Link& Topology::connect(Device& a, Device& b, LinkParams params, sim::DataSize b
   links_.push_back(std::make_unique<Link>(params, ifA, ifB));
   Link& link = *links_.back();
   if (shard_.sharded != nullptr) {
-    const int da = deviceDomain(a);
-    const int db = deviceDomain(b);
+    const int da = domainOf(a);
+    const int db = domainOf(b);
     if (params.delay >= shard_.lookaheadFloor) {
       // Cut-eligible: channel-route both directions regardless of whether
       // the partition separated the ends (partition invariance — the

@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/context.hpp"
@@ -66,9 +65,6 @@ class Topology {
   /// the floor is a partitioning bug and throws. Must be called on an
   /// empty topology.
   void configureShards(ShardConfig config);
-  [[nodiscard]] bool sharded() const { return shard_.sharded != nullptr; }
-  /// Domain a device was built into (0 when unsharded).
-  [[nodiscard]] int deviceDomain(const Device& d) const;
 
   /// Factory helpers: the topology owns every device it creates.
   Host& addHost(std::string name, Address address);
@@ -102,13 +98,15 @@ class Topology {
 
  private:
   [[nodiscard]] static sim::DataSize defaultBuffer(const Device& d);
-  /// The Context a device with this name is built into, per the shard plan.
-  [[nodiscard]] Context& ctxForDevice(const std::string& name) const;
-  void noteDomain(const Device& d, const std::string& name);
+  /// Build a T named `name` into its domain's Context (per the shard plan)
+  /// and take ownership of it.
+  template <typename T, typename... Args>
+  T& emplaceDevice(std::string name, Args... args);
+  /// Index of the shard domain whose Context `d` was built into.
+  [[nodiscard]] int domainOf(Device& d) const;
 
   Context& ctx_;
   ShardConfig shard_;
-  std::unordered_map<const Device*, int> device_domain_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<std::unique_ptr<Link>> links_;
 };

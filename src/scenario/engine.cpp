@@ -18,7 +18,6 @@
 #include "net/ids.hpp"
 #include "net/loss.hpp"
 #include "scenario/harness.hpp"
-#include "scenario/partition.hpp"
 #include "scenario/shard.hpp"
 #include "vc/openflow.hpp"
 #include "vc/roce.hpp"
@@ -47,7 +46,18 @@ net::LinkParams toLinkParams(const LinkSpec& spec) {
 /// cell: simulator callbacks capture pointers into these.
 struct FlowSet {
   std::vector<net::FlowPtr> flows;
-  bool connected = false;  ///< timed_flow: accepted; probe: established
+  bool connected = false;  ///< probe: established
+  /// timed_flow: flow k's server side accepted. A byte per flow, so shard
+  /// domains accepting at the same time write to different bytes.
+  std::vector<std::uint8_t> accepted;
+};
+
+/// Two hosts a timed_flow streams between; a non-empty `group` also counts
+/// the pair's delivered bits under "<prefix>.<group>.delivered_bits".
+struct HostPair {
+  net::Host* src = nullptr;
+  net::Host* dst = nullptr;
+  std::string group;
 };
 
 /// Everything the spec materialized into; owns all objects that must
@@ -58,6 +68,7 @@ struct Materialized {
   net::SwitchDevice* sw = nullptr;
   net::Host* src = nullptr;  ///< path
   net::Host* dst = nullptr;  ///< path
+  std::vector<HostPair> pairs;            ///< path (src, dst); ring: each host clockwise
   net::Host* sink = nullptr;              ///< fanin
   std::vector<net::Host*> senders;        ///< fanin
   std::vector<net::Host*> edgeClients;    ///< enterprise edge
@@ -84,54 +95,107 @@ struct Materialized {
                   "\" cannot run on a \"" + toString(t.kind) + "\" topology");
 }
 
-void buildPath(const PathTopology& t, Scenario& s, Materialized& m) {
-  auto& src = s.topo.addHost(t.src.name, net::Address::parse(t.src.ip));
-  auto& dst = s.topo.addHost(t.dst.name, net::Address::parse(t.dst.ip));
-  m.src = &src;
-  m.dst = &dst;
-  const auto link = toLinkParams(t.link);
-  const auto link2 = t.link2 ? toLinkParams(*t.link2) : link;
+using Kind = DeviceGraph::Kind;
+
+/// src, [middlebox], dst: the middlebox is built between the hosts, so the
+/// partitioner's atoms follow the path.
+DeviceGraph pathGraph(const PathTopology& t) {
+  DeviceGraph g;
+  const auto src = g.add(Kind::kHost, t.src.name, net::Address::parse(t.src.ip));
+  auto mid = src;  // no middlebox: src links straight to dst
   switch (t.middlebox) {
-    case Middlebox::kNone:
-      m.links.push_back(&s.topo.connect(src, dst, link));
-      break;
-    case Middlebox::kRouter: {
-      auto& mid = s.topo.addRouter(t.midName);
-      m.links.push_back(&s.topo.connect(src, mid, link));
-      m.links.push_back(&s.topo.connect(mid, dst, link2));
-      break;
-    }
+    case Middlebox::kNone: break;
+    case Middlebox::kRouter: mid = g.add(Kind::kRouter, t.midName); break;
     case Middlebox::kSwitch: {
-      net::SwitchProfile profile = t.switchProfile == SwitchProfileKind::kScienceDmz
-                                       ? net::SwitchProfile::scienceDmz()
-                                       : net::SwitchProfile{};
+      mid = g.add(Kind::kSwitch, t.midName);
+      auto& profile = g.nodes[mid].switchProfile;
+      profile = t.switchProfile == SwitchProfileKind::kScienceDmz ? net::SwitchProfile::scienceDmz()
+                                                                 : net::SwitchProfile{};
       if (t.egressBufferBytes > 0) profile.egressBuffer = sim::DataSize::bytes(t.egressBufferBytes);
-      auto& mid = s.topo.addSwitch(t.midName, profile);
-      m.sw = &mid;
-      if (t.aclPermitAllDefaultDeny) {
-        net::AclTable acl{net::AclAction::kDeny};
-        net::AclRule permitAll;
-        permitAll.action = net::AclAction::kPermit;
-        acl.append(permitAll);
-        mid.setAcl(acl);
-      }
-      m.links.push_back(&s.topo.connect(src, mid, link));
-      m.links.push_back(&s.topo.connect(mid, dst, link2));
       break;
     }
-    case Middlebox::kFirewall: {
-      auto profile = net::FirewallProfile::enterprise10G();
-      profile.tcpSequenceChecking = t.firewallSeqChecking;
-      auto& mid = s.topo.addFirewall(t.midName, profile);
-      m.fw = &mid;
-      if (t.idsVettingPackets > 0) {
-        m.ids = std::make_unique<net::IntrusionDetectionSystem>();
-        m.ids->setVettingPacketCount(t.idsVettingPackets);
-        m.bypass = std::make_unique<vc::BypassController>(mid, *m.ids);
-      }
-      m.links.push_back(&s.topo.connect(src, mid, link));
-      m.links.push_back(&s.topo.connect(mid, dst, link2));
+    case Middlebox::kFirewall:
+      mid = g.add(Kind::kFirewall, t.midName);
+      g.nodes[mid].firewallProfile = net::FirewallProfile::enterprise10G();
+      g.nodes[mid].firewallProfile.tcpSequenceChecking = t.firewallSeqChecking;
       break;
+  }
+  const auto dst = g.add(Kind::kHost, t.dst.name, net::Address::parse(t.dst.ip));
+  if (mid == src) {
+    g.connect(src, dst, toLinkParams(t.link));
+  } else {
+    g.connect(src, mid, toLinkParams(t.link));
+    g.connect(mid, dst, toLinkParams(t.link2 ? *t.link2 : t.link));
+  }
+  return g;
+}
+
+/// Site i is router r<i> then hosts s<i>h0, s<i>h1, ..., each linked to the
+/// router as it is added; the WAN segments r<i> -> r<i+1 mod sites> come last.
+DeviceGraph ringGraph(const RingTopology& t) {
+  DeviceGraph g;
+  const auto lan = toLinkParams(t.lan);
+  for (int i = 0; i < t.sites; ++i) {
+    const auto router = g.add(Kind::kRouter, numberedName("r", static_cast<std::size_t>(i)));
+    for (int j = 0; j < t.hostsPerSite; ++j) {
+      std::string name = numberedName("s", static_cast<std::size_t>(i));
+      name += 'h';
+      name += std::to_string(j);
+      const net::Address address(10, static_cast<std::uint8_t>(i),
+                                 static_cast<std::uint8_t>(j / 250),
+                                 static_cast<std::uint8_t>(j % 250 + 1));
+      g.connect(g.add(Kind::kHost, std::move(name), address), router, lan);
+    }
+  }
+  const auto site = static_cast<std::size_t>(t.hostsPerSite) + 1;  // nodes per site
+  for (std::size_t i = 0; i < g.nodes.size(); i += site) {
+    const LinkSpec& wan = t.wan[i / site % t.wan.size()];
+    g.connect(i, (i + site) % g.nodes.size(), toLinkParams(wan));
+  }
+  return g;
+}
+
+/// Add `g`'s devices, then its links, to the topology, so that
+/// topo.devices() and topo.links() follow the graph's order.
+void build(const DeviceGraph& g, net::Topology& topo) {
+  std::vector<net::Device*> devices;
+  devices.reserve(g.nodes.size());
+  for (const auto& node : g.nodes) {
+    switch (node.kind) {
+      case Kind::kHost: devices.push_back(&topo.addHost(node.name, node.address)); break;
+      case Kind::kRouter: devices.push_back(&topo.addRouter(node.name, node.switchProfile)); break;
+      case Kind::kSwitch: devices.push_back(&topo.addSwitch(node.name, node.switchProfile)); break;
+      case Kind::kFirewall:
+        devices.push_back(&topo.addFirewall(node.name, node.firewallProfile));
+        break;
+    }
+  }
+  for (const auto& link : g.links) topo.connect(*devices[link.a], *devices[link.b], link.params);
+}
+
+void buildPath(const PathTopology& t, const DeviceGraph& g, Scenario& s, Materialized& m) {
+  build(g, s.topo);
+  const auto& devices = s.topo.devices();
+  m.src = static_cast<net::Host*>(devices.front().get());
+  m.dst = static_cast<net::Host*>(devices.back().get());
+  m.pairs.push_back({m.src, m.dst, {}});
+  for (const auto& link : s.topo.links()) m.links.push_back(link.get());
+  if (t.middlebox == Middlebox::kSwitch) {
+    m.sw = static_cast<net::SwitchDevice*>(devices[1].get());
+    if (t.aclPermitAllDefaultDeny) {
+      net::AclTable acl{net::AclAction::kDeny};
+      net::AclRule permitAll;
+      permitAll.action = net::AclAction::kPermit;
+      acl.append(permitAll);
+      m.sw->setAcl(acl);
+    }
+  }
+  if (t.middlebox == Middlebox::kFirewall) {
+    m.fw = static_cast<net::FirewallDevice*>(devices[1].get());
+    if (t.idsVettingPackets > 0) {
+      m.ids = std::make_unique<net::IntrusionDetectionSystem>();
+      m.ids->setVettingPacketCount(t.idsVettingPackets);
+      m.bypass = std::make_unique<vc::BypassController>(*m.fw, *m.ids);
     }
   }
   for (const auto& loss : t.losses) {
@@ -146,6 +210,22 @@ void buildPath(const PathTopology& t, Scenario& s, Materialized& m) {
     } else {
       wire.setLossModel(loss.direction, std::make_unique<net::PeriodicLoss>(loss.period));
     }
+  }
+  s.topo.computeRoutes();
+}
+
+/// Every host streams to its peer one site clockwise: one WAN hop per
+/// flow, and the same transit load on every ring segment.
+void buildRing(const RingTopology& t, const DeviceGraph& g, Scenario& s, Materialized& m) {
+  build(g, s.topo);
+  const auto& devices = s.topo.devices();
+  const auto site = static_cast<std::size_t>(t.hostsPerSite) + 1;  // a router, then its hosts
+  for (std::size_t k = 0; k < devices.size(); ++k) {
+    if (k % site == 0) continue;
+    const std::size_t peer = (k + site) % devices.size();
+    m.pairs.push_back({static_cast<net::Host*>(devices[k].get()),
+                       static_cast<net::Host*>(devices[peer].get()),
+                       numberedName("site", peer / site)});
   }
   s.topo.computeRoutes();
 }
@@ -312,26 +392,41 @@ void runWorkload(const WorkloadSpec& w, const std::string& p, const ScenarioSpec
       break;
     }
     case WorkloadKind::kTimedFlow: {
-      if (m.src == nullptr) incompatible(w, spec.topology);
+      if (m.pairs.empty()) incompatible(w, spec.topology);
       const auto cfg = toTcpConfig(w.tcp);
       m.flowSets.emplace_back();
       auto& set = m.flowSets.back();
-      net::FlowFactory::Options options;
-      options.port = port;
-      options.fidelity = w.fidelity;
-      // Create through the src host's context: under sharding the flow's
-      // client side (timers, arena blocks) must live in src's domain.
-      auto flow = net::flowFactory(m.src->ctx()).create(*m.src, *m.dst, cfg, options);
-      auto* raw = flow.get();
-      auto* flags = &set;
-      flow->onAccepted = [flags](int) { flags->connected = true; };
-      flow->onEstablished = [raw] { raw->sendData(sim::DataSize::terabytes(1)); };
-      flow->start();
+      set.accepted.assign(m.pairs.size() * static_cast<std::size_t>(w.streams), 0);
+      // Stream f of every pair uses port + f, so each server port is unique
+      // per (src, dst, stream) and merged span exports stay unambiguous.
+      for (const HostPair& pair : m.pairs) {
+        for (int f = 0; f < w.streams; ++f) {
+          net::FlowFactory::Options options;
+          options.port = static_cast<std::uint16_t>(w.port + f);
+          options.fidelity = w.fidelity;
+          // Create through the src host's context: under sharding the flow's
+          // client side (timers, arena blocks) must live in src's domain.
+          auto flow = net::flowFactory(pair.src->ctx()).create(*pair.src, *pair.dst, cfg, options);
+          auto* raw = flow.get();
+          flow->onAccepted = [slot = &set.accepted[set.flows.size()]](int) { *slot = 1; };
+          flow->onEstablished = [raw] { raw->sendData(sim::DataSize::terabytes(1)); };
+          flow->start();
+          set.flows.push_back(std::move(flow));
+        }
+      }
       s.runFor(sim::Duration::fromSeconds(w.runS));
-      r.metrics[p + ".delivered_bits"] = static_cast<double>(flow->deliveredBytes().bitCount());
-      r.metrics[p + ".established"] = set.connected ? 1.0 : 0.0;
-      r.metrics[p + ".retx"] = static_cast<double>(flow->retransmits());
-      set.flows.push_back(std::move(flow));
+      double& delivered = r.metrics[p + ".delivered_bits"];
+      double& retx = r.metrics[p + ".retx"];
+      for (std::size_t k = 0; k < set.flows.size(); ++k) {
+        const auto bits = static_cast<double>(set.flows[k]->deliveredBytes().bitCount());
+        delivered += bits;
+        retx += static_cast<double>(set.flows[k]->retransmits());
+        const std::string& group = m.pairs[k / static_cast<std::size_t>(w.streams)].group;
+        if (!group.empty()) r.metrics[p + "." + group + ".delivered_bits"] += bits;
+      }
+      r.metrics[p + ".established"] =
+          std::count(set.accepted.begin(), set.accepted.end(), 0) == 0 ? 1.0 : 0.0;
+      r.metrics[p + ".flows"] = static_cast<double>(set.flows.size());
       break;
     }
     case WorkloadKind::kParallelTransfer: {
@@ -457,14 +552,16 @@ void runWorkload(const WorkloadSpec& w, const std::string& p, const ScenarioSpec
 }
 
 /// Validate the sharding gate and arm the scenario before any topology
-/// construction. Sharded execution covers the conservative subset the
-/// determinism contract holds for: path topologies with pure packet-TCP
-/// flow workloads. Everything else is refused loudly, never degraded.
-void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
+/// construction, partitioning `graph` (the topology the builder will add).
+/// Sharded execution covers the conservative subset the determinism
+/// contract holds for: path and ring topologies with pure packet-TCP flow
+/// workloads. Everything else is refused loudly, never degraded.
+void maybeAttachShards(const ScenarioSpec& spec, int domains, const DeviceGraph& graph,
+                       Scenario& s) {
   if (domains <= 0) return;
-  if (spec.topology.kind != TopologyKind::kPath) {
+  if (spec.topology.kind != TopologyKind::kPath && spec.topology.kind != TopologyKind::kRing) {
     throw SpecError("sharded execution (domains=" + std::to_string(domains) +
-                    ") supports \"path\" topologies only, not \"" +
+                    ") supports \"path\" and \"ring\" topologies only, not \"" +
                     toString(spec.topology.kind) + "\"");
   }
   for (const auto& w : spec.workloads) {
@@ -488,19 +585,7 @@ void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
       spec.lookaheadUs > 0
           ? sim::Duration::microseconds(static_cast<std::int64_t>(spec.lookaheadUs))
           : sim::Duration::milliseconds(1);
-  const PathTopology& t = spec.topology.path;
-  ShardPlanBuilder b;
-  b.addNode(t.src.name);
-  if (t.middlebox != Middlebox::kNone) {
-    b.addNode(t.midName);
-    b.addNode(t.dst.name);
-    b.addEdge(t.src.name, t.midName, toLinkParams(t.link).delay);
-    b.addEdge(t.midName, t.dst.name, toLinkParams(t.link2 ? *t.link2 : t.link).delay);
-  } else {
-    b.addNode(t.dst.name);
-    b.addEdge(t.src.name, t.dst.name, toLinkParams(t.link).delay);
-  }
-  attachShards(s, b.plan(domains, floor), spec.seed, floor);
+  attachShards(s, planShards(graph, domains, floor), spec.seed, floor);
 }
 
 }  // namespace
@@ -510,15 +595,29 @@ net::Address numberedHost(std::uint8_t a, std::uint8_t b, int i) {
                       static_cast<std::uint8_t>(1 + i % 254));
 }
 
+DeviceGraph deviceGraph(const TopologySpec& topology) {
+  switch (topology.kind) {
+    case TopologyKind::kPath: return pathGraph(topology.path);
+    case TopologyKind::kRing: return ringGraph(topology.ring);
+    case TopologyKind::kFanin:
+    case TopologyKind::kEnterpriseEdge:
+    case TopologyKind::kSite:
+    case TopologyKind::kUsecase: break;
+  }
+  return {};
+}
+
 ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell) {
   Scenario s(spec.seed);
   if (spec.telemetry) s.ctx.telemetry().enable();
-  maybeAttachShards(spec, processDomainsOverride().value_or(spec.domains), s);
+  const DeviceGraph graph = deviceGraph(spec.topology);
+  maybeAttachShards(spec, processDomainsOverride().value_or(spec.domains), graph, s);
 
   Materialized m;
   ScenarioResult r;
   switch (spec.topology.kind) {
-    case TopologyKind::kPath: buildPath(spec.topology.path, s, m); break;
+    case TopologyKind::kPath: buildPath(spec.topology.path, graph, s, m); break;
+    case TopologyKind::kRing: buildRing(spec.topology.ring, graph, s, m); break;
     case TopologyKind::kFanin: buildFanin(spec.topology.fanin, s, m); break;
     case TopologyKind::kEnterpriseEdge: buildEnterpriseEdge(spec.topology.edge, s, m); break;
     case TopologyKind::kSite: buildSite(spec.topology.site, s, m); break;

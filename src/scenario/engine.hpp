@@ -14,6 +14,7 @@
 #include <string>
 
 #include "net/address.hpp"
+#include "scenario/partition.hpp"
 #include "scenario/spec.hpp"
 #include "sim/sweep.hpp"
 
@@ -51,6 +52,11 @@ struct ScenarioResult {
 /// Throws SpecError when the spec combines a workload with a topology that
 /// cannot host it (e.g. a campaign on a two-host path).
 ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell);
+
+/// The devices and links of a path or ring topology, in construction
+/// order: what runSpec builds and what the shard partitioner cuts. Empty
+/// for the other kinds, which build themselves.
+[[nodiscard]] DeviceGraph deviceGraph(const TopologySpec& topology);
 
 /// Build and run one Section 6 use case in the cell's scenario, writing the
 /// metrics its catalog renderer reads. Defined in catalog_usecases.cpp.

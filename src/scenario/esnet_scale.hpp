@@ -1,15 +1,9 @@
-// esnet_scale: a ring of ESnet-style sites sized to exercise the sharded
-// scheduler. K site routers are stitched into a WAN ring whose segment
-// delays all sit above the lookahead floor (every ring link is
-// cut-eligible); each site hangs `hostsPerSite` DTNs off its router on
-// 10 us LAN links (never cut — the partitioner contracts them), and every
-// host runs bulk flows to its peer host one site clockwise. Transit load
-// is therefore spread evenly around the ring: with domains == sites each
-// worker owns exactly one site and only WAN handoffs cross domains.
-//
-// The per-site delivered-bytes table is the determinism artifact: it must
-// be byte-identical at every --domains, while events/s scales with the
-// worker count (bench/micro_shard measures that curve).
+// runEsnetScale: the catalog's esnet_scale ring driven from a plain config.
+// The end-to-end benchmark (bench/e2e) calls it, and that is its only
+// reason to exist: the ring itself is the `esnet_scale` spec, a `ring`
+// topology. The shim (in src/scenario/catalog_scale.cpp) copies the config
+// into that spec, runs it through runSpec, and reads the per-site table
+// back out of the metrics.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +21,9 @@ struct EsnetScaleConfig {
   /// Simulated time to run after flow start.
   sim::Duration runDuration = sim::Duration::milliseconds(500);
   std::uint64_t seed = 20130101;
-  /// Conservative lookahead floor; every WAN ring delay is >= this.
-  sim::Duration lookahead = sim::Duration::milliseconds(5);
   /// Requested worker domains (>= 1). 1 still runs the sharded scheduler —
   /// it is the byte-compare baseline for every higher count.
   int domains = 1;
-  sim::DataRate wanRate = sim::DataRate::gigabitsPerSecond(100);
-  sim::DataRate hostRate = sim::DataRate::gigabitsPerSecond(10);
 };
 
 struct EsnetScaleResult {
@@ -43,10 +33,7 @@ struct EsnetScaleResult {
   std::uint64_t flows = 0;
 };
 
-/// Build the ring, attach shards at cfg.domains, run for cfg.runDuration,
-/// and finish `cell` with the standard sharded bookkeeping (events,
-/// per-domain event split, merged telemetry/spans). Refuses --profile and
-/// a process-wide fluid fidelity override, like the engine's gate.
+/// Run the esnet_scale spec at `cfg` and finish `cell` as runSpec does.
 EsnetScaleResult runEsnetScale(const EsnetScaleConfig& cfg, sim::SweepCell& cell);
 
 }  // namespace scidmz::scenario

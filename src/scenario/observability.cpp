@@ -8,6 +8,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,15 @@ namespace {
 std::string g_trace_base;    // set by --trace=<base>
 std::string g_profile_base;  // set by --profile=<base>
 bool g_profile_flag = false;
+
+/// Write `path` through `write`, throwing, not skipping, when it fails.
+template <typename Write>
+void writeFile(const std::string& path, Write write) {
+  std::ofstream out(path);
+  write(out);
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
+}
 
 std::string fmtSeconds(std::int64_t ns) {
   char buf[32];
@@ -210,9 +220,8 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
     // Per-cell files keep sweep workers from sharing a stream; cell.index
     // makes the paths deterministic at any SCIDMZ_SWEEP_THREADS.
     if (const std::string base = traceOutputBase(); !base.empty()) {
-      if (std::ofstream out(base + ".cell" + std::to_string(cell.index) + ".trace.json"); out) {
-        tracer->exportChromeTrace(out, now, cell.index);
-      }
+      writeFile(base + ".cell" + std::to_string(cell.index) + ".trace.json",
+                [&](std::ostream& out) { tracer->exportChromeTrace(out, now, cell.index); });
     }
   }
   // --profile does not compose with sharding (attachShards refuses it),
@@ -227,9 +236,8 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
     prof->setHighWater("packet_pool_slots", s.ctx.pool().slotCount());
     const std::string base = profileOutputBase();
     if (!base.empty()) {
-      if (std::ofstream out(base + ".cell" + std::to_string(cell.index) + ".profile.json"); out) {
-        prof->exportJson(out);
-      }
+      writeFile(base + ".cell" + std::to_string(cell.index) + ".profile.json",
+                [&](std::ostream& out) { prof->exportJson(out); });
     }
   }
 }

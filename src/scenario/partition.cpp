@@ -1,72 +1,53 @@
 #include "scenario/partition.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace scidmz::scenario {
 
-int ShardPlanBuilder::indexOf(const std::string& name) {
-  const auto [it, inserted] = index_.try_emplace(name, static_cast<int>(nodes_.size()));
-  if (inserted) nodes_.push_back(name);
-  return it->second;
-}
+ShardPlan planShards(const DeviceGraph& graph, int requestedDomains,
+                     sim::Duration lookaheadFloor) {
+  const std::vector<DeviceGraph::Node>& nodes = graph.nodes;
 
-void ShardPlanBuilder::addNode(const std::string& name) { indexOf(name); }
-
-void ShardPlanBuilder::addEdge(const std::string& a, const std::string& b, sim::Duration delay) {
-  const int ia = indexOf(a);
-  const int ib = indexOf(b);
-  edges_.push_back(Edge{ia, ib, delay});
-}
-
-ShardPlan ShardPlanBuilder::plan(int requestedDomains, sim::Duration lookaheadFloor) const {
-  ShardPlan out;
-  if (requestedDomains < 1) requestedDomains = 1;
-
-  // Union-find; contract every sub-floor edge.
-  std::vector<int> parent(nodes_.size());
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&parent](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
+  // Union-find; contract every sub-floor link.
+  std::vector<std::size_t> parent(nodes.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&parent](std::size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   };
-  for (const Edge& e : edges_) {
-    if (e.delay >= lookaheadFloor) continue;
-    const int ra = find(e.a);
-    const int rb = find(e.b);
-    // Union toward the lower root so atom identity follows first mention.
-    if (ra != rb) parent[static_cast<std::size_t>(ra < rb ? rb : ra)] = ra < rb ? ra : rb;
+  for (const DeviceGraph::Link& link : graph.links) {
+    if (link.params.delay >= lookaheadFloor) continue;
+    const std::size_t ra = find(link.a);
+    const std::size_t rb = find(link.b);
+    // Union toward the lower root so atom identity follows node order.
+    parent[std::max(ra, rb)] = std::min(ra, rb);
   }
 
-  // Atoms in first-mention order, with device counts.
-  std::vector<int> atomOf(nodes_.size(), -1);
-  std::vector<std::vector<int>> atoms;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const int root = find(static_cast<int>(i));
-    if (atomOf[static_cast<std::size_t>(root)] < 0) {
-      atomOf[static_cast<std::size_t>(root)] = static_cast<int>(atoms.size());
+  // Atoms in node order, with their devices.
+  std::vector<int> atomOf(nodes.size(), -1);
+  std::vector<std::vector<std::size_t>> atoms;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    int& atom = atomOf[find(i)];
+    if (atom < 0) {
+      atom = static_cast<int>(atoms.size());
       atoms.emplace_back();
     }
-    atoms[static_cast<std::size_t>(atomOf[static_cast<std::size_t>(root)])].push_back(
-        static_cast<int>(i));
+    atoms[static_cast<std::size_t>(atom)].push_back(i);
   }
 
+  ShardPlan out;
   const int effective =
-      atoms.empty() ? 1 : std::min<int>(requestedDomains, static_cast<int>(atoms.size()));
+      std::clamp(requestedDomains, 1, std::max(1, static_cast<int>(atoms.size())));
   out.domains = effective;
 
   // Contiguous blocking balanced by device count: domain d ends once the
   // running total crosses (d+1)/effective of all devices.
-  const std::size_t total = nodes_.size();
+  const std::size_t total = nodes.size();
   int domain = 0;
   std::size_t assigned = 0;
   for (const auto& atom : atoms) {
-    for (const int node : atom) {
-      out.nodeDomain[nodes_[static_cast<std::size_t>(node)]] = domain;
-    }
+    for (const std::size_t node : atom) out.nodeDomain[nodes[node].name] = domain;
     assigned += atom.size();
     while (domain + 1 < effective &&
            assigned * static_cast<std::size_t>(effective) >=

@@ -1,19 +1,55 @@
-// Automatic topology partitioner for sharded execution: contract every
-// edge whose propagation delay is below the lookahead floor (those links
-// must never be cut), then deal the resulting atoms — LAN-connected device
-// groups — into contiguous, device-count-balanced domains. WAN links
-// (delay >= floor) are the only cut points, exactly the Science DMZ shape:
-// sites are dense low-latency islands stitched by long-haul paths.
+// A shardable topology as data, and the partitioner that reads it. The
+// engine builds net::Topology from a DeviceGraph and planShards() cuts the
+// same graph, so the plan and the built topology cannot disagree. The cut
+// contracts every link whose delay is below the lookahead floor, then deals
+// the resulting atoms — LAN-connected device groups — into contiguous,
+// device-count-balanced domains: WAN links are the only cut points, the
+// Science DMZ shape of dense sites stitched by long-haul paths.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "net/address.hpp"
+#include "net/firewall.hpp"
+#include "net/link.hpp"
+#include "net/switch.hpp"
 #include "sim/units.hpp"
 
 namespace scidmz::scenario {
+
+/// The devices and links of one topology, in the order they are built.
+struct DeviceGraph {
+  enum class Kind { kHost, kRouter, kSwitch, kFirewall };
+
+  struct Node {
+    Kind kind = Kind::kHost;
+    std::string name;
+    net::Address address;                  ///< hosts
+    net::SwitchProfile switchProfile;      ///< routers and switches
+    net::FirewallProfile firewallProfile;  ///< firewalls
+  };
+
+  struct Link {
+    std::size_t a = 0;  ///< node index of the first endpoint
+    std::size_t b = 0;
+    net::LinkParams params;
+  };
+
+  /// Append a node with default profiles; returns its index.
+  std::size_t add(Kind kind, std::string name, net::Address address = {}) {
+    nodes.push_back(Node{kind, std::move(name), address, {}, {}});
+    return nodes.size() - 1;
+  }
+  void connect(std::size_t a, std::size_t b, net::LinkParams params) {
+    links.push_back(Link{a, b, params});
+  }
+
+  std::vector<Node> nodes;
+  std::vector<Link> links;
+};
 
 /// The partitioner's output: how many domains were actually used (never
 /// more than the number of atoms) and each device's assignment.
@@ -22,30 +58,11 @@ struct ShardPlan {
   std::map<std::string, int> nodeDomain;
 };
 
-/// Collects the device graph by name, then plans. Nodes referenced only by
-/// addEdge are registered implicitly; insertion order (first mention) is
-/// the deterministic atom order.
-class ShardPlanBuilder {
- public:
-  void addNode(const std::string& name);
-  void addEdge(const std::string& a, const std::string& b, sim::Duration delay);
-
-  /// Partition into at most `requestedDomains` (>= 1) domains with cuts
-  /// only at edges of delay >= `lookaheadFloor`. Atoms are assigned to
-  /// domains in first-mention order, blocked so device counts balance.
-  [[nodiscard]] ShardPlan plan(int requestedDomains, sim::Duration lookaheadFloor) const;
-
- private:
-  int indexOf(const std::string& name);
-
-  struct Edge {
-    int a = 0;
-    int b = 0;
-    sim::Duration delay = sim::Duration::zero();
-  };
-  std::vector<std::string> nodes_;
-  std::unordered_map<std::string, int> index_;
-  std::vector<Edge> edges_;
-};
+/// Partition `graph` into at most `requestedDomains` (>= 1) domains with
+/// cuts only at links of delay >= `lookaheadFloor`. Atoms are numbered by
+/// their first node in construction order and assigned to domains in that
+/// order, blocked so device counts balance.
+[[nodiscard]] ShardPlan planShards(const DeviceGraph& graph, int requestedDomains,
+                                   sim::Duration lookaheadFloor);
 
 }  // namespace scidmz::scenario

@@ -49,7 +49,7 @@ struct ShardRuntime {
   std::unique_ptr<sim::ShardedSimulator> sharded;
 };
 
-/// Arm `s` for sharded execution per `plan` (from ShardPlanBuilder or a
+/// Arm `s` for sharded execution per `plan` (from planShards or a
 /// hand-written map). Must run before any topology construction; refuses a
 /// non-positive lookahead (zero lookahead means no conservative window) or
 /// an armed profiler (its counters are single-queue by construction).

@@ -197,8 +197,9 @@ class Io {
     if (!v) v.emplace();
     object(key, *v);
   }
+  /// An array of fragments; reading refuses fewer than `minItems`.
   template <typename T>
-  void array(const char* key, std::vector<T>& v);
+  void array(const char* key, std::vector<T>& v, std::size_t minItems = 0);
 
   /// Reading: refuse any key no call took.
   void done() const {
@@ -333,6 +334,14 @@ void io(Io& io, UsecaseTopology& u) {
   if (u.which != UsecaseKind::kPennStateSeries) io.field("vendor_fix", u.vendorFix);
 }
 
+void io(Io& io, RingTopology& r) {
+  // Site i's hosts are 10.i.(j / 250).(j % 250 + 1).
+  io.field("sites", r.sites, {2, 250});
+  io.field("hosts_per_site", r.hostsPerSite, {1, 250 * 250});
+  io.array("wan", r.wan, 1);
+  io.object("lan", r.lan);
+}
+
 void io(Io& io, TopologySpec& t) {
   io.field("kind", t.kind);
   const char* key = toString(t.kind);  // each kind's fragment sits under its name
@@ -342,6 +351,7 @@ void io(Io& io, TopologySpec& t) {
     case TopologyKind::kEnterpriseEdge: io.object(key, t.edge); break;
     case TopologyKind::kSite: io.object(key, t.site); break;
     case TopologyKind::kUsecase: io.object(key, t.usecase); break;
+    case TopologyKind::kRing: io.object(key, t.ring); break;
   }
 }
 
@@ -381,7 +391,7 @@ void io(Io& io, WorkloadSpec& w) {
   if (!is(kDtnTransfer, kCampaign, kRoce)) port();
   if (is(kParallelTransfer, kDtnTransfer, kRoce)) io.field("bytes", w.bytes);
   if (is(kDtnTransfer)) port();
-  if (is(kParallelTransfer)) io.field("streams", w.streams, kPorts);  // no more than ports
+  if (is(kParallelTransfer, kTimedFlow)) io.field("streams", w.streams, kPorts);  // one port each
   if (is(kSteadyFlow, kConvergingFlows)) {
     io.field("warmup_s", w.warmupS, kSeconds);
     io.field("window_s", w.windowS, kSeconds);
@@ -412,12 +422,15 @@ void io(Io& io, ScenarioSpec& s) {
     throw SpecError("\"workloads\" must be empty for a usecase topology (\"" + s.name +
                     "\"): the use case drives its own simulation");
   }
-  // A fan-in's converging flows take one port per sender from base_port up.
-  if (s.topology.kind != TopologyKind::kFanin) return;
   for (std::size_t i = 0; i < s.workloads.size(); ++i) {
-    if (s.workloads[i].kind == WorkloadKind::kConvergingFlows) {
-      checkPortBlock(i, "base_port", s.workloads[i].port,
-                     static_cast<std::size_t>(s.topology.fanin.senders));
+    const WorkloadSpec& w = s.workloads[i];
+    // A timed_flow's streams take one port each from port up; a fan-in's
+    // converging flows one per sender from base_port up.
+    if (w.kind == WorkloadKind::kTimedFlow) {
+      checkPortBlock(i, "port", w.port, static_cast<std::size_t>(w.streams));
+    }
+    if (w.kind == WorkloadKind::kConvergingFlows && s.topology.kind == TopologyKind::kFanin) {
+      checkPortBlock(i, "base_port", w.port, static_cast<std::size_t>(s.topology.fanin.senders));
     }
   }
 }
@@ -438,7 +451,7 @@ void Io::object(const char* key, T& v) {
 }
 
 template <typename T>
-void Io::array(const char* key, std::vector<T>& v) {
+void Io::array(const char* key, std::vector<T>& v, std::size_t minItems) {
   if (writing()) {
     Json items = Json::array();
     for (auto& item : v) {
@@ -449,6 +462,11 @@ void Io::array(const char* key, std::vector<T>& v) {
     return;
   }
   const Json& items = *take(key, Json::Kind::kArray, "an array");
+  if (items.size() < minItems) {
+    throw SpecError("\"" + childPath(key) + "\" must be an array of " + std::to_string(minItems) +
+                    " or more items, got " + std::to_string(items.size()));
+  }
+  v.clear();  // the document's items replace the fragment's defaults
   for (std::size_t i = 0; i < items.size(); ++i) {
     Io child(items.at(i), childPath(key) + "[" + std::to_string(i) + "]");
     io(child, v.emplace_back());
@@ -494,7 +512,7 @@ const char* toString(UsecaseKind v) {
 }
 
 const char* toString(TopologyKind v) {
-  return nameIn({"path", "fanin", "enterprise_edge", "site", "usecase"}, v);
+  return nameIn({"path", "fanin", "enterprise_edge", "site", "usecase", "ring"}, v);
 }
 
 const char* toString(WorkloadKind v) {

@@ -1,8 +1,8 @@
 // ScenarioSpec: the declarative description of one simulation cell — the
 // topology (a point-to-point science path, a fan-in aggregation, an
-// enterprise edge, one of the paper's reference site designs, or a Section
-// 6 use case), optional analytic passes (validator, path assessment), and
-// an ordered list of workloads to run over it.
+// enterprise edge, one of the paper's reference site designs, a Section 6
+// use case, or a WAN ring of sites), optional analytic passes (validator,
+// path assessment), and an ordered list of workloads to run over it.
 //
 // Specs serialize to `scidmz.scenario.v2` JSON documents, the only schema
 // parsing accepts, with the discipline of the binary seam's
@@ -141,7 +141,22 @@ struct UsecaseTopology {
   bool vendorFix = false;  ///< after the paper's remedy (all but the series)
 };
 
-enum class TopologyKind { kPath, kFanin, kEnterpriseEdge, kSite, kUsecase };
+/// `sites` routers in a WAN ring, each with `hostsPerSite` hosts on `lan`
+/// links; segment r<i> -> r<i+1 mod sites> is `wan[i mod wan.size()]`. The
+/// default 10/12/14/12 ms cycle gives the shard cuts unequal delays while
+/// transit load still balances. A timed_flow streams from every host to
+/// its peer one site clockwise.
+struct RingTopology {
+  int sites = 8;
+  int hostsPerSite = 4;
+  std::vector<LinkSpec> wan{{100000, 10000, 9000},
+                            {100000, 12000, 9000},
+                            {100000, 14000, 9000},
+                            {100000, 12000, 9000}};
+  LinkSpec lan{10000, 10, 9000};
+};
+
+enum class TopologyKind { kPath, kFanin, kEnterpriseEdge, kSite, kUsecase, kRing };
 
 struct TopologySpec {
   TopologyKind kind = TopologyKind::kPath;
@@ -150,6 +165,7 @@ struct TopologySpec {
   EnterpriseEdgeTopology edge;
   SiteTopology site;
   UsecaseTopology usecase;
+  RingTopology ring;
 };
 
 // --- analysis --------------------------------------------------------------
@@ -188,7 +204,7 @@ struct WorkloadSpec {
   double drainS = 10.0;   ///< background: post-stop drain
   double timeoutS = 1200.0;  ///< parallel/dtn/campaign/roce run bound
   std::uint64_t bytes = 0;   ///< parallel total, dtn file, roce payload
-  int streams = 1;           ///< parallel_transfer
+  int streams = 1;           ///< parallel_transfer; timed_flow: flows per host pair
   std::string file = "sample.dat";  ///< dtn_transfer
   std::string srcCluster = "src";   ///< campaign
   std::string dstCluster = "dst";   ///< campaign

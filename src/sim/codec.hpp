@@ -197,7 +197,8 @@ class BitReader {
 
   [[nodiscard]] std::string readString() {
     const std::uint64_t n = readVarint();
-    if (fail_ || pos_ + n * 8 > bit_size_) {
+    // No multiply: n * 8 wraps for a length of 2^61 or more.
+    if (fail_ || n > (bit_size_ - pos_) / 8) {
       fail_ = true;
       return {};
     }
@@ -211,7 +212,7 @@ class BitReader {
 
   void readRaw(void* out, std::size_t n) {
     align();
-    if (fail_ || pos_ + n * 8 > bit_size_) {
+    if (fail_ || n > (bit_size_ - pos_) / 8) {
       fail_ = true;
       std::memset(out, 0, n);
       return;

@@ -4,12 +4,14 @@
 // without tracing, because all cut-eligible links route through reserved-
 // sequence channels at every domain count. Plus the scenario-layer
 // boundary edge cases: zero-lookahead rejection, a flow whose path spans
-// three domains, a cross-domain link below the lookahead floor, and a
-// packet handed across a channel field for field.
+// three domains, a cross-domain link below the lookahead floor, a
+// packet handed across a channel field for field, and the plans the ring's
+// and a path's device graphs yield.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,7 +23,6 @@
 #include "net/packet_pool.hpp"
 #include "net/topology.hpp"
 #include "scenario/engine.hpp"
-#include "scenario/esnet_scale.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/observability.hpp"
 #include "scenario/partition.hpp"
@@ -39,26 +40,21 @@ namespace {
 
 using namespace scidmz::sim::literals;
 
-EsnetScaleConfig smallRing() {
-  EsnetScaleConfig cfg;
-  cfg.sites = 8;
-  cfg.hostsPerSite = 1;
-  cfg.flowsPerHost = 1;
-  cfg.runDuration = 120_ms;
-  return cfg;
-}
-
+/// The catalog's esnet_scale ring cut down to one host per site, run for
+/// 120 ms at `domains`.
 struct CellResult {
-  EsnetScaleResult result;
+  ScenarioResult result;
   sim::SweepCellStats stats;
 };
 
 CellResult runRingAt(int domains) {
-  EsnetScaleConfig cfg = smallRing();
-  cfg.domains = domains;
+  ScenarioSpec spec = ScenarioRegistry::builtin().find("esnet_scale")->specs().at(0);
+  spec.topology.ring.hostsPerSite = 1;
+  spec.workloads.at(0).runS = 0.12;
+  spec.domains = domains;
   sim::SweepRunner sweep{1};
-  auto results = sweep.run<EsnetScaleResult>(
-      1, [&](sim::SweepCell& cell) { return runEsnetScale(cfg, cell); }, "shard_test");
+  auto results = sweep.run<ScenarioResult>(
+      1, [&](sim::SweepCell& cell) { return runSpec(spec, cell); }, "shard_test");
   CellResult out;
   out.result = results.at(0);
   out.stats = sweep.lastRun().cells.at(0);
@@ -70,8 +66,9 @@ TEST(ShardDeterminism, RingByteIdenticalAt1_2_8Domains) {
   const CellResult d2 = runRingAt(2);
   const CellResult d8 = runRingAt(8);
 
-  EXPECT_EQ(d1.result.deliveredBySite, d2.result.deliveredBySite);
-  EXPECT_EQ(d1.result.deliveredBySite, d8.result.deliveredBySite);
+  EXPECT_GT(d1.result.at("w0.site0.delivered_bits"), 0.0);
+  EXPECT_EQ(d1.result.metrics, d2.result.metrics);
+  EXPECT_EQ(d1.result.metrics, d8.result.metrics);
   // With no per-domain samplers in play the event interleaving — and hence
   // the executed count — is identical at every partition.
   EXPECT_EQ(d1.stats.eventsExecuted, d2.stats.eventsExecuted);
@@ -96,8 +93,8 @@ TEST(ShardDeterminism, RingTelemetrySnapshotByteIdenticalAt1_2_8Domains) {
   const CellResult d8 = runRingAt(8);
   ::unsetenv("SCIDMZ_TELEMETRY");
 
-  EXPECT_EQ(d1.result.deliveredBySite, d2.result.deliveredBySite);
-  EXPECT_EQ(d1.result.deliveredBySite, d8.result.deliveredBySite);
+  EXPECT_EQ(d1.result.metrics, d2.result.metrics);
+  EXPECT_EQ(d1.result.metrics, d8.result.metrics);
   EXPECT_FALSE(d1.stats.telemetryJson.empty());
   EXPECT_EQ(d1.stats.telemetryJson, d2.stats.telemetryJson);
   EXPECT_EQ(d1.stats.telemetryJson, d8.stats.telemetryJson);
@@ -176,6 +173,44 @@ TEST(ShardDeterminism, SdnPolicyComparisonByteIdenticalAt1_2_8Domains) {
   const std::string d1 = sdnPolicyComparisonAt(1);
   EXPECT_EQ(d1, sdnPolicyComparisonAt(2));
   EXPECT_EQ(d1, sdnPolicyComparisonAt(8));
+}
+
+/// Each site's router and hosts, as the ring's graph names them.
+std::vector<std::string> siteDevices(std::size_t site, std::size_t hosts) {
+  std::vector<std::string> names{numberedName("r", site)};
+  for (std::size_t j = 0; j < hosts; ++j) {
+    names.push_back(numberedName("s", site) + numberedName("h", j));
+  }
+  return names;
+}
+
+TEST(ShardPlan, GraphsYieldSiteBlocksOnTheRingAndTheSplitPath) {
+  TopologySpec ring;
+  ring.kind = TopologyKind::kRing;  // 8 sites x 4 hosts, WAN segments 10-14 ms
+  const DeviceGraph ringGraph = deviceGraph(ring);
+  ASSERT_EQ(ringGraph.nodes.size(), 40u);
+  for (const int domains : {2, 8}) {
+    const ShardPlan plan = planShards(ringGraph, domains, 5_ms);
+    ASSERT_EQ(plan.domains, domains);
+    ASSERT_EQ(plan.nodeDomain.size(), 40u);
+    for (std::size_t site = 0; site < 8; ++site) {
+      for (const std::string& name : siteDevices(site, 4)) {
+        EXPECT_EQ(plan.nodeDomain.at(name), static_cast<int>(site) * domains / 8)
+            << name << " at " << domains;
+      }
+    }
+  }
+  // A floor above every WAN delay contracts the whole ring into one atom.
+  EXPECT_EQ(planShards(ringGraph, 8, 20_ms).domains, 1);
+
+  // a -10 ms- mid -10 ms- b at 2 domains: the router stays with a.
+  TopologySpec path;
+  path.path.middlebox = Middlebox::kRouter;
+  path.path.link.delayUs = 10000;
+  const ShardPlan split = planShards(deviceGraph(path), 2, 5_ms);
+  EXPECT_EQ(split.domains, 2);
+  const std::map<std::string, int> want{{"a", 0}, {"mid", 0}, {"b", 1}};
+  EXPECT_EQ(split.nodeDomain, want);
 }
 
 /// A five-device path a — r0 — r1 — r2 — b with 10 ms WAN hops, the flow

@@ -31,6 +31,13 @@ TEST(ScenarioSpec, CatalogRoundTripsByteIdentical) {
   EXPECT_GT(cells, 100u);  // the catalog is not accidentally empty
 }
 
+/// Every entry but fig2's perfSONAR mesh has a spec form.
+TEST(ScenarioSpec, OnlyFig2IsNative) {
+  for (const auto& entry : ScenarioRegistry::builtin().entries()) {
+    EXPECT_EQ(entry.native != nullptr, entry.name == "fig2_dashboard_mesh") << entry.name;
+  }
+}
+
 TEST(ScenarioSpec, PrettyFormAlsoRoundTrips) {
   const auto specs = ScenarioRegistry::builtin().find("fig1_tcp_loss_rtt")->specs();
   ASSERT_FALSE(specs.empty());
@@ -376,6 +383,14 @@ TEST(ScenarioSpec, OutOfBoundsValuesAreRefusedNamingTheKey) {
   campaign.kind = WorkloadKind::kCampaign;
   siteSpec.workloads.push_back(campaign);
   const Json site = siteSpec.toJson();
+  ScenarioSpec ringSpec;
+  ringSpec.name = "ring";
+  ringSpec.topology.kind = TopologyKind::kRing;
+  WorkloadSpec streams;
+  streams.kind = WorkloadKind::kTimedFlow;
+  streams.streams = 2;
+  ringSpec.workloads.push_back(streams);
+  const Json ring = ringSpec.toJson();
   struct Case {
     const Json* doc;
     const char* path;
@@ -410,9 +425,18 @@ TEST(ScenarioSpec, OutOfBoundsValuesAreRefusedNamingTheKey) {
       {&site, "topology.site.dtn_count", 241, "between 1 and 240"},
       {&site, "topology.site.compute_node_count", -1, "between 0 and 254"},
       {&site, "workloads.0.files", -1, "between 0 and"},
+      {&ring, "topology.ring.sites", 1, "between 2 and 250, got 1"},
+      {&ring, "topology.ring.sites", 251, "between 2 and 250, got 251"},
+      {&ring, "topology.ring.hosts_per_site", 0, "between 1 and 62500, got 0"},
+      {&ring, "topology.ring.hosts_per_site", 62501, "between 1 and 62500, got 62501"},
+      {&ring, "topology.ring.wan", Json::array(), "an array of 1 or more items, got 0"},
+      {&ring, "topology.ring.wan.2.delay_us", 1e13, "between 0 and 1000000000000"},
+      {&ring, "workloads.0.streams", 0, "between 1 and 65535, got 0"},
+      {&ring, "workloads.0.port", 65535, "at most 65534 for 2 ports, got 65535"},
   };
   ASSERT_NO_THROW(ScenarioSpec::fromJson(path));
   ASSERT_NO_THROW(ScenarioSpec::fromJson(site));
+  ASSERT_NO_THROW(ScenarioSpec::fromJson(ring));
   for (const auto& c : cases) {
     Json doc = *c.doc;
     Json& member = memberAt(doc, c.path);

@@ -91,6 +91,20 @@ TEST(Codec, StringRoundTrip) {
   EXPECT_EQ(r.readString(), std::string(300, 'x'));
 }
 
+TEST(Codec, StringLengthPastTheEndFailsWithoutAllocating) {
+  // 2^61 + 1 times 8 wraps to 8, which a multiplying check would let
+  // through to reserve 2^61 bytes.
+  for (const std::uint64_t n : {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1,
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    BitWriter w;
+    w.writeVarint(n);
+    w.writeU64(0);
+    BitReader r(w.bytes().data(), w.byteSize());
+    EXPECT_EQ(r.readString(), "") << n;
+    EXPECT_TRUE(r.fail()) << n;
+  }
+}
+
 TEST(Codec, ReadPastEndSetsStickyFail) {
   BitWriter w;
   w.writeU8(42);

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -68,13 +69,14 @@ std::size_t cellCount(const scenario::ScenarioEntry& entry) {
 }
 
 /// Spec-driven entries with at least one TCP-flow workload honor the
-/// --fidelity override (pinned flows aside); native entries drive their own
-/// simulations and may pin fidelity throughout.
+/// --fidelity override (pinned flows aside), unless the spec shards, which
+/// pins packet fidelity; native entries drive their own simulations and may
+/// pin fidelity throughout.
 bool fluidCapable(const scenario::ScenarioEntry& entry) {
   if (!entry.specs) return false;
   for (const auto& spec : entry.specs()) {
     for (const auto& w : spec.workloads) {
-      if (scenario::workloadHasFidelity(w.kind)) return true;
+      if (spec.domains == 0 && scenario::workloadHasFidelity(w.kind)) return true;
     }
   }
   return false;
@@ -418,7 +420,7 @@ int main(int argc, char** argv) {
     if (!specFile.empty()) {
       if (const int rc = runSpecFile(specFile, sweeps); rc != 0) return rc;
     }
-  } catch (const scenario::JsonError& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "scidmz_run: %s\n", e.what());
     return 1;
   }

@@ -332,7 +332,7 @@ def validate_table(doc, where):
     return f"scidmz.bench.table.v1, bench {doc['bench']!r}, {len(rows)} rows"
 
 
-TOPOLOGY_KINDS = {"path", "fanin", "enterprise_edge", "site", "usecase"}
+TOPOLOGY_KINDS = {"path", "fanin", "enterprise_edge", "site", "usecase", "ring"}
 WORKLOAD_KINDS = {"steady_flow", "converging_flows", "timed_flow", "parallel_transfer",
                   "dtn_transfer", "campaign", "probe", "roce", "background"}
 SCENARIO_FAMILIES = {"figure", "arch", "usecase", "ablation", "vc", "scale"}
