@@ -70,9 +70,12 @@ void Link::transmitComplete(int fromEnd, PacketRef packet) {
   }
   const sim::SimTime at = sctx.now() + params_.delay;
   if (Outbox* out = outbox_[d].get()) {
-    // Boundary channel: stage the handle; its slot recycles at the drain.
-    out->pending.push(DelayRecord{
-        at, sim::ShardedSimulator::boundarySeq(out->channel, out->sent++), std::move(packet)});
+    const std::uint64_t seq = sim::ShardedSimulator::boundarySeq(out->channel, out->sent++);
+    if (out->cut) {
+      out->pending.push(DelayRecord{at, seq, std::move(packet)});
+    } else {
+      line_[d].push(at, seq, std::move(packet));
+    }
     return;
   }
   line_[d].push(at, std::move(packet));
@@ -83,15 +86,20 @@ void Link::routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int
     Outbox& out = *(outbox_[d] = std::make_unique<Outbox>());
     out.link = this;
     out.dir = d;
-    out.channel = sharded.addChannel(d == 0 ? domainB : domainA, params_.delay, out);
+    out.cut = domainA != domainB;
+    out.channel = sharded.addChannel(d == 0 ? domainB : domainA, params_.delay,
+                                     out.cut ? &out : nullptr);
+    if (out.cut) {
+      Context& sctx = end(d).owner().ctx();
+      sctx.pool().shareAcrossDomains(sctx.sim());
+    }
   }
 }
 
 void Link::Outbox::drain() {
-  Context& dctx = link->peer(dir).owner().ctx();
-  while (!pending.empty()) {
-    DelayRecord m = pending.pop();
-    link->line_[dir].push(m.at, m.seq, dctx.pool().acquire(Packet{*m.packet}));
+  while (!ready.empty()) {
+    DelayRecord m = ready.pop();
+    link->line_[dir].push(m.at, m.seq, std::move(m.packet));
   }
 }
 

@@ -50,15 +50,17 @@ class Link {
 
   /// Called by the transmitting Interface when serialization finishes;
   /// applies loss and appends the packet to the direction's delay line (or,
-  /// in channel mode, stages the handle itself for the destination domain).
+  /// on a cut channel, stages the handle itself for the destination domain).
   /// Takes ownership of the handle; a lost packet's slot recycles here.
   void transmitComplete(int fromEnd, PacketRef packet);
 
   /// Sharded execution: register one boundary channel per direction
-  /// (A->B into `domainB`, then B->A into `domainA`) and route deliveries
-  /// through them. Applied to every cut-eligible link (delay >= the
-  /// lookahead floor) at every domain count, even when both ends share a
-  /// domain, so event interleaving does not depend on the partition.
+  /// (A->B into `domainB`, then B->A into `domainA`) and key deliveries by
+  /// them. Applied to every cut-eligible link (delay >= the lookahead
+  /// floor) at every domain count, so event interleaving does not depend on
+  /// the partition. A direction whose ends share a domain pushes straight
+  /// onto its delay line under the channel key; a cut direction stages its
+  /// handles in an Outbox, and marks the sending pool shared.
   /// Staged packets are invisible to snapshots: incompatible with them.
   void routeThroughChannels(sim::ShardedSimulator& sharded, int domainA, int domainB);
 
@@ -123,19 +125,30 @@ class Link {
   };
   void initTelemetry(int dir);
 
-  /// One direction's boundary channel, allocated only in channel mode: the
-  /// sending domain's handles, keyed for the destination domain. drain(),
-  /// with every worker parked, copies each packet into the destination
-  /// domain's pool onto the delay line and releases the source slot.
+  /// One direction's boundary channel, allocated only in channel mode.
+  /// `channel` and `sent` key each delivery. A cut direction also stages:
+  /// the sending domain moves each delivered handle into `pending`
+  /// mid-epoch; publish() (at the barrier) swaps it with the empty `ready`;
+  /// drain(), on the destination domain's thread at its next epoch start,
+  /// moves each handle as is onto the delay line. The packet keeps its
+  /// source-pool slot, which returns to the source pool without a lock when
+  /// the destination lets go of it (see PacketPool::shareAcrossDomains).
   struct Outbox final : sim::ShardedSimulator::Inbox {
+    void publish() override { pending.swap(ready); }
+    [[nodiscard]] sim::SimTime earliest() const override {
+      return ready.empty() ? sim::SimTime::max() : ready.front().at;
+    }
     void drain() override;
-    [[nodiscard]] std::size_t staged() const override { return pending.size(); }
+    [[nodiscard]] std::size_t staged() const override { return pending.size() + ready.size(); }
 
     Link* link = nullptr;
     int dir = 0;
+    bool cut = false;
     std::uint32_t channel = 0;
     std::uint64_t sent = 0;
-    detail::Ring<DelayRecord> pending;
+    detail::Ring<DelayRecord> pending;  ///< the sender's
+    // The destination drains while the sender stages: separate lines.
+    alignas(64) detail::Ring<DelayRecord> ready;
   };
 
   LinkParams params_;

@@ -32,8 +32,18 @@
 //
 // The pool is per-`net::Context`, so parallel sweep cells never share slabs
 // and recycling order is deterministic for a given scenario + seed.
+//
+// Sharded runs: a packet crossing a cut shard channel keeps its slot in the
+// sending domain's pool, so its last handle may die on another domain's
+// thread. A pool whose domain sends over a cut is marked shared
+// (shareAcrossDomains); a release on any thread but the one running the
+// pool's domain pushes the slot onto the pool's remote-release stack (one
+// lock-free CAS) instead of the free list. The owner takes the whole stack
+// back when its free list runs dry, before carving a new slab. A pool that
+// is never shared pays one predictable branch per release for this.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -41,6 +51,7 @@
 #include <utility>
 
 #include "net/packet.hpp"
+#include "sim/domain.hpp"
 
 namespace scidmz::net {
 
@@ -93,6 +104,9 @@ class PacketPool {
   PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
+  /// Every handle into the pool must be gone first. In a sharded run that
+  /// includes handles in other domains' lines and queues, so a scenario
+  /// destroys every domain's topology before any domain's pool.
   ~PacketPool() {
     while (regions_ != nullptr) {
       Slab* next = regions_->nextRegion;
@@ -110,9 +124,19 @@ class PacketPool {
     return PacketRef{::new (takeSlot()) Packet{std::move(packet)}};
   }
 
-  /// Handles currently alive.
-  [[nodiscard]] std::size_t liveCount() const { return live_; }
-  /// Peak simultaneous live handles over the pool's lifetime.
+  /// Sharded runs: this pool's slots may be released on other domains'
+  /// threads from now on. `home` is the pool's domain, as
+  /// sim::ShardedSimulator::runningDomain() names it on the thread that
+  /// owns the pool. Call before the run, with no worker running.
+  void shareAcrossDomains(const sim::Simulator& home) { home_ = &home; }
+
+  /// Handles currently alive (exact whenever no release is in progress).
+  [[nodiscard]] std::size_t liveCount() const {
+    return live_ - remote_pending_.load(std::memory_order_relaxed);
+  }
+  /// Peak simultaneous slots off the free list over the pool's lifetime:
+  /// live handles, plus (in a shared pool) slots released on another
+  /// domain's thread and not yet taken back.
   [[nodiscard]] std::size_t highWater() const { return high_water_; }
   /// Slots ever allocated (slabs * slab size).
   [[nodiscard]] std::size_t slotCount() const { return slab_count_ * kSlabPackets; }
@@ -141,7 +165,7 @@ class PacketPool {
   }
 
   void* takeSlot() {
-    if (free_ == nullptr) addSlab();
+    if (free_ == nullptr) refill();
     FreeSlot* slot = free_;
     free_ = slot->next;
     if (++live_ > high_water_) high_water_ = live_;
@@ -149,8 +173,36 @@ class PacketPool {
   }
 
   void releaseSlot(Packet* p) noexcept {
+    if (home_ != nullptr && home_ != sim::ShardedSimulator::runningDomain()) [[unlikely]] {
+      releaseRemote(p);
+      return;
+    }
     free_ = ::new (static_cast<void*>(p)) FreeSlot{free_};
     --live_;
+  }
+
+  /// Another domain's thread (or no domain's) lets go of one of our slots.
+  /// The count goes up before the slot is pushed, so the owner never takes
+  /// back more slots than it has counted.
+  void releaseRemote(Packet* p) noexcept {
+    remote_pending_.fetch_add(1, std::memory_order_relaxed);
+    auto* slot = ::new (static_cast<void*>(p)) FreeSlot{remote_.load(std::memory_order_relaxed)};
+    while (!remote_.compare_exchange_weak(slot->next, slot, std::memory_order_release,
+                                          std::memory_order_relaxed)) {
+    }
+  }
+
+  /// The free list ran dry: take back every slot other domains released,
+  /// else carve a new slab.
+  void refill() {
+    if (home_ != nullptr) {
+      free_ = remote_.exchange(nullptr, std::memory_order_acquire);
+      if (free_ != nullptr) {
+        live_ -= remote_pending_.exchange(0, std::memory_order_relaxed);
+        return;
+      }
+    }
+    addSlab();
   }
 
   void addSlab() {
@@ -180,8 +232,12 @@ class PacketPool {
   std::byte* carve_end_ = nullptr;
   FreeSlot* free_ = nullptr;
   std::size_t slab_count_ = 0;
-  std::size_t live_ = 0;
+  std::size_t live_ = 0;  ///< slots off the free list, remote releases included
   std::size_t high_water_ = 0;
+  const sim::Simulator* home_ = nullptr;  ///< set once the pool is shared
+  // Written by other domains' threads: a cache line of their own.
+  alignas(64) std::atomic<FreeSlot*> remote_{nullptr};
+  std::atomic<std::size_t> remote_pending_{0};  ///< released remotely, not yet taken back
 };
 
 static_assert(sizeof(PacketRef) == 8, "a packet handle is one pointer");

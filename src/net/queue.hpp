@@ -85,6 +85,16 @@ class Ring {
     return out;
   }
 
+  /// Exchange contents (and spare blocks) with `other`; moves no element.
+  void swap(Ring& other) noexcept {
+    map_.swap(other.map_);
+    std::swap(first_, other.first_);
+    std::swap(blocks_, other.blocks_);
+    std::swap(head_, other.head_);
+    std::swap(size_, other.size_);
+    std::swap(spare_, other.spare_);
+  }
+
   /// Drop every element (restore resets contents before re-filling from the
   /// snapshot; packet handles release into the live pool).
   void clear() {

@@ -38,7 +38,9 @@ struct Scenario {
   sim::Rng rng{20130101};
   net::Context ctx{simulator, rng};
   // Declared between ctx and topo so teardown runs topo (devices, links,
-  // queued and staged packets) -> extra domain contexts -> the primary context.
+  // queued and staged packets) -> extra domain contexts -> the primary
+  // context: a domain's lines and queues hold handles into other domains'
+  // pools, so all of them go before any pool does.
   std::shared_ptr<ShardRuntime> shards;
   net::Topology topo{ctx};
 

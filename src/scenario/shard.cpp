@@ -131,8 +131,12 @@ void finishCell(Scenario& s, sim::SweepCell& cell) {
   cell.domains = static_cast<std::uint32_t>(shards.contexts.size());
   cell.eventsExecuted = shards.sharded->eventsExecuted();
   cell.domainEvents.clear();
-  for (std::size_t d = 0; d < shards.contexts.size(); ++d) {
-    cell.domainEvents.push_back(shards.sharded->domainEvents(static_cast<int>(d)));
+  cell.domainBusySeconds.clear();
+  cell.domainWaitSeconds.clear();
+  for (int d = 0; d < shards.sharded->domainCount(); ++d) {
+    cell.domainEvents.push_back(shards.sharded->domainEvents(d));
+    cell.domainBusySeconds.push_back(shards.sharded->domainBusySeconds(d));
+    cell.domainWaitSeconds.push_back(shards.sharded->domainWaitSeconds(d));
   }
   cell.packetsForwarded = 0;
   cell.flowsCreated = 0;

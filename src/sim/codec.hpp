@@ -254,6 +254,7 @@ class BitReader {
   [[nodiscard]] bool fail() const { return fail_; }
   [[nodiscard]] bool ok() const { return !fail_; }
   [[nodiscard]] bool atEnd() const { return ((pos_ + 7) & ~std::size_t{7}) >= bit_size_; }
+  [[nodiscard]] std::size_t bitsLeft() const { return pos_ < bit_size_ ? bit_size_ - pos_ : 0; }
   [[nodiscard]] std::size_t bitPos() const { return pos_; }
 
  private:
@@ -287,6 +288,18 @@ class Codec {
   void vi64(std::int64_t& v) { writing() ? w_->writeZigzag(v) : void(v = r_->readZigzag()); }
   void f64(double& v) { writing() ? w_->writeF64(v) : void(v = r_->readF64()); }
   void str(std::string& v) { writing() ? w_->writeString(v) : void(v = r_->readString()); }
+
+  /// The item count of a container the decoder is about to size, each item
+  /// at least `minBits` bits on the wire. Reading, a count that the bits
+  /// left cannot hold (compared by division, so nothing wraps) fails the
+  /// reader and reads as 0: no resize or reserve ever sees it.
+  void count(std::uint64_t& n, std::uint64_t minBits) {
+    vu64(n);
+    if (!writing() && (r_->fail() || n > r_->bitsLeft() / minBits)) {
+      r_->markFailed();
+      n = 0;
+    }
+  }
 
   /// size_t through a varint (container sizes).
   void size(std::size_t& v) {

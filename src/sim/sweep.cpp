@@ -77,7 +77,8 @@ struct SweepRunner::Pool {
           SweepCellStats{wall,           cell.eventsExecuted, cell.packetsForwarded,
                          cell.flowsCreated, cell.spansEmitted, cell.snapshotBytes,
                          std::move(cell.telemetryJson), cell.domains,
-                         std::move(cell.domainEvents)};
+                         std::move(cell.domainEvents), std::move(cell.domainBusySeconds),
+                         std::move(cell.domainWaitSeconds)};
       if (error) (*errs)[index] = error;
       if (++completed == total) {
         body = nullptr;
@@ -193,6 +194,16 @@ bool SweepRunner::writeJson(const std::string& benchName, const std::string& pat
         }
         out << "]";
       }
+      const auto seconds = [&](const char* key, const std::vector<double>& perDomain) {
+        if (perDomain.empty()) return;
+        out << ", \"" << key << "\": [";
+        for (std::size_t d = 0; d < perDomain.size(); ++d) {
+          out << (d == 0 ? "" : ", ") << formatDouble(perDomain[d]);
+        }
+        out << "]";
+      };
+      seconds("domain_busy_s", run.cells[i].domainBusySeconds);
+      seconds("domain_wait_s", run.cells[i].domainWaitSeconds);
       // telemetryJson is already a JSON object (scidmz.telemetry.v1);
       // embed it raw so the cell's counters/series land in BENCH_sim.json.
       if (!run.cells[i].telemetryJson.empty()) {

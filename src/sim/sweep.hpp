@@ -47,6 +47,10 @@ struct SweepCellStats {
   /// Per-domain events executed when the cell ran sharded (sums to
   /// eventsExecuted); empty for unsharded cells.
   std::vector<std::uint64_t> domainEvents;
+  /// Per-domain host seconds in epochs and out of them (barrier waits and
+  /// the step between epochs) for sharded cells; empty otherwise.
+  std::vector<double> domainBusySeconds;
+  std::vector<double> domainWaitSeconds;
 };
 
 /// One run() call's report.
@@ -114,6 +118,10 @@ struct SweepCell {
   std::uint32_t domains = 1;
   /// Per-domain events executed for sharded cells (empty otherwise).
   std::vector<std::uint64_t> domainEvents;
+  /// Per-domain host seconds busy in epochs / waiting outside them, for
+  /// sharded cells (empty otherwise).
+  std::vector<double> domainBusySeconds;
+  std::vector<double> domainWaitSeconds;
 };
 
 /// Fixed-size worker pool executing scenario cells.

@@ -67,6 +67,9 @@ void codecFlowRef(sim::Codec& c, FlowRef& f, FlowInterner& interner) {
   }
 }
 
+/// The fewest bits codecEvent writes: eight one-byte varints and a byte.
+constexpr std::uint64_t kEventMinBits = 64;
+
 /// One event through the codec. Used by both the snapshot overlay and the
 /// frbin export; `prevNs` delta-encodes the (chronological) timestamps and
 /// `interner` compresses the repeated 5-tuples.
@@ -89,7 +92,7 @@ void codecEvent(sim::Codec& c, FlightEvent& e, std::int64_t& prevNs, FlowInterne
 void codecPoints(sim::Codec& c, std::vector<std::string>& points,
                  std::map<std::string, std::uint32_t>& index) {
   std::uint64_t n = points.size();
-  c.vu64(n);
+  c.count(n, 8);  // a name is at least its one-byte length
   if (c.writing()) {
     for (std::string& p : points) c.str(p);
   } else {
@@ -207,14 +210,25 @@ void FlightRecorder::exportJsonl(std::ostream& out) const {
 void FlightRecorder::serialize(sim::Codec& c) {
   c.size(capacity_);
   std::uint64_t retained = ring_.size();
-  c.vu64(retained);
-  if (!c.writing()) ring_.resize(static_cast<std::size_t>(retained));
+  c.count(retained, kEventMinBits);
+  if (!c.writing()) {
+    // The ring never holds more than its capacity, which is never 0.
+    if (capacity_ == 0 || retained > capacity_) {
+      c.reader().markFailed();
+      retained = 0;
+    }
+    ring_.resize(static_cast<std::size_t>(retained));
+  }
   // Ring order (not chronological order): head_ comes across verbatim, so
   // the restored ring overwrites slots in exactly the original sequence.
   std::int64_t prevNs = 0;
   FlowInterner interner;
   for (FlightEvent& e : ring_) codecEvent(c, e, prevNs, interner);
   c.size(head_);
+  if (!c.writing() && head_ >= capacity_) {  // the next overwrite lands at ring_[head_]
+    c.reader().markFailed();
+    head_ = 0;
+  }
   c.vu64(total_);
   codecPoints(c, points_, point_index_);
 }
@@ -258,7 +272,7 @@ bool FlightRecorder::importBinary(std::istream& in) {
   codecPoints(c, points_, point_index_);
   if (r.enterSection("EVTS") == 0 && r.fail()) return false;
   std::uint64_t n = 0;
-  c.vu64(n);
+  c.count(n, kEventMinBits);
   if (capacity_ < static_cast<std::size_t>(n)) capacity_ = static_cast<std::size_t>(n);
   std::int64_t prevNs = 0;
   FlowInterner interner;

@@ -55,7 +55,7 @@ class TimeSeries {
   /// key and stays with the rebuilt object). Timestamps delta-encode.
   void serialize(sim::Codec& c) {
     std::uint64_t n = samples_.size();
-    c.vu64(n);
+    c.count(n, 72);  // a sample: a one-byte time delta at least, and a double
     if (!c.writing()) {
       samples_.clear();
       samples_.resize(static_cast<std::size_t>(n));

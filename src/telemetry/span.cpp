@@ -197,8 +197,10 @@ void Tracer::mergeFrom(const std::vector<const Tracer*>& parts) {
 }
 
 void Tracer::serialize(sim::Codec& c) {
+  // A span is at least its two names' one-byte lengths, six one-byte
+  // varints and two flag bits; an argument, its key's and value's lengths.
   std::uint64_t count = spans_.size();
-  c.vu64(count);
+  c.count(count, 66);
   if (!c.writing()) {
     spans_.clear();
     spans_.resize(count);
@@ -209,6 +211,12 @@ void Tracer::serialize(sim::Codec& c) {
     c.str(s.name);
     c.str(s.category);
     c.vu32(s.parent);
+    // A parent precedes its child (rootOf chases parents back to a root),
+    // so span i + 1 may name only spans 1..i.
+    if (!c.writing() && s.parent > i) {
+      c.reader().markFailed();
+      s.parent = 0;
+    }
     sim::codecTime(c, s.t0);
     sim::codecTime(c, s.t1);
     c.b(s.open);
@@ -216,7 +224,7 @@ void Tracer::serialize(sim::Codec& c) {
     c.vu32(s.corrDst);
     c.b(s.correlated);
     std::uint64_t nargs = s.args.size();
-    c.vu64(nargs);
+    c.count(nargs, 16);
     if (!c.writing()) s.args.resize(nargs);
     for (auto& [k, v] : s.args) {
       c.str(k);

@@ -5,10 +5,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "net/packet_pool.hpp"
+#include "sim/simulator.hpp"
 
 namespace scidmz::net {
 namespace {
@@ -222,6 +225,70 @@ TEST(PacketPool, ReleasingEverySlotOfAMultiSlabPoolAllocatesNothing) {
   // The slots recycle: re-acquiring all of them adds no slab.
   for (auto& ref : held) ref = pool.acquire();
   EXPECT_EQ(pool.slotCount(), 4 * PacketPool::kSlabPackets);
+}
+
+TEST(PacketPool, SharedPoolTakesBackSlotsReleasedOnOtherThreadsOnceItsFreeListRunsDry) {
+  // A shared pool's slot released off its domain's thread goes onto the
+  // remote-release stack: the live count drops at once, and the owner
+  // reuses the slot before it carves a new slab. Two threads release at
+  // once, so the stack sees concurrent pushes.
+  sim::Simulator home;
+  PacketPool pool;
+  pool.shareAcrossDomains(home);
+  std::vector<PacketRef> held(PacketPool::kSlabPackets);
+  std::set<Packet*> slots;
+  for (auto& ref : held) {
+    ref = pool.acquire();
+    slots.insert(ref.get());
+  }
+  ASSERT_EQ(pool.slotCount(), PacketPool::kSlabPackets);
+  const std::size_t half = held.size() / 2;
+  std::thread first([&] {
+    for (std::size_t i = 0; i < half; ++i) held[i].reset();
+  });
+  std::thread second([&] {
+    for (std::size_t i = half; i < held.size(); ++i) held[i].reset();
+  });
+  first.join();
+  second.join();
+  EXPECT_EQ(pool.liveCount(), 0u);
+  EXPECT_EQ(pool.highWater(), PacketPool::kSlabPackets);
+
+  std::set<Packet*> again;
+  for (auto& ref : held) {
+    ref = pool.acquire();
+    again.insert(ref.get());
+  }
+  EXPECT_EQ(again, slots);
+  EXPECT_EQ(pool.slotCount(), PacketPool::kSlabPackets);
+  EXPECT_EQ(pool.liveCount(), PacketPool::kSlabPackets);
+  EXPECT_EQ(pool.highWater(), PacketPool::kSlabPackets);
+  held.clear();  // outside any domain's epoch: remote releases again
+  EXPECT_EQ(pool.liveCount(), 0u);
+}
+
+TEST(PacketPool, OwnerRefillsWhileAnotherThreadReleasesKeepEverySlotAccountedFor) {
+  // The owner keeps acquiring (its free list runs dry again and again, so
+  // it takes the remote stack back) while another thread releases handles
+  // it was handed. No slot is lost or handed out twice.
+  sim::Simulator home;
+  PacketPool pool;
+  pool.shareAcrossDomains(home);
+  constexpr std::size_t kHanded = 4 * PacketPool::kSlabPackets;
+  std::vector<PacketRef> handed(kHanded);
+  for (auto& ref : handed) ref = pool.acquire();
+  std::thread releaser([&] {
+    for (auto& ref : handed) ref.reset();
+  });
+  std::vector<PacketRef> kept;
+  std::set<Packet*> live;
+  for (std::size_t i = 0; i < kHanded; ++i) {
+    kept.push_back(pool.acquire());
+    EXPECT_TRUE(live.insert(kept.back().get()).second);
+  }
+  releaser.join();
+  EXPECT_EQ(pool.liveCount(), kHanded);
+  EXPECT_LE(pool.slotCount(), 2 * kHanded);
 }
 
 using HandleRing = detail::Ring<PacketRef>;

@@ -5,7 +5,8 @@
 // sequence channels at every domain count. Plus the scenario-layer
 // boundary edge cases: zero-lookahead rejection, a flow whose path spans
 // three domains, a cross-domain link below the lookahead floor, a
-// packet handed across a channel field for field, and the plans the ring's
+// packet handed across a channel field for field in its own slot, a
+// teardown with packets in flight across the cut, and the plans the ring's
 // and a path's device graphs yield.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -320,19 +322,24 @@ TEST(ShardDeterminism, ChannelDeliverySortsAfterSameTimeLocalEventAt1And2Domains
   EXPECT_EQ(channelTieAt(2), want);
 }
 
-/// Copies every packet that reaches it, with its arrival time.
+/// Copies every packet that reaches it, with its arrival time and the
+/// address of the slot it arrived in.
 class PacketLog : public net::PacketSink {
  public:
   explicit PacketLog(sim::Simulator& sim) : sim_(sim) {}
-  void onPacket(const net::Packet& packet) override { got.emplace_back(sim_.now(), packet); }
+  void onPacket(const net::Packet& packet) override {
+    got.emplace_back(sim_.now(), packet);
+    slots.push_back(&packet);
+  }
 
   std::vector<std::pair<sim::SimTime, net::Packet>> got;
+  std::vector<const net::Packet*> slots;
 
  private:
   sim::Simulator& sim_;
 };
 
-TEST(ShardChannel, StagedHandleKeepsEveryFieldAndFreesItsSourceSlotAtDrain) {
+TEST(ShardChannel, CrossedHandleKeepsEveryFieldAndItsSlotUntilTheDestinationReleasesIt) {
   Scenario s{1};
   ShardPlan plan;
   plan.domains = 2;
@@ -352,8 +359,11 @@ TEST(ShardChannel, StagedHandleKeepsEveryFieldAndFreesItsSourceSlotAtDrain) {
   // Three segments, each field distinct per packet; the last carries all
   // three SACK blocks. Sent straight to the interface so the ids are ours.
   net::PacketPool& srcPool = a.ctx().pool();
+  net::PacketPool& dstPool = b.ctx().pool();
   const std::size_t liveBefore = srcPool.liveCount();
+  const std::size_t dstBefore = dstPool.liveCount();
   std::vector<net::Packet> sent;
+  std::vector<const net::Packet*> slots;
   for (int i = 0; i < 3; ++i) {
     net::Packet pk;
     pk.flow = net::FlowKey{a.address(), b.address(), 40000, 5001, net::Protocol::kTcp};
@@ -378,7 +388,9 @@ TEST(ShardChannel, StagedHandleKeepsEveryFieldAndFreesItsSourceSlotAtDrain) {
     h.windowScalePresent = i == 0;
     pk.body = h;
     sent.push_back(pk);
-    a.interface(0).send(srcPool.acquire(net::Packet{pk}));
+    net::PacketRef ref = srcPool.acquire(net::Packet{pk});
+    slots.push_back(ref.get());
+    a.interface(0).send(std::move(ref));
   }
 
   // Serialization ends within the first millisecond: the packets sit staged
@@ -389,15 +401,22 @@ TEST(ShardChannel, StagedHandleKeepsEveryFieldAndFreesItsSourceSlotAtDrain) {
   EXPECT_EQ(srcPool.liveCount(), liveBefore + 3);
   EXPECT_TRUE(log.got.empty());
 
-  // The next run drains first: the copies move to b's pool, the source
-  // slots come free, and nothing has arrived yet.
+  // b drains the channel at its next epoch start: the handles move onto the
+  // link's delay line as they are. No copy is made in b's pool, the source
+  // slots stay taken, and nothing has arrived yet.
   s.runFor(1_ms);
   EXPECT_EQ(sharded.pendingChannelMessages(), 0u);
-  EXPECT_EQ(srcPool.liveCount(), liveBefore);
+  EXPECT_EQ(srcPool.liveCount(), liveBefore + 3);
+  EXPECT_EQ(dstPool.liveCount(), dstBefore);
   EXPECT_TRUE(log.got.empty());
 
+  // Delivered in the slots they were sent in; once b has let go of them,
+  // the slots are back in a's pool.
   s.runFor(20_ms);
   ASSERT_EQ(log.got.size(), sent.size());
+  EXPECT_EQ(log.slots, slots);
+  EXPECT_EQ(srcPool.liveCount(), liveBefore);
+  EXPECT_EQ(dstPool.liveCount(), dstBefore);
   for (std::size_t i = 0; i < sent.size(); ++i) {
     SCOPED_TRACE("packet " + std::to_string(i));
     const auto& [at, got] = log.got[i];
@@ -430,6 +449,49 @@ TEST(ShardChannel, StagedHandleKeepsEveryFieldAndFreesItsSourceSlotAtDrain) {
     EXPECT_EQ(g.rst, w.rst);
     EXPECT_EQ(g.windowScalePresent, w.windowScalePresent);
   }
+}
+
+TEST(ShardChannel, TeardownWithPacketsInFlightBothWaysAcrossTheCut) {
+  // Mid-transfer, each domain's delay line holds handles into the other
+  // domain's pool, and the channels may hold staged ones. Destroying the
+  // scenario releases every one of them into a pool that is still alive:
+  // the topology (lines, queues, channels) goes before any domain's pool.
+  // Run under ASan, a pool destroyed first is a use after free.
+  Scenario s{1};
+  ShardPlan plan;
+  plan.domains = 2;
+  plan.nodeDomain = {{"a", 0}, {"b", 1}};
+  attachShards(s, plan, 1, 5_ms);
+  auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
+  auto& b = s.topo.addHost("b", net::Address(10, 0, 0, 2));
+  net::LinkParams p;
+  p.rate = sim::DataRate::gigabitsPerSecond(1);
+  p.delay = 10_ms;
+  p.mtu = 9000_B;
+  s.topo.connect(a, b, p);
+  s.topo.computeRoutes();
+
+  tcp::TcpConfig tcp;
+  tcp.algorithm = tcp::CcAlgorithm::kHtcp;
+  tcp.sndBuf = sim::DataSize::mebibytes(8);
+  tcp.rcvBuf = sim::DataSize::mebibytes(8);
+  net::FlowFactory::Options options;
+  options.fidelity = net::FlowFidelity::kPacket;
+  std::vector<net::FlowPtr> flows;
+  for (auto [src, dst, port] : {std::tuple{&a, &b, 5001}, std::tuple{&b, &a, 5002}}) {
+    options.port = static_cast<std::uint16_t>(port);
+    auto flow = net::flowFactory(src->ctx()).create(*src, *dst, tcp, options);
+    auto* raw = flow.get();
+    flow->onEstablished = [raw] { raw->sendData(sim::DataSize::terabytes(1)); };
+    flow->start();
+    flows.push_back(std::move(flow));
+  }
+  s.runFor(150_ms);
+  const net::Link& link = *s.topo.links().front();
+  EXPECT_GT(link.inFlight(0), 0u);
+  EXPECT_GT(link.inFlight(1), 0u);
+  EXPECT_GT(a.ctx().pool().liveCount(), link.inFlight(0));
+  EXPECT_GT(b.ctx().pool().liveCount(), link.inFlight(1));
 }
 
 TEST(ShardEdgeCases, ZeroLookaheadIsRejected) {

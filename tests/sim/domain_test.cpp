@@ -4,12 +4,14 @@
 // rejection, below-floor channel rejection, cross-domain delivery timing,
 // per-channel FIFO order, boundary-after-local tie-breaking at equal
 // timestamps, the idle null-message-style advance, messages pending across
-// runUntil calls, and cancellation of an event that would have posted
-// cross-domain.
+// runUntil calls, cancellation of an event that would have posted
+// cross-domain, and the per-domain busy/wait split of host time.
 #include "sim/domain.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -22,24 +24,31 @@ namespace {
 
 using namespace scidmz::sim::literals;
 
-/// A boundary channel whose payload is a closure: the smallest Inbox, a
+/// A cut channel whose payload is a closure: the smallest Inbox, a
 /// stand-in for a link direction's packet channel. post() is called from
-/// the sending domain's thread mid-epoch; drain() arms every staged closure
-/// in the destination domain under its reserved key.
+/// the sending domain's thread mid-epoch; publish() hands the staged batch
+/// over at the barrier; drain(), on the destination's thread, arms every
+/// published closure in the destination domain under its reserved key.
 class ClosureChannel final : public ShardedSimulator::Inbox {
  public:
   ClosureChannel(ShardedSimulator& sh, Simulator& dst, int dstDomain, Duration delay)
-      : dst_(dst), id_(sh.addChannel(dstDomain, delay, *this)) {}
+      : dst_(dst), id_(sh.addChannel(dstDomain, delay, this)) {}
 
   void post(SimTime at, std::function<void()> cb) {
     staged_.push_back(Message{at, ShardedSimulator::boundarySeq(id_, sent_++), std::move(cb)});
   }
 
-  void drain() override {
-    for (Message& m : staged_) dst_.restoreSchedule(m.at, m.seq, std::move(m.cb));
-    staged_.clear();
+  void publish() override { staged_.swap(ready_); }
+  [[nodiscard]] SimTime earliest() const override {
+    SimTime t = SimTime::max();
+    for (const Message& m : ready_) t = std::min(t, m.at);
+    return t;
   }
-  [[nodiscard]] std::size_t staged() const override { return staged_.size(); }
+  void drain() override {
+    for (Message& m : ready_) dst_.restoreSchedule(m.at, m.seq, std::move(m.cb));
+    ready_.clear();
+  }
+  [[nodiscard]] std::size_t staged() const override { return staged_.size() + ready_.size(); }
 
  private:
   struct Message {
@@ -51,6 +60,7 @@ class ClosureChannel final : public ShardedSimulator::Inbox {
   std::uint32_t id_;
   std::uint64_t sent_ = 0;
   std::vector<Message> staged_;
+  std::vector<Message> ready_;
 };
 
 TEST(ShardedSimulator, RejectsNonPositiveLookahead) {
@@ -168,6 +178,26 @@ TEST(ShardedSimulator, CancelledEventNeverPostsCrossDomain) {
   EXPECT_EQ(arrivals, 0);
   EXPECT_EQ(sh.pendingChannelMessages(), 0u);
   EXPECT_EQ(sh.eventsExecuted(), 0u);
+}
+
+TEST(ShardedSimulator, BusyAndWaitSplitEachDomainsShareOfTheRun) {
+  Simulator a;
+  Simulator b;
+  ShardedSimulator sh({&a, &b}, 5_ms);
+  // b spends 20 ms of host time in one event; a has nothing to run, so it
+  // spends that time at the barrier.
+  b.schedule(1_ms, [] {
+    const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
+  sh.runFor(10_ms);
+  EXPECT_GE(sh.domainBusySeconds(1), 0.02);
+  EXPECT_GE(sh.domainWaitSeconds(0) + sh.domainBusySeconds(0), 0.02);
+  EXPECT_GE(sh.domainWaitSeconds(0), 0.02 - sh.domainBusySeconds(0));
+  // Busy + wait is the run's host time, the same for every domain.
+  EXPECT_NEAR(sh.domainBusySeconds(0) + sh.domainWaitSeconds(0),
+              sh.domainBusySeconds(1) + sh.domainWaitSeconds(1), 1e-9);
 }
 
 TEST(ShardedSimulator, PingPongAcrossThreeDomainsIsDeterministic) {

@@ -3,9 +3,12 @@
 // is substantially smaller than the JSONL for realistic event mixes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "sim/codec.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace scidmz::telemetry {
@@ -48,6 +51,23 @@ std::string jsonlOf(const FlightRecorder& rec) {
   std::ostringstream out;
   rec.exportJsonl(out);
   return out.str();
+}
+
+TEST(FrbinExport, PointCountPastTheEndFailsWithoutAllocating) {
+  for (const std::uint64_t n : {std::uint64_t{1} << 40, (std::uint64_t{1} << 61) + 1,
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    sim::BitWriter w;
+    sim::writeMagic(w, "scidmz.frbin.v1");
+    const auto cookie = w.beginSection("PTS ");
+    w.writeVarint(n);
+    w.writeU64(0);
+    w.endSection(cookie);
+    const auto bytes = w.take();
+    std::istringstream in(std::string(bytes.begin(), bytes.end()));
+    FlightRecorder rec(4);
+    EXPECT_FALSE(rec.importBinary(in)) << n;
+    EXPECT_EQ(rec.pointCount(), 0u) << n;
+  }
 }
 
 TEST(FrbinExport, RoundTripsToIdenticalJsonl) {

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/codec.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace scidmz::telemetry {
@@ -181,6 +184,69 @@ FlightEvent eventAt(std::int64_t ns, std::uint64_t id) {
   ev.at = at(ns);
   ev.packetId = id;
   return ev;
+}
+
+TEST(Tracer, SpanAndArgumentCountsPastTheEndFailWithoutAllocating) {
+  for (const std::uint64_t n : {std::uint64_t{1} << 40, (std::uint64_t{1} << 61) + 1,
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    {  // the span count
+      sim::BitWriter w;
+      w.writeVarint(n);
+      for (int i = 0; i < 8; ++i) w.writeU64(0);
+      sim::BitReader r(w.bytes().data(), w.byteSize());
+      sim::Codec c(r);
+      Tracer tracer;
+      tracer.serialize(c);
+      EXPECT_TRUE(r.fail()) << n;
+      EXPECT_EQ(tracer.spansEmitted(), 0u) << n;
+    }
+    {  // one empty span, then its argument count
+      sim::BitWriter w;
+      w.writeVarint(1);
+      w.writeString("");  // name
+      w.writeString("");  // category
+      w.writeVarint(0);   // parent
+      w.writeZigzag(0);   // t0
+      w.writeZigzag(0);   // t1
+      w.writeBool(false);
+      w.writeVarint(0);  // correlation source
+      w.writeVarint(0);  // correlation destination
+      w.writeBool(false);
+      w.writeVarint(n);
+      for (int i = 0; i < 8; ++i) w.writeU64(0);
+      sim::BitReader r(w.bytes().data(), w.byteSize());
+      sim::Codec c(r);
+      Tracer tracer;
+      tracer.serialize(c);
+      EXPECT_TRUE(r.fail()) << n;
+    }
+  }
+}
+
+TEST(Tracer, RestoredParentAtOrAfterItsChildIsRefused) {
+  // Export chases parents back to a root: a span naming itself (a cycle)
+  // or a later span as its parent would loop or read past the table. A
+  // root (parent 0) restores.
+  for (const std::uint32_t parent : {0u, 1u, 2u, 1000u}) {
+    sim::BitWriter w;
+    w.writeVarint(1);
+    w.writeString("transfer");
+    w.writeString("flow");
+    w.writeVarint(parent);
+    w.writeZigzag(0);
+    w.writeZigzag(10);
+    w.writeBool(false);
+    w.writeVarint(0);
+    w.writeVarint(0);
+    w.writeBool(false);
+    w.writeVarint(0);  // no arguments
+    sim::BitReader r(w.bytes().data(), w.byteSize());
+    sim::Codec c(r);
+    Tracer tracer;
+    tracer.serialize(c);
+    EXPECT_EQ(r.fail(), parent != 0) << parent;
+    EXPECT_EQ(tracer.spansEmitted(), 1u) << parent;
+  }
 }
 
 TEST(FlightRecorderWindow, SelectsClosedWindowOldestFirst) {

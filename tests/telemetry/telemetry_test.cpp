@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "net/topology.hpp"
+#include "sim/codec.hpp"
 #include "sim/sweep.hpp"
 #include "tcp/connection.hpp"
 #include "telemetry/diagnosis.hpp"
+#include "telemetry/series.hpp"
 
 namespace scidmz::telemetry {
 namespace {
@@ -85,6 +89,68 @@ TEST(FlightRecorder, SetCapacityOnlyBeforeFirstRecord) {
   rec.record(ev);
   rec.setCapacity(64);  // ignored: the ring is live
   EXPECT_EQ(rec.capacity(), 2u);
+}
+
+/// Counts a decoder must refuse before sizing anything for them: far past
+/// the end of any blob, and past what a size_t multiply survives.
+const std::vector<std::uint64_t> kHugeCounts{std::uint64_t{1} << 40, (std::uint64_t{1} << 61) + 1,
+                                             std::numeric_limits<std::uint64_t>::max()};
+
+TEST(FlightRecorder, RetainedCountPastTheEndOrAboveCapacityFailsWithoutAllocating) {
+  // capacity 16, then the retained count, then 512 bits of zeros: room for
+  // eight events at the least, not for a huge count.
+  for (const std::uint64_t retained : kHugeCounts) {
+    sim::BitWriter w;
+    w.writeVarint(16);
+    w.writeVarint(retained);
+    for (int i = 0; i < 8; ++i) w.writeU64(0);
+    sim::BitReader r(w.bytes().data(), w.byteSize());
+    sim::Codec c(r);
+    FlightRecorder rec(16);
+    rec.serialize(c);
+    EXPECT_TRUE(r.fail()) << retained;
+    EXPECT_EQ(rec.size(), 0u) << retained;
+  }
+  // Five events fit in the bits left, but not in a ring of four.
+  {
+    sim::BitWriter w;
+    w.writeVarint(4);
+    w.writeVarint(5);
+    for (int i = 0; i < 8; ++i) w.writeU64(0);
+    sim::BitReader r(w.bytes().data(), w.byteSize());
+    sim::Codec c(r);
+    FlightRecorder rec(4);
+    rec.serialize(c);
+    EXPECT_TRUE(r.fail());
+    EXPECT_EQ(rec.size(), 0u);
+  }
+  // An empty ring whose next overwrite would land past its end.
+  {
+    sim::BitWriter w;
+    w.writeVarint(4);  // capacity
+    w.writeVarint(0);  // retained
+    w.writeVarint(4);  // head
+    for (int i = 0; i < 4; ++i) w.writeU64(0);
+    sim::BitReader r(w.bytes().data(), w.byteSize());
+    sim::Codec c(r);
+    FlightRecorder rec(4);
+    rec.serialize(c);
+    EXPECT_TRUE(r.fail());
+  }
+}
+
+TEST(TimeSeries, SampleCountPastTheEndFailsWithoutAllocating) {
+  for (const std::uint64_t n : kHugeCounts) {
+    sim::BitWriter w;
+    w.writeVarint(n);
+    for (int i = 0; i < 8; ++i) w.writeU64(0);
+    sim::BitReader r(w.bytes().data(), w.byteSize());
+    sim::Codec c(r);
+    TimeSeries series("cwnd");
+    series.serialize(c);
+    EXPECT_TRUE(r.fail()) << n;
+    EXPECT_TRUE(series.empty()) << n;
+  }
 }
 
 TEST(FlightRecorder, JsonlLineFormat) {

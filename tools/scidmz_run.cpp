@@ -24,6 +24,9 @@
 // Catalog runs print the paper-style tables and write <name>.table.json;
 // ad-hoc specs print every engine metric per sweep cell and mirror them
 // into <name>.table.json.
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -279,6 +282,18 @@ int convertTrace(const std::string& inPath, const std::string& outPath) {
   return 0;
 }
 
+/// --trace/--profile name a base path, and each cell writes BASE.cellN.*
+/// beside it. A directory that cannot take those files is refused here, at
+/// flag parse, not after the first cell has simulated.
+bool outputBaseWritable(const std::string& base) {
+  const std::size_t slash = base.rfind('/');
+  const std::string dir = slash == std::string::npos ? "." : base.substr(0, slash + 1);
+  if (::access(dir.c_str(), W_OK | X_OK) == 0) return true;
+  std::fprintf(stderr, "scidmz_run: cannot write %s.*: %s: %s\n", base.c_str(), dir.c_str(),
+               std::strerror(errno));
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -371,10 +386,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
       const std::string base =
           arg == "--trace" ? operand("an output base path") : arg.substr(std::strlen("--trace="));
+      if (!outputBaseWritable(base)) return 1;
       scenario::setTraceOutput(base);
     } else if (arg == "--profile" || arg.rfind("--profile=", 0) == 0) {
       const std::string base = arg == "--profile" ? operand("an output base path")
                                                   : arg.substr(std::strlen("--profile="));
+      if (!outputBaseWritable(base)) return 1;
       scenario::setProfileOutput(base);
     } else if (arg == "--snapshot" || arg.rfind("--snapshot=", 0) == 0) {
       snapshotBase =

@@ -439,9 +439,26 @@ def validate_bench_report(doc, where):
                     require(sum(split) == cell.get("events"), where,
                             f"run {run['name']!r}: domain_events sums to "
                             f"{sum(split)} but the cell executed {cell.get('events')}")
+                    # A sharded cell also splits its host time per domain.
+                    for key in ("domain_busy_s", "domain_wait_s"):
+                        seconds = cell.get(key)
+                        require(isinstance(seconds, list), where,
+                                f"run {run['name']!r}: sharded cell without a {key} list")
+                        require(len(seconds) == domains, where,
+                                f"run {run['name']!r}: {key} has {len(seconds)} "
+                                f"entries for {domains} domains")
+                        require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                    and v >= 0 for v in seconds), where,
+                                f"run {run['name']!r}: {key} entries must be "
+                                f"non-negative numbers")
+                else:
+                    for key in ("domain_busy_s", "domain_wait_s"):
+                        require(key not in cell, where,
+                                f"run {run['name']!r}: {key} without domain_events")
             else:
-                require("domain_events" not in cell, where,
-                        f"run {run['name']!r}: domain_events without domains")
+                for key in ("domain_events", "domain_busy_s", "domain_wait_s"):
+                    require(key not in cell, where,
+                            f"run {run['name']!r}: {key} without domains")
             if "telemetry" in cell:
                 validate_snapshot(cell["telemetry"], where)
                 cells_with_telemetry += 1
