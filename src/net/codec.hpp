@@ -73,6 +73,10 @@ inline void codecRoceHeader(sim::Codec& c, RoceHeader& h) {
   c.vu64(h.ackSeq);
 }
 
+/// The fewest bits codecPacket() writes: a flow key's 104, the 2-bit body
+/// tag, and the payload size, TTL and id at a byte each.
+inline constexpr std::uint64_t kMinPacketBits = 104 + 2 + 3 * 8;
+
 /// Whole-packet codec: the variant body costs two bits of tag plus only
 /// the fields of the alternative actually held.
 inline void codecPacket(sim::Codec& c, Packet& p) {

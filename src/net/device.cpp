@@ -13,7 +13,7 @@ Interface::Interface(Context& ctx, Device& owner, int index, sim::DataSize egres
       owner_(owner),
       index_(index),
       queue_(egressBuffer),
-      tx_(ctx, *this) {}
+      tx_(ctx, *this, "net.tx") {}
 
 void Interface::attachLink(Link& link, int end) {
   link_ = &link;

@@ -110,7 +110,7 @@ class FirewallDevice : public Device {
   void release(PacketRef packet);
 
   struct Engine {
-    Engine(Context& ctx, FirewallDevice& fw) : line(ctx, fw) {}
+    Engine(Context& ctx, FirewallDevice& fw) : line(ctx, fw, "net.firewall") {}
     sim::SimTime busyUntil = sim::SimTime::zero();
     DelayLine<FirewallDevice, &FirewallDevice::release> line;  ///< Packets under inspection.
   };

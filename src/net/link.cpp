@@ -14,7 +14,7 @@ Link::Link(LinkParams params, Interface& endA, Interface& endB)
     : params_(params),
       endA_(endA),
       endB_(endB),
-      line_{{endB.owner().ctx(), endB}, {endA.owner().ctx(), endA}} {
+      line_{{endB.owner().ctx(), endB, "net.link"}, {endA.owner().ctx(), endA, "net.link"}} {
   // Deliveries are keyed at send time + delay, never in the past.
   if (params_.delay < sim::Duration::zero()) params_.delay = sim::Duration::zero();
   endA_.attachLink(*this, 0);

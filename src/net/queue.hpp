@@ -232,20 +232,21 @@ class DropTailQueue {
   /// Snapshot/restore: capacity, stats, and the queued packets themselves
   /// (head-first, so a restored queue drains in the original order). On
   /// restore the ring is cleared first — restoring twice into the same
-  /// queue is deterministic — and packets are re-acquired from `pool`.
+  /// queue is deterministic — and packets are re-acquired from `pool`; a
+  /// count the blob cannot hold is refused before any is.
   void serialize(sim::Codec& c, PacketPool& pool) {
     sim::codecSize(c, capacity_);
     stats_.serialize(c);
     if (c.writing()) {
       std::uint64_t n = ring_.size();
-      c.vu64(n);
+      c.count(n, kMinPacketBits);
       for (std::size_t i = 0; i < ring_.size(); ++i) codecPacket(c, *ring_[i]);
     } else {
       ring_.clear();
       depth_ = sim::DataSize::zero();
       std::uint64_t n = 0;
-      c.vu64(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
+      c.count(n, kMinPacketBits);
+      for (std::uint64_t i = 0; i < n && c.ok(); ++i) {
         Packet p;
         codecPacket(c, p);
         depth_ += p.wireSize();

@@ -61,7 +61,7 @@ class SwitchDevice : public Device {
   SwitchDevice(Context& ctx, std::string name, SwitchProfile profile = SwitchProfile::scienceDmz())
       : Device(ctx, std::move(name)),
         profile_(profile),
-        pipeline_(ctx, *this) {}
+        pipeline_(ctx, *this, "net.switch") {}
 
   [[nodiscard]] const SwitchProfile& profile() const { return profile_; }
   [[nodiscard]] ForwardingMode mode() const { return mode_override_.value_or(profile_.mode); }

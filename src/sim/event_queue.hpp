@@ -18,9 +18,17 @@
 // table — is byte-identical to a heap-only queue.
 //
 // A time-ordered line of pending work (net::DelayLine: link directions,
-// interface tx, firewall engines, switch pipelines) needs one entry, not one
-// per item: each item reserves its key (reserveSeq()) and only the line's
-// earliest item is armed under it (restoreSchedule()).
+// interface tx, firewall engines, switch pipelines) owns one re-keyable
+// Timer instead of scheduling closures: each item reserves its key
+// (reserveSeq()) and the line arms its timer at its earliest item's key
+// (arm()). Armed timers sit in a second 4-ary heap of {at, seq, Timer*}
+// beside the closure heap and the wheel; the queue serves whichever front
+// is earlier in the same (at, seq) order, so a timer fires exactly where a
+// closure under its key would have. Each timer knows its heap position, so
+// an overtaking push re-keys it in place and disarm() removes it from the
+// middle. A fired timer's root entry stays vacant until the next arm() fills
+// it, so a line that fires and re-arms pays one sift-down. Timers never
+// park in the wheel.
 //
 // Cancellation is an O(1) tombstone write through a slot/generation handle:
 // the EventId encodes (slot, generation), a fired or cancelled event bumps
@@ -62,13 +70,26 @@ struct EventKey {
   bool valid = false;
 };
 
+/// A re-keyable timer: at most one armed (time, sequence) key, fired by a
+/// plain function on its owner. Owned by its owner (a net::DelayLine), which
+/// must not move it while armed and must disarm it before dying.
+struct Timer {
+  static constexpr std::uint32_t kUnarmed = ~std::uint32_t{0};
+  void* owner = nullptr;
+  void (*fire)(void* owner) = nullptr;
+  const char* source = nullptr;  ///< profiler layer name; a string literal
+  std::uint32_t pos = kUnarmed;  ///< index in the timer heap, set by the queue
+  [[nodiscard]] bool armed() const { return pos != kUnarmed; }
+};
+
 /// Time-ordered event queue.
 class EventQueue {
  public:
   /// Sized so the common closures — a `this` (or a few references) plus a
-  /// handful of scalars — stay inline. The data path's closures capture
-  /// only their net::DelayLine, and no callback captures a Packet by value,
-  /// so slots are 64 bytes rather than the 192 a by-value Packet needed.
+  /// handful of scalars — stay inline. The data path schedules no closures
+  /// (its delay lines arm Timers), and no callback captures a Packet by
+  /// value, so slots are 64 bytes rather than the 192 a by-value Packet
+  /// needed.
   using Callback = SmallCallback<64>;
 
   /// Schedule `cb` at absolute time `at`. Returns a cancellation handle.
@@ -99,16 +120,73 @@ class EventQueue {
     if (tombstones_ > 64 && tombstones_ > live_) compact();
   }
 
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_; }
+  /// Arm `timer` under (at, seq) — a key from reserveSeq(), a boundary
+  /// channel's, or a snapshot's — or, if it is already armed, re-key it in
+  /// place. Pop order is (at, seq) across timers and closures alike.
+  void arm(Timer& timer, SimTime at, std::uint64_t seq) {
+    const TimerEntry e{at, seq, &timer};
+    if (timer.armed()) {
+      settle();
+      const std::size_t i = timer.pos;
+      if (before(e, timers_[i])) {
+        siftUp(timers_, i, e);
+      } else {
+        siftDown(timers_, i, e);
+      }
+    } else if (vacant_) {
+      vacant_ = false;
+      siftDown(timers_, 0, e);
+    } else {
+      timers_.push_back(e);
+      siftUp(timers_, timers_.size() - 1, e);
+    }
+  }
+
+  /// Take `timer` out of the queue; a no-op when it is not armed.
+  void disarm(Timer& timer) {
+    if (!timer.armed()) return;
+    settle();
+    const std::size_t i = timer.pos;
+    timer.pos = Timer::kUnarmed;
+    const TimerEntry tail = timers_.back();
+    timers_.pop_back();
+    if (i == timers_.size()) return;
+    if (i > 0 && before(tail, timers_[(i - 1) / kArity])) {
+      siftUp(timers_, i, tail);
+    } else {
+      siftDown(timers_, i, tail);
+    }
+  }
+
+  /// Live closures plus armed timers.
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::size_t size() const { return live_ + timers_.size() - (vacant_ ? 1 : 0); }
 
   /// Time of the next live event; SimTime::max() when empty.
   [[nodiscard]] SimTime nextTime() {
     ensureFront();
-    return heap_.empty() ? SimTime::max() : heap_.front().at;
+    const SimTime closure = heap_.empty() ? SimTime::max() : heap_.front().at;
+    return timers_.empty() || closure < timers_.front().at ? closure : timers_.front().at;
   }
 
-  /// Pop the next live event. Precondition: !empty().
+  /// If the next event is an armed timer, pop it: the timer is disarmed and
+  /// returned, `at` is set to its due time, and the caller fires it. Returns
+  /// nullptr when the next event is a closure (take it with pop()).
+  /// Precondition: !empty().
+  Timer* popTimer(SimTime& at) {
+    ensureFront();
+    if (timers_.empty()) return nullptr;
+    const TimerEntry& top = timers_.front();
+    if (!heap_.empty() && before(heap_.front(), top)) return nullptr;
+    at = top.at;
+    wheel_.advanceBase(at.ns());
+    top.timer->pos = Timer::kUnarmed;
+    vacant_ = true;  // the next arm() sifts down from the root, or settle() fills it
+    return top.timer;
+  }
+
+  /// Pop the next live closure event. Precondition: !empty() and the next
+  /// event is not a timer (popTimer() returned nullptr).
   struct Popped {
     SimTime at;
     Callback cb;
@@ -128,8 +206,12 @@ class EventQueue {
   }
 
   /// Drop everything (used when tearing a simulation down early). Slots are
-  /// released, not destroyed, so handles issued before clear() stay stale.
+  /// released, not destroyed, so handles issued before clear() stay stale;
+  /// every armed timer is disarmed.
   void clear() {
+    settle();
+    for (const TimerEntry& e : timers_) e.timer->pos = Timer::kUnarmed;
+    timers_.clear();
     for (const HeapEntry& e : heap_) {
       if (slots_[e.slot].tombstone) --tombstones_;
       releaseSlot(e.slot);
@@ -180,7 +262,8 @@ class EventQueue {
   }
 
   /// Reset the queue for a restore: drop every pending event (releasing
-  /// captured resources — pool handles die into a still-alive pool) and
+  /// captured resources — pool handles die into a still-alive pool, and
+  /// every timer is disarmed) and
   /// re-seed the sequence counter so restored and post-restore events share
   /// one numbering with the snapshotted run. The wheel base catches up to
   /// the restored clock; the wheel itself needs no restoration (placement
@@ -204,6 +287,11 @@ class EventQueue {
     SimTime at;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+  };
+  struct TimerEntry {
+    SimTime at;
+    std::uint64_t seq = 0;
+    Timer* timer = nullptr;
   };
   struct Slot {
     Callback cb;
@@ -266,13 +354,19 @@ class EventQueue {
   /// bucket may hold an earlier-scheduled entry at that same timestamp, and
   /// only cascading it into the heap lets the (time, seq) tie-break decide.
   /// Tombstones met during a cascade are reclaimed instead of heap-pushed.
+  /// The timer heap's front bounds the search too: a wheel entry can only
+  /// precede a timer due before every bucket start by cascading, so none
+  /// needs to. A vacant timer root is filled first.
   void ensureFront() {
+    settle();
     for (;;) {
       skipTombstones();
       if (wheel_.empty()) return;
-      const std::int64_t heapMin =
-          heap_.empty() ? SimTime::max().ns() : heap_.front().at.ns();
-      if (heapMin < wheel_.horizonStartNs()) return;
+      std::int64_t frontMin = heap_.empty() ? SimTime::max().ns() : heap_.front().at.ns();
+      if (!timers_.empty() && timers_.front().at.ns() < frontMin) {
+        frontMin = timers_.front().at.ns();
+      }
+      if (frontMin < wheel_.horizonStartNs()) return;
       wheel_.cascadeEarliest([this](const HeapEntry& e) {
         if (slots_[e.slot].tombstone) {
           releaseSlot(e.slot);
@@ -282,6 +376,16 @@ class EventQueue {
         }
       });
     }
+  }
+
+  /// Fill a vacant timer root (a fired timer no arm() re-used) with the
+  /// heap's last entry.
+  void settle() {
+    if (!vacant_) return;
+    vacant_ = false;
+    const TimerEntry tail = timers_.back();
+    timers_.pop_back();
+    if (!timers_.empty()) siftDown(timers_, 0, tail);
   }
 
   /// Rebuild the heap — and purge the wheel buckets — without tombstoned
@@ -299,7 +403,7 @@ class EventQueue {
     }
     heap_.resize(kept);
     if (kept > 1) {
-      for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) siftDown(i, heap_[i]);
+      for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) siftDown(heap_, i, heap_[i]);
     }
     wheel_.removeIf(
         [this](const HeapEntry& e) { return slots_[e.slot].tombstone; },
@@ -309,53 +413,69 @@ class EventQueue {
         });
   }
 
-  // --- 4-ary min-heap over (at, seq); shallower than binary, and the four
-  // children share a cache line's worth of 24-byte entries. ---
+  // --- 4-ary min-heaps over (at, seq), one template for both: shallower
+  // than binary, and the four children share a cache line's worth of
+  // 24-byte entries. A timer heap's entry records its new position in its
+  // timer wherever it lands. ---
   static constexpr std::size_t kArity = 4;
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  template <typename A, typename B>
+  static bool before(const A& a, const B& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
 
-  // Sifts move a hole and place the element once instead of swapping
-  // 24-byte entries at every level.
-  void heapPush(HeapEntry e) {
-    std::size_t i = heap_.size();
+  static void place(std::vector<HeapEntry>& h, std::size_t i, const HeapEntry& e) { h[i] = e; }
+  static void place(std::vector<TimerEntry>& h, std::size_t i, const TimerEntry& e) {
+    h[i] = e;
+    e.timer->pos = static_cast<std::uint32_t>(i);
+  }
+
+  void heapPush(const HeapEntry& e) {
     heap_.push_back(e);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
+    siftUp(heap_, heap_.size() - 1, e);
   }
 
   void heapPopFront() {
     const HeapEntry tail = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) siftDown(0, tail);
+    if (!heap_.empty()) siftDown(heap_, 0, tail);
   }
 
-  void siftDown(std::size_t i, HeapEntry e) {
-    const std::size_t n = heap_.size();
+  // Sifts move a hole and place the element once instead of swapping
+  // entries at every level.
+  template <typename Entry>
+  static void siftUp(std::vector<Entry>& h, std::size_t i, Entry e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(e, h[parent])) break;
+      place(h, i, h[parent]);
+      i = parent;
+    }
+    place(h, i, e);
+  }
+
+  template <typename Entry>
+  static void siftDown(std::vector<Entry>& h, std::size_t i, Entry e) {
+    const std::size_t n = h.size();
     for (;;) {
       const std::size_t first = i * kArity + 1;
       if (first >= n) break;
       std::size_t best = first;
       const std::size_t last = first + kArity < n ? first + kArity : n;
       for (std::size_t c = first + 1; c < last; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
+        if (before(h[c], h[best])) best = c;
       }
-      if (!before(heap_[best], e)) break;
-      heap_[i] = heap_[best];
+      if (!before(h[best], e)) break;
+      place(h, i, h[best]);
       i = best;
     }
-    heap_[i] = e;
+    place(h, i, e);
   }
 
   std::vector<HeapEntry> heap_;
+  std::vector<TimerEntry> timers_;
+  bool vacant_ = false;  ///< timers_[0] is a fired timer's, awaiting a fill
   TimingWheel<HeapEntry> wheel_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

@@ -9,9 +9,10 @@
 //
 // What it records, per attached simulator:
 //   - execute counts per event source. The loop itself distinguishes plain
-//     vs daemon events; instrumented subsystems (telemetry tick, fluid
-//     engine tick) refine the attribution by calling setSource("...") from
-//     inside their callbacks.
+//     vs daemon events and names each timer fire by its Timer::source
+//     (net.link, net.tx, net.firewall, net.switch); instrumented subsystems
+//     (telemetry tick, fluid engine tick) refine the attribution by calling
+//     setSource("...") from inside their callbacks.
 //   - host-time latency histograms, log2 (power-of-two) bucketed: bucket k
 //     counts callbacks whose wall duration was in [2^(k-1), 2^k) ns
 //     (bucket index = bit_width of the nanosecond count).
@@ -53,8 +54,9 @@ class Profiler {
     t0_ = std::chrono::steady_clock::now();
   }
 
-  /// Instrumented callbacks self-identify ("telemetry.tick", "fluid.tick");
-  /// uncategorized events land under "event" / "daemon".
+  /// Instrumented callbacks self-identify ("telemetry.tick", "fluid.tick"),
+  /// the loop names timer fires ("net.link", ...); uncategorized events
+  /// land under "event" / "daemon".
   void setSource(const char* name) { source_ = name; }
   /// The scheduleDaemon wrapper marks daemon events before dispatch.
   void noteDaemonEvent() { daemon_ = true; }

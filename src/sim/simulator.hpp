@@ -40,6 +40,13 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Arm `timer` under (at, seq), or re-key it in place if armed. The key
+  /// comes from reserveSeq(), a boundary channel or a snapshot, and is not
+  /// clamped to now. See EventQueue::arm().
+  void arm(Timer& timer, SimTime at, std::uint64_t seq) { queue_.arm(timer, at, seq); }
+  /// Take `timer` out of the queue; a no-op when it is not armed.
+  void disarm(Timer& timer) { queue_.disarm(timer); }
+
   /// Allocate the next event sequence number without scheduling; arm it
   /// later with restoreSchedule(). See EventQueue::reserveSeq().
   std::uint64_t reserveSeq() { return queue_.reserveSeq(); }
@@ -109,7 +116,8 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   /// Teardown path: drop every pending event, destroying the callbacks and
-  /// whatever they captured (pool handles, component pointers). Callers use
+  /// whatever they captured (pool handles, component pointers), and disarm
+  /// every timer. Callers use
   /// this to sequence resource destruction — e.g. net::Context clears the
   /// queue in its destructor so in-flight packet handles release into a
   /// still-alive pool. Daemon accounting resets with the queue.
@@ -134,8 +142,9 @@ class Simulator {
   [[nodiscard]] EventKey eventKey(EventId id) const { return queue_.eventKey(id); }
 
   /// Reset clock, executed-event count, and sequence numbering to the
-  /// snapshotted values, dropping every pending event. Components then
-  /// re-arm via restoreSchedule()/restoreScheduleDaemon().
+  /// snapshotted values, dropping every pending event and disarming every
+  /// timer. Components then re-arm via restoreSchedule()/
+  /// restoreScheduleDaemon()/arm().
   void beginRestore(SimTime now, std::uint64_t executed, std::uint64_t nextSeq) {
     queue_.beginRestore(now, nextSeq);
     daemons_ = 0;
@@ -168,6 +177,7 @@ class Simulator {
   /// Sequence counter state for snapshots (total events ever scheduled).
   [[nodiscard]] std::uint64_t scheduledTotal() const { return queue_.scheduledTotal(); }
   [[nodiscard]] bool pendingEvents() const { return !queue_.empty(); }
+  /// Pending closures plus armed timers.
   [[nodiscard]] std::size_t pendingEventCount() const { return queue_.size(); }
   /// Daemon events currently pending (scheduled and not yet fired).
   [[nodiscard]] std::size_t pendingDaemonCount() const { return daemons_; }
@@ -180,8 +190,21 @@ class Simulator {
 
  private:
   /// Pop the next event, move the clock to it and run it (under the
-  /// profiler when one is attached). Precondition: the queue is not empty.
+  /// profiler when one is attached, a timer under its source's name).
+  /// Precondition: the queue is not empty.
   void runNext() {
+    if (Timer* timer = queue_.popTimer(now_)) {
+      ++executed_;
+      if (profiler_ == nullptr) {
+        timer->fire(timer->owner);
+        return;
+      }
+      profiler_->beginEvent();
+      profiler_->setSource(timer->source);
+      timer->fire(timer->owner);
+      profiler_->endEvent(queue_.size(), queue_.parkedCount());
+      return;
+    }
     auto ev = queue_.pop();
     now_ = ev.at;
     ++executed_;

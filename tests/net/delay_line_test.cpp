@@ -12,6 +12,7 @@
 #include "net/firewall.hpp"
 #include "net/host.hpp"
 #include "net/switch.hpp"
+#include "sim/profiler.hpp"
 
 namespace scidmz::net {
 namespace {
@@ -50,7 +51,7 @@ TEST(DelayLine, FifoPushesFireInPushOrderFromOnePendingEvent) {
   Scenario s;
   std::vector<std::string> log;
   Sink sink{s.simulator, log};
-  Line line{s.ctx, sink};
+  Line line{s.ctx, sink, "test.line"};
   const std::int64_t due[] = {10, 20, 20, 30, 40};
   for (std::uint64_t i = 0; i < 5; ++i) line.push(at(due[i]), packet(s.ctx, i));
   EXPECT_EQ(line.size(), 5u);
@@ -69,7 +70,7 @@ TEST(DelayLine, OvertakingPushFiresInAtSeqOrderWithOneEventPerPacket) {
   Scenario s;
   std::vector<std::string> log;
   Sink sink{s.simulator, log};
-  Line line{s.ctx, sink};
+  Line line{s.ctx, sink, "test.line"};
   line.push(at(50), packet(s.ctx, 0));
   s.simulator.scheduleAt(at(20), [&log] { log.push_back("E@20"); });
   line.push(at(20), packet(s.ctx, 1));
@@ -88,7 +89,7 @@ TEST(RingBlocks, DelayLineFifoAndOvertakingPushesAcrossBlockBoundaries) {
   Scenario s;
   std::vector<std::string> log;
   Sink sink{s.simulator, log};
-  Line line{s.ctx, sink};
+  Line line{s.ctx, sink, "test.line"};
   constexpr std::int64_t kBlock = detail::Ring<DelayRecord>::kBlockElems;
   std::vector<std::pair<std::int64_t, std::uint64_t>> expected;  // (due us, id)
   std::uint64_t id = 0;
@@ -145,7 +146,7 @@ TEST(DelayLine, RestoreRefusesUnsortedLineButAcceptsSortedLineWithFallingSeqs) {
   Scenario s;
   std::vector<std::string> log;
   Sink sink{s.simulator, log};
-  Line line{s.ctx, sink};
+  Line line{s.ctx, sink, "test.line"};
   EXPECT_FALSE(restoreLine(line, lineBlob({{20, 3}, {10, 9}})));  // later at first
   EXPECT_FALSE(restoreLine(line, lineBlob({{10, 5}, {10, 4}})));  // tied at, falling seq
   EXPECT_FALSE(restoreLine(line, lineBlob({{10, 5}, {10, 5}})));  // duplicate key
@@ -160,6 +161,111 @@ TEST(DelayLine, RestoreRefusesUnsortedLineButAcceptsSortedLineWithFallingSeqs) {
   EXPECT_EQ(log, (std::vector<std::string>{"P0@10", "P1@20", "P2@20"}));
 }
 
+TEST(DelayLine, RecordCountPastTheEndFailsWithoutAllocating) {
+  // One real record behind a count the rest of the blob cannot hold: the
+  // count is refused before any pool slot is taken, and the line stays empty
+  // and unarmed.
+  for (const std::uint64_t count : {std::uint64_t{2}, std::uint64_t{1} << 61}) {
+    sim::BitWriter w;
+    sim::Codec c{w};
+    std::uint64_t n = count;
+    c.vu64(n);
+    sim::SimTime t = at(10);
+    std::uint64_t seq = 1;
+    Packet p;
+    sim::codecTime(c, t);
+    c.vu64(seq);
+    codecPacket(c, p);
+    const std::vector<std::uint8_t> blob = w.take();
+
+    Scenario s;
+    std::vector<std::string> log;
+    Sink sink{s.simulator, log};
+    Line line{s.ctx, sink, "test.line"};
+    const std::size_t high = s.ctx.pool().highWater();
+    EXPECT_FALSE(restoreLine(line, blob)) << "count " << count;
+    EXPECT_TRUE(line.empty());
+    EXPECT_EQ(s.ctx.pool().liveCount(), 0u);
+    EXPECT_EQ(s.ctx.pool().highWater(), high);
+    EXPECT_EQ(s.simulator.pendingEventCount(), 0u);
+  }
+}
+
+TEST(DelayLine, DestroyingAnArmedLineDisarmsIt) {
+  Scenario s;
+  std::vector<std::string> log;
+  Sink sink{s.simulator, log};
+  {
+    Line line{s.ctx, sink, "test.line"};
+    line.push(at(10), packet(s.ctx, 0));
+    line.push(at(20), packet(s.ctx, 1));
+    EXPECT_EQ(s.simulator.pendingEventCount(), 1u);
+  }
+  EXPECT_EQ(s.simulator.pendingEventCount(), 0u);
+  EXPECT_EQ(s.ctx.pool().liveCount(), 0u);
+  s.simulator.scheduleAt(at(30), [&log] { log.push_back("E@30"); });
+  s.simulator.run();  // the destroyed line's timer must not fire
+  EXPECT_EQ(log, (std::vector<std::string>{"E@30"}));
+  EXPECT_EQ(s.simulator.eventsExecuted(), 1u);
+}
+
+/// a -> store-and-forward router -> two-engine firewall -> b, 1 ms links:
+/// packets wait in every kind of delay line.
+struct EveryLineCell {
+  explicit EveryLineCell(Context& ctx) : topo(ctx) {
+    a = &topo.addHost("a", Address(10, 0, 0, 1));
+    SwitchProfile slow;
+    slow.processingDelay = 2_ms;
+    router = &topo.addRouter("rt", slow);
+    FirewallProfile narrow;
+    narrow.engineCount = 2;
+    narrow.engineRate = 100_Mbps;
+    narrow.inputBuffer = 1_MiB;
+    fw = &topo.addFirewall("fw", narrow);
+    b = &topo.addHost("b", Address(10, 0, 0, 2));
+    LinkParams params;
+    params.rate = 1_Gbps;
+    params.delay = 1_ms;
+    topo.connect(*a, *router, params);
+    topo.connect(*router, *fw, params);
+    topo.connect(*fw, *b, params);
+    topo.computeRoutes();
+  }
+  void send(int packets) {
+    for (int i = 0; i < packets; ++i) {
+      Packet p;
+      p.flow = FlowKey{a->address(), b->address(), static_cast<std::uint16_t>(i % 4), 7,
+                       Protocol::kUdp};
+      p.payload = 1000_B;
+      a->send(std::move(p));
+    }
+  }
+  Topology topo;
+  Host* a = nullptr;
+  RouterDevice* router = nullptr;
+  FirewallDevice* fw = nullptr;
+  Host* b = nullptr;
+};
+
+TEST(Profiler, PacketCellNamesEveryDelayLineLayer) {
+  sim::Simulator simulator;
+  sim::Rng rng{7};
+  Context ctx{simulator, rng};
+  sim::Profiler profiler;
+  simulator.setProfiler(&profiler);
+  EveryLineCell cell{ctx};
+  cell.send(50);
+  simulator.run();
+  std::uint64_t total = 0;
+  for (const auto& [name, stats] : profiler.sources()) total += stats.count;
+  EXPECT_EQ(total, profiler.eventsProfiled());
+  EXPECT_EQ(profiler.eventsProfiled(), simulator.eventsExecuted());
+  for (const char* layer : {"net.link", "net.tx", "net.firewall", "net.switch"}) {
+    ASSERT_TRUE(profiler.sources().count(layer)) << layer;
+    EXPECT_GE(profiler.sources().at(layer).count, 50u) << layer;
+  }
+}
+
 TEST(DelayLine, DestroyingTopologyMidRunReleasesEveryPoolSlot) {
   // Packets wait in every kind of line at once: link directions, the tx
   // records, a store-and-forward router's pipeline and firewall engines.
@@ -169,35 +275,12 @@ TEST(DelayLine, DestroyingTopologyMidRunReleasesEveryPoolSlot) {
   sim::Rng rng{7};
   Context ctx{simulator, rng};
   {
-    Topology topo{ctx};
-    auto& a = topo.addHost("a", Address(10, 0, 0, 1));
-    SwitchProfile slow;
-    slow.processingDelay = 2_ms;
-    auto& router = topo.addRouter("rt", slow);
-    FirewallProfile narrow;
-    narrow.engineCount = 2;
-    narrow.engineRate = 100_Mbps;
-    narrow.inputBuffer = 1_MiB;
-    auto& fw = topo.addFirewall("fw", narrow);
-    auto& b = topo.addHost("b", Address(10, 0, 0, 2));
-    LinkParams params;
-    params.rate = 1_Gbps;
-    params.delay = 1_ms;
-    topo.connect(a, router, params);
-    topo.connect(router, fw, params);
-    topo.connect(fw, b, params);
-    topo.computeRoutes();
-    for (int i = 0; i < 500; ++i) {
-      Packet p;
-      p.flow = FlowKey{a.address(), b.address(), static_cast<std::uint16_t>(i % 4), 7,
-                       Protocol::kUdp};
-      p.payload = 1000_B;
-      a.send(std::move(p));
-    }
+    EveryLineCell cell{ctx};
+    cell.send(500);
     simulator.runUntil(sim::SimTime::zero() + 6_ms);
-    ASSERT_GT(router.inPipeline(), 10u);
-    ASSERT_GT(fw.inInspection(), 10u);
-    ASSERT_GT(topo.links()[1]->inFlight(0), 10u);
+    ASSERT_GT(cell.router->inPipeline(), 10u);
+    ASSERT_GT(cell.fw->inInspection(), 10u);
+    ASSERT_GT(cell.topo.links()[1]->inFlight(0), 10u);
     EXPECT_GT(ctx.pool().liveCount(), 0u);
   }
   EXPECT_EQ(ctx.pool().liveCount(), 0u);

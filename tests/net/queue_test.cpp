@@ -156,6 +156,35 @@ TEST(DropTailQueue, UdpOverheadSmaller) {
   EXPECT_EQ(q.depth(), 128_B);  // 100 + 28
 }
 
+TEST(DropTailQueue, PacketCountPastTheEndFailsWithoutAllocating) {
+  // One real packet behind a count the rest of the blob cannot hold: the
+  // count is refused before any pool slot is taken.
+  for (const std::uint64_t count : {std::uint64_t{2}, std::uint64_t{1} << 61}) {
+    sim::BitWriter w;
+    sim::Codec c{w};
+    sim::DataSize capacity = 1_MB;
+    sim::codecSize(c, capacity);
+    QueueStats stats;
+    stats.serialize(c);
+    std::uint64_t n = count;
+    c.vu64(n);
+    Packet p;
+    codecPacket(c, p);
+    const std::vector<std::uint8_t> blob = w.take();
+
+    PacketPool pool;
+    const std::size_t high = pool.highWater();
+    DropTailQueue q{1_MB};
+    sim::BitReader r{blob.data(), blob.size()};
+    sim::Codec rc{r};
+    q.serialize(rc, pool);
+    EXPECT_FALSE(rc.ok()) << "count " << count;
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(pool.liveCount(), 0u);
+    EXPECT_EQ(pool.highWater(), high);
+  }
+}
+
 TEST(PacketPool, RecyclesSlotsLifo) {
   PacketPool pool;
   Packet* first = nullptr;

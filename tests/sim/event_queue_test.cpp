@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace scidmz::sim {
 namespace {
@@ -191,6 +202,220 @@ TEST(EventQueue, PacketSizedCaptureFallsBackToHeap) {
   };
   EventQueue::Callback cb{Capture{}};
   EXPECT_FALSE(cb.isInline());
+}
+
+// --- Timers: the second heap, merged with the closure heap by (at, seq) ---
+
+/// A timer that logs "T<id>" into a shared trace when it fires; `rearm`,
+/// when set, runs inside the fire as a delay line's re-arm would.
+struct Probe {
+  Probe(std::vector<std::string>& log, int id) : log(log), id(id) {}
+  Probe(const Probe&) = delete;  // the timer points at it
+  Probe& operator=(const Probe&) = delete;
+  static void fire(void* self) {
+    auto* p = static_cast<Probe*>(self);
+    // A popped entry left in the heap would fire forever: fail, not hang.
+    if (p->log.size() > 100000) throw std::runtime_error("a timer keeps firing");
+    p->log.push_back("T" + std::to_string(p->id));
+    if (p->rearm) p->rearm();
+  }
+  std::vector<std::string>& log;
+  int id;
+  std::function<void()> rearm;
+  Timer timer{this, &Probe::fire, "test.timer"};
+};
+
+/// Fire everything left in `q`, timers and closures, in pop order.
+void drain(EventQueue& q) {
+  while (!q.empty()) {
+    SimTime when;
+    if (Timer* t = q.popTimer(when)) {
+      t->fire(t->owner);
+    } else {
+      q.pop().cb();
+    }
+  }
+}
+
+TEST(TimerHeap, TimerAndClosureAtOneTimeFireInSeqOrderWhicheverIsArmedFirst) {
+  for (const bool timerKeyFirst : {true, false}) {
+    for (const bool armTimerFirst : {true, false}) {
+      EventQueue q;
+      std::vector<std::string> log;
+      Probe probe{log, 0};
+      const std::uint64_t first = q.reserveSeq();
+      const std::uint64_t second = q.reserveSeq();
+      const std::uint64_t timerSeq = timerKeyFirst ? first : second;
+      const std::uint64_t closureSeq = timerKeyFirst ? second : first;
+      auto armClosure = [&] { q.restoreSchedule(at(40), closureSeq, [&log] { log.push_back("C"); }); };
+      if (armTimerFirst) {
+        q.arm(probe.timer, at(40), timerSeq);
+        armClosure();
+      } else {
+        armClosure();
+        q.arm(probe.timer, at(40), timerSeq);
+      }
+      EXPECT_EQ(q.size(), 2u);
+      EXPECT_EQ(q.nextTime(), at(40));
+      drain(q);
+      EXPECT_EQ(log, timerKeyFirst ? (std::vector<std::string>{"T0", "C"})
+                                   : (std::vector<std::string>{"C", "T0"}))
+          << "timer key first " << timerKeyFirst << ", timer armed first " << armTimerFirst;
+      EXPECT_FALSE(probe.timer.armed());
+    }
+  }
+}
+
+TEST(TimerHeap, RekeysMidHeapDisarmsAndRefiresMatchASortedReference) {
+  // 40 timers, about 22 armed at a time (three heap levels), under a seeded mix of arms, earlier and later re-keys,
+  // disarms from anywhere in the heap and pops, some of which re-arm the
+  // fired timer from inside its fire (filling the vacant root) and some of
+  // which leave the root vacant for the next operation. Due times collide
+  // often, so the seq tie-break decides many pops. Every pop must be the
+  // reference's minimum.
+  EventQueue q;
+  std::vector<std::string> log;
+  std::deque<Probe> probes;
+  constexpr int kTimers = 40;
+  for (int i = 0; i < kTimers; ++i) probes.emplace_back(log, i);
+  std::map<int, std::pair<std::int64_t, std::uint64_t>> armed;  // id -> (at, seq)
+  Rng rng{20130101};
+  std::int64_t now = 0;
+  auto arm = [&](int id, std::int64_t when) {
+    const std::uint64_t seq = q.reserveSeq();
+    q.arm(probes[static_cast<std::size_t>(id)].timer, at(when), seq);
+    armed[id] = {when, seq};
+  };
+  std::size_t pops = 0, earlier = 0, later = 0, disarms = 0, armedSum = 0;
+  constexpr int kSteps = 6000;
+  for (int step = 0; step < kSteps; ++step) {
+    const int id = static_cast<int>(rng.below(kTimers));
+    Probe& p = probes[static_cast<std::size_t>(id)];
+    const std::uint64_t op = rng.below(16);
+    if (op < 8) {
+      const std::int64_t when = now + static_cast<std::int64_t>(rng.below(6)) * 10;
+      if (armed.count(id) != 0) ++(when < armed[id].first ? earlier : later);
+      arm(id, when);
+    } else if (op < 11) {
+      if (armed.count(id) != 0) ++disarms;
+      q.disarm(p.timer);
+      armed.erase(id);
+    } else if (!q.empty()) {
+      const auto want = std::min_element(armed.begin(), armed.end(), [](auto& a, auto& b) {
+        return a.second < b.second;
+      });
+      ASSERT_NE(want, armed.end());
+      ASSERT_EQ(q.nextTime(), at(want->second.first));
+      SimTime when;
+      Timer* t = q.popTimer(when);
+      ASSERT_NE(t, nullptr);
+      ASSERT_EQ(t, &probes[static_cast<std::size_t>(want->first)].timer) << "step " << step;
+      ASSERT_EQ(when, at(want->second.first));
+      now = when.ns();
+      const int fired = want->first;
+      armed.erase(want);
+      ++pops;
+      if (op >= 13) arm(fired, now + static_cast<std::int64_t>(rng.below(4)) * 10);
+    }
+    ASSERT_EQ(q.size(), armed.size()) << "step " << step;
+    armedSum += armed.size();
+    for (int i = 0; i < kTimers; ++i) {
+      ASSERT_EQ(probes[static_cast<std::size_t>(i)].timer.armed(), armed.count(i) != 0)
+          << "timer " << i << " at step " << step;
+    }
+  }
+  EXPECT_GT(pops, 500u);
+  EXPECT_GT(earlier, 100u);
+  EXPECT_GT(later, 100u);
+  EXPECT_GT(disarms, 200u);
+  EXPECT_GE(armedSum / kSteps, 17u);
+  // Fire the rest and compare with the reference's (at, seq) order.
+  std::vector<std::tuple<std::int64_t, std::uint64_t, int>> rest;
+  for (const auto& [id, key] : armed) rest.emplace_back(key.first, key.second, id);
+  std::sort(rest.begin(), rest.end());
+  log.clear();
+  drain(q);
+  std::vector<std::string> want;
+  for (const auto& r : rest) want.push_back("T" + std::to_string(std::get<2>(r)));
+  EXPECT_EQ(log, want);
+}
+
+TEST(TimerHeap, AFireThatReArmsFillsTheVacantRootAndCountsOnce) {
+  // A delay line's shape: each fire re-arms its own timer for the next
+  // record. Pending counts see the fired timer gone inside its fire and
+  // back once re-armed; a closure due between records still interleaves.
+  Simulator sim;
+  std::vector<std::string> log;
+  Probe probe{log, 0};
+  int left = 3;
+  std::vector<std::size_t> pendingInFire;
+  probe.rearm = [&] {
+    pendingInFire.push_back(sim.pendingEventCount());
+    if (--left > 0) sim.arm(probe.timer, sim.now() + Duration::nanoseconds(20), sim.reserveSeq());
+  };
+  sim.arm(probe.timer, at(10), sim.reserveSeq());
+  sim.scheduleAt(at(25), [&log] { log.push_back("C"); });
+  EXPECT_EQ(sim.pendingEventCount(), 2u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"T0", "C", "T0", "T0"}));
+  EXPECT_EQ(pendingInFire, (std::vector<std::size_t>{1, 0, 0}));
+  EXPECT_EQ(sim.eventsExecuted(), 4u);
+  EXPECT_FALSE(sim.pendingEvents());
+}
+
+TEST(TimerHeap, PendingEventCountCountsArmedTimers) {
+  Simulator sim;
+  std::vector<std::string> log;
+  std::deque<Probe> probes;
+  for (int i = 0; i < 3; ++i) probes.emplace_back(log, i);
+  for (Probe& p : probes) sim.arm(p.timer, at(100 + 10 * p.id), sim.reserveSeq());
+  sim.scheduleAt(at(5), [] {});
+  EXPECT_EQ(sim.pendingEventCount(), 4u);
+  sim.arm(probes[2].timer, at(50), sim.reserveSeq());  // re-key: still one entry
+  EXPECT_EQ(sim.pendingEventCount(), 4u);
+  sim.disarm(probes[0].timer);
+  sim.disarm(probes[0].timer);  // disarming an unarmed timer is a no-op
+  EXPECT_EQ(sim.pendingEventCount(), 3u);
+  EXPECT_EQ(sim.nextEventTime(), at(5));
+  sim.runUntil(at(60));
+  EXPECT_EQ(log, (std::vector<std::string>{"T2"}));
+  EXPECT_EQ(sim.pendingEventCount(), 1u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"T2", "T1"}));
+  EXPECT_EQ(sim.pendingEventCount(), 0u);
+}
+
+TEST(TimerHeap, ClearAndBeginRestoreLeaveEveryTimerUnarmed) {
+  for (const bool restore : {false, true}) {
+    Simulator sim;
+    std::vector<std::string> log;
+    std::deque<Probe> probes;
+    for (int i = 0; i < 20; ++i) probes.emplace_back(log, i);
+    for (Probe& p : probes) sim.arm(p.timer, at(10 + 7 * (p.id % 5)), sim.reserveSeq());
+    // Fire one timer that does not re-arm, so the clear meets a vacant root.
+    bool cleared = false;
+    probes[0].rearm = [&] {
+      if (restore) {
+        sim.beginRestore(sim.now(), sim.eventsExecuted(), sim.scheduledTotal());
+      } else {
+        sim.clearPendingEvents();
+      }
+      cleared = true;
+      sim.stop();
+    };
+    sim.run();
+    ASSERT_TRUE(cleared);
+    EXPECT_EQ(log, (std::vector<std::string>{"T0"}));
+    EXPECT_EQ(sim.pendingEventCount(), 0u);
+    EXPECT_EQ(sim.nextEventTime(), SimTime::max());
+    for (const Probe& p : probes) EXPECT_FALSE(p.timer.armed()) << "timer " << p.id;
+    // Every timer arms afresh afterwards.
+    probes[0].rearm = nullptr;
+    for (Probe& p : probes) sim.arm(p.timer, at(100 + p.id), sim.reserveSeq());
+    EXPECT_EQ(sim.pendingEventCount(), 20u);
+    sim.run();
+    EXPECT_EQ(log.size(), 21u);
+  }
 }
 
 }  // namespace

@@ -294,6 +294,14 @@ bool outputBaseWritable(const std::string& base) {
   return false;
 }
 
+/// --out names the directory the run's tables and BENCH_sim.json land in;
+/// one that cannot take them is refused at flag parse too.
+bool outputDirWritable(const std::string& dir) {
+  if (::access(dir.c_str(), W_OK | X_OK) == 0) return true;
+  std::fprintf(stderr, "scidmz_run: cannot write %s: %s\n", dir.c_str(), std::strerror(errno));
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -362,6 +370,7 @@ int main(int argc, char** argv) {
       sweeps.push_back(std::move(sweep));
     } else if (arg == "--out") {
       outDir = operand("a directory");
+      if (!outputDirWritable(outDir)) return 1;
     } else if (arg == "--fidelity" || arg.rfind("--fidelity=", 0) == 0) {
       const std::string text =
           arg == "--fidelity" ? operand("packet|fluid") : arg.substr(std::strlen("--fidelity="));
