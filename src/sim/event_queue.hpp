@@ -26,9 +26,7 @@
 // is earlier in the same (at, seq) order, so a timer fires exactly where a
 // closure under its key would have. Each timer knows its heap position, so
 // an overtaking push re-keys it in place and disarm() removes it from the
-// middle. A fired timer's root entry stays vacant until the next arm() fills
-// it, so a line that fires and re-arms pays one sift-down. Timers never
-// park in the wheel.
+// middle. Timers never park in the wheel.
 //
 // Cancellation is an O(1) tombstone write through a slot/generation handle:
 // the EventId encodes (slot, generation), a fired or cancelled event bumps
@@ -125,27 +123,19 @@ class EventQueue {
   /// place. Pop order is (at, seq) across timers and closures alike.
   void arm(Timer& timer, SimTime at, std::uint64_t seq) {
     const TimerEntry e{at, seq, &timer};
-    if (timer.armed()) {
-      settle();
-      const std::size_t i = timer.pos;
-      if (before(e, timers_[i])) {
-        siftUp(timers_, i, e);
-      } else {
-        siftDown(timers_, i, e);
-      }
-    } else if (vacant_) {
-      vacant_ = false;
-      siftDown(timers_, 0, e);
-    } else {
+    if (!timer.armed()) {
       timers_.push_back(e);
       siftUp(timers_, timers_.size() - 1, e);
+    } else if (before(e, timers_[timer.pos])) {
+      siftUp(timers_, timer.pos, e);
+    } else {
+      siftDown(timers_, timer.pos, e);
     }
   }
 
   /// Take `timer` out of the queue; a no-op when it is not armed.
   void disarm(Timer& timer) {
     if (!timer.armed()) return;
-    settle();
     const std::size_t i = timer.pos;
     timer.pos = Timer::kUnarmed;
     const TimerEntry tail = timers_.back();
@@ -160,7 +150,7 @@ class EventQueue {
 
   /// Live closures plus armed timers.
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] std::size_t size() const { return live_ + timers_.size() - (vacant_ ? 1 : 0); }
+  [[nodiscard]] std::size_t size() const { return live_ + timers_.size(); }
 
   /// Time of the next live event; SimTime::max() when empty.
   [[nodiscard]] SimTime nextTime() {
@@ -176,12 +166,11 @@ class EventQueue {
   Timer* popTimer(SimTime& at) {
     ensureFront();
     if (timers_.empty()) return nullptr;
-    const TimerEntry& top = timers_.front();
+    const TimerEntry top = timers_.front();
     if (!heap_.empty() && before(heap_.front(), top)) return nullptr;
     at = top.at;
     wheel_.advanceBase(at.ns());
-    top.timer->pos = Timer::kUnarmed;
-    vacant_ = true;  // the next arm() sifts down from the root, or settle() fills it
+    disarm(*top.timer);
     return top.timer;
   }
 
@@ -209,7 +198,6 @@ class EventQueue {
   /// released, not destroyed, so handles issued before clear() stay stale;
   /// every armed timer is disarmed.
   void clear() {
-    settle();
     for (const TimerEntry& e : timers_) e.timer->pos = Timer::kUnarmed;
     timers_.clear();
     for (const HeapEntry& e : heap_) {
@@ -356,9 +344,8 @@ class EventQueue {
   /// Tombstones met during a cascade are reclaimed instead of heap-pushed.
   /// The timer heap's front bounds the search too: a wheel entry can only
   /// precede a timer due before every bucket start by cascading, so none
-  /// needs to. A vacant timer root is filled first.
+  /// needs to.
   void ensureFront() {
-    settle();
     for (;;) {
       skipTombstones();
       if (wheel_.empty()) return;
@@ -376,16 +363,6 @@ class EventQueue {
         }
       });
     }
-  }
-
-  /// Fill a vacant timer root (a fired timer no arm() re-used) with the
-  /// heap's last entry.
-  void settle() {
-    if (!vacant_) return;
-    vacant_ = false;
-    const TimerEntry tail = timers_.back();
-    timers_.pop_back();
-    if (!timers_.empty()) siftDown(timers_, 0, tail);
   }
 
   /// Rebuild the heap — and purge the wheel buckets — without tombstoned
@@ -475,7 +452,6 @@ class EventQueue {
 
   std::vector<HeapEntry> heap_;
   std::vector<TimerEntry> timers_;
-  bool vacant_ = false;  ///< timers_[0] is a fired timer's, awaiting a fill
   TimingWheel<HeapEntry> wheel_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

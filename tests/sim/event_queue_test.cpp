@@ -247,7 +247,9 @@ TEST(TimerHeap, TimerAndClosureAtOneTimeFireInSeqOrderWhicheverIsArmedFirst) {
       const std::uint64_t second = q.reserveSeq();
       const std::uint64_t timerSeq = timerKeyFirst ? first : second;
       const std::uint64_t closureSeq = timerKeyFirst ? second : first;
-      auto armClosure = [&] { q.restoreSchedule(at(40), closureSeq, [&log] { log.push_back("C"); }); };
+      auto armClosure = [&] {
+        q.restoreSchedule(at(40), closureSeq, [&log] { log.push_back("C"); });
+      };
       if (armTimerFirst) {
         q.arm(probe.timer, at(40), timerSeq);
         armClosure();
@@ -267,12 +269,11 @@ TEST(TimerHeap, TimerAndClosureAtOneTimeFireInSeqOrderWhicheverIsArmedFirst) {
 }
 
 TEST(TimerHeap, RekeysMidHeapDisarmsAndRefiresMatchASortedReference) {
-  // 40 timers, about 22 armed at a time (three heap levels), under a seeded mix of arms, earlier and later re-keys,
-  // disarms from anywhere in the heap and pops, some of which re-arm the
-  // fired timer from inside its fire (filling the vacant root) and some of
-  // which leave the root vacant for the next operation. Due times collide
-  // often, so the seq tie-break decides many pops. Every pop must be the
-  // reference's minimum.
+  // 40 timers, about 22 armed at a time (three heap levels), under a seeded
+  // mix of arms, earlier and later re-keys, disarms from anywhere in the
+  // heap and pops, some of which re-arm the fired timer from inside its
+  // fire. Due times collide often, so the seq tie-break decides many pops.
+  // Every pop must be the reference's minimum.
   EventQueue q;
   std::vector<std::string> log;
   std::deque<Probe> probes;
@@ -340,7 +341,7 @@ TEST(TimerHeap, RekeysMidHeapDisarmsAndRefiresMatchASortedReference) {
   EXPECT_EQ(log, want);
 }
 
-TEST(TimerHeap, AFireThatReArmsFillsTheVacantRootAndCountsOnce) {
+TEST(TimerHeap, AFireThatReArmsCountsOnce) {
   // A delay line's shape: each fire re-arms its own timer for the next
   // record. Pending counts see the fired timer gone inside its fire and
   // back once re-armed; a closure due between records still interleaves.
@@ -392,7 +393,7 @@ TEST(TimerHeap, ClearAndBeginRestoreLeaveEveryTimerUnarmed) {
     std::deque<Probe> probes;
     for (int i = 0; i < 20; ++i) probes.emplace_back(log, i);
     for (Probe& p : probes) sim.arm(p.timer, at(10 + 7 * (p.id % 5)), sim.reserveSeq());
-    // Fire one timer that does not re-arm, so the clear meets a vacant root.
+    // Clear from inside the fire of a timer that does not re-arm.
     bool cleared = false;
     probes[0].rearm = [&] {
       if (restore) {

@@ -282,24 +282,21 @@ int convertTrace(const std::string& inPath, const std::string& outPath) {
   return 0;
 }
 
-/// --trace/--profile name a base path, and each cell writes BASE.cellN.*
-/// beside it. A directory that cannot take those files is refused here, at
-/// flag parse, not after the first cell has simulated.
-bool outputBaseWritable(const std::string& base) {
-  const std::size_t slash = base.rfind('/');
-  const std::string dir = slash == std::string::npos ? "." : base.substr(0, slash + 1);
+/// A directory the run's outputs must land in and cannot (`what` names the
+/// output) is refused here, at flag parse, not after the first cell has
+/// simulated.
+bool dirWritable(const std::string& dir, const std::string& what) {
   if (::access(dir.c_str(), W_OK | X_OK) == 0) return true;
-  std::fprintf(stderr, "scidmz_run: cannot write %s.*: %s: %s\n", base.c_str(), dir.c_str(),
-               std::strerror(errno));
+  std::fprintf(stderr, "scidmz_run: cannot write %s: %s\n", what.c_str(), std::strerror(errno));
   return false;
 }
 
-/// --out names the directory the run's tables and BENCH_sim.json land in;
-/// one that cannot take them is refused at flag parse too.
-bool outputDirWritable(const std::string& dir) {
-  if (::access(dir.c_str(), W_OK | X_OK) == 0) return true;
-  std::fprintf(stderr, "scidmz_run: cannot write %s: %s\n", dir.c_str(), std::strerror(errno));
-  return false;
+/// --trace/--profile name a base path, and each cell writes BASE.cellN.*
+/// beside it.
+bool outputBaseWritable(const std::string& base) {
+  const std::size_t slash = base.rfind('/');
+  const std::string dir = slash == std::string::npos ? "." : base.substr(0, slash + 1);
+  return dirWritable(dir, base + ".*: " + dir);
 }
 
 }  // namespace
@@ -370,7 +367,7 @@ int main(int argc, char** argv) {
       sweeps.push_back(std::move(sweep));
     } else if (arg == "--out") {
       outDir = operand("a directory");
-      if (!outputDirWritable(outDir)) return 1;
+      if (!dirWritable(outDir, outDir)) return 1;
     } else if (arg == "--fidelity" || arg.rfind("--fidelity=", 0) == 0) {
       const std::string text =
           arg == "--fidelity" ? operand("packet|fluid") : arg.substr(std::strlen("--fidelity="));
